@@ -25,7 +25,7 @@ from .families import (
     entry_levels,
     explicit_paths,
     family_from_bits,
-    is_disjoint,
+    require_valid,
 )
 
 HeightVector = tuple[int, ...]
@@ -212,8 +212,7 @@ def uncomb_column(f: PathFamily, k: int,
     if not 0 <= k < f.n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={f.n}")
     B, D = _to_lists(f)
-    h = [i - sum(B[i][:k]) for i in range(f.n)]
-    _uncomb_column(B, D, h, k, trace_sink)
+    _uncomb_column(B, D, list(entry_levels(f, k)), k, trace_sink)
     return _freeze(B, D)
 
 
@@ -234,25 +233,25 @@ def comb(t: BitTriangle, trace_sink: list[CombTrace] | None = None) -> PathFamil
 def uncomb(f: PathFamily, trace_sink: list[CombTrace] | None = None) -> BitTriangle:
     """Recover the bit triangle of the disjoint family f; inverse of comb.
 
-    The height vector is initialised to h[i] = i at column 0 and adapted by
-    B[i][k-1] when advancing to column k, row by row just before the
-    backward operation touches the row.
+    Raises InvalidFamily when f breaks an invariant of the encoding, and
+    NotDisjoint when f is valid but two of its paths meet.  The sweep is
+    the disjointness certificate: every backward operation checks that its
+    two paths keep a gap, and once all of them pass, each one lay in the
+    domain where the forward operation inverts it, so comb of the result
+    gives back f, which is disjoint.  Each backward operation trades the
+    vertical steps it moves up a row for as many diagonal steps moved down,
+    so the swept family is the cliff-shaped family of the returned bits.
+    The height vector starts at h[i] = i in column 0 and drops by B[i][k]
+    once column k has been swept.
     """
-    if not is_disjoint(f):
-        raise NotDisjoint("uncombing requires a disjoint family")
+    require_valid(f)
     n = f.n
     B, D = _to_lists(f)
-    h = [0] * n
+    h = list(range(n))
     for k in range(n):
-        for i in range(n - 1, k - 1, -1):
-            h[i] = i if k == 0 else h[i] - B[i][k - 1]
-            if i < n - 1:
-                seq = _clify(B, D, h, i, k)
-                if trace_sink is not None:
-                    trace_sink.append(CombTrace(i=i, k=k, d_seq=seq))
-    for i in range(n):
-        assert all(D[i][j] == 0 for j in range(i)), "uncombing left stray vertical steps"
-        assert D[i][i] == i - sum(B[i]), "uncombing broke the descent balance"
+        _uncomb_column(B, D, h, k, trace_sink)
+        for i in range(k + 1, n):
+            h[i] -= B[i][k]
     return BitTriangle(tuple(tuple(r) for r in B))
 
 

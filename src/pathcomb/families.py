@@ -281,6 +281,13 @@ def validate_family(f: PathFamily) -> list[Violation]:
     return out
 
 
+def require_valid(f: PathFamily) -> None:
+    """Raise InvalidFamily naming the first violations validate_family finds."""
+    problems = validate_family(f)
+    if problems:
+        raise InvalidFamily("; ".join(v.message for v in problems[:3]))
+
+
 def family_from_bits(t: BitTriangle) -> PathFamily:
     """Build the cliff-shaped family whose free step directions are t.
 
@@ -297,9 +304,7 @@ def explicit_paths(f: PathFamily) -> list[ExplicitPath]:
     In column j, path i performs its D[i][j] vertical steps on entering the
     column, then (if j < i) the step selected by B[i][j].
     """
-    problems = validate_family(f)
-    if problems:
-        raise InvalidFamily("; ".join(v.message for v in problems[:3]))
+    require_valid(f)
     paths = []
     for i in range(f.n):
         steps: list[tuple[int, int]] = []

@@ -191,11 +191,7 @@ def tiling_to_paths(s: Region, t: DominoTiling) -> EdgePathFamily:
         while seq[-1] in step_from:
             seq.append(step_from[seq[-1]])
         paths.append(tuple(seq))
-    fam = EdgePathFamily.from_paths(paths)
-    edges = region_edges(s)
-    assert {p[0] for p in fam.paths} == edges.entries
-    assert {p[-1] for p in fam.paths} == edges.exits
-    return fam
+    return EdgePathFamily.from_paths(paths)
 
 
 def paths_to_tiling(s: Region, p: EdgePathFamily) -> DominoTiling:

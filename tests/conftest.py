@@ -18,7 +18,7 @@ def disjoint_by_n():
 
 @pytest.fixture(scope="session")
 def schroder_by_n():
-    return {n: pc.enumerate_schroder(n) for n in range(5)}
+    return {n: pc.enumerate_schroder(n) for n in range(6)}
 
 
 @st.composite
@@ -38,6 +38,34 @@ def path_families(draw, max_n: int = 6):
     for k in range(t.n - 1, stage - 1, -1):
         f = pc.comb_column(f, k)
     return f
+
+
+@st.composite
+def schroder_rows(draw, i: int):
+    """The B and D rows of one path from (i, 0) to (0, i) that stays on or
+    above the anti-diagonal."""
+    level, brow, drow = i, [], []
+    for j in range(i):
+        d = draw(st.integers(0, level - (i - j)))
+        b = draw(st.integers(0, 1))
+        level -= d + b
+        brow.append(b)
+        drow.append(d)
+    drow.append(level)
+    return tuple(brow), tuple(drow)
+
+
+@st.composite
+def valid_families(draw, max_n: int = 8):
+    """Valid families that may be non-disjoint: a combed family with up to
+    two of its paths replaced by arbitrary paths."""
+    f = pc.comb(draw(bit_triangles(max_n=max_n)))
+    if not f.n:
+        return f
+    B, D = list(f.B), list(f.D)
+    for i in draw(st.sets(st.integers(0, f.n - 1), max_size=2)):
+        B[i], D[i] = draw(schroder_rows(i))
+    return pc.PathFamily(tuple(B), tuple(D))
 
 
 def column_sums(rows) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import pathcomb as pc
+import pathcomb.cli
 from pathcomb.svg import render_dual, render_family, render_overlay, render_tiling
 
 
@@ -36,6 +37,13 @@ class TestSample:
         assert a.returncode == 0 and a.stdout == b.stdout
         c = run_cli("sample", "--n", "5", "--seed", "2")
         assert c.stdout != a.stdout
+
+    def test_intersecting_comb_output_is_a_domain_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(pathcomb.cli, "comb",
+                            lambda t: pc.family_from_bits(tri([0], [1, 0])))
+        assert pathcomb.cli.main(["sample", "--n", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: NotDisjoint: ")
 
     def test_output_files(self, tmp_path):
         fam = tmp_path / "f.txt"
@@ -70,6 +78,13 @@ class TestCombUncomb:
         r = run_cli("uncomb", "--input", str(fam_file))
         assert r.returncode != 0
         assert "NotDisjoint" in r.stderr
+
+    def test_uncomb_rejects_invalid(self, tmp_path):
+        fam_file = tmp_path / "f.txt"
+        fam_file.write_text("3\nB: | D: 0\nB: 0 | D: 0 1\nB: 0 0 | D: 0 -1 3\n")
+        r = run_cli("uncomb", "--input", str(fam_file))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: InvalidFamily: ")
 
     def test_comb_stages(self, tmp_path):
         tri_file = tmp_path / "t.txt"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import pathcomb as pc
 from pathcomb.combing import CombTrace
 
-from conftest import bit_triangles, column_sums
+from conftest import bit_triangles, column_sums, valid_families
 
 
 def tri(*rows):
@@ -189,6 +189,19 @@ class TestClifyStep:
                     assert len(image) == len(domain)
                     assert image == codomain
 
+    def test_rejects_exactly_outside_backward_domain(self, schroder_by_n):
+        for n in (2, 3, 4):
+            for f in schroder_by_n[n]:
+                for i in range(n - 1):
+                    for k in range(i + 1):
+                        if any(f.D[r][j] for r in (i, i + 1) for j in range(k)):
+                            continue
+                        if in_backward_domain(f, i, k):
+                            pc.clify_step(f, pc.entry_levels(f, k), i, k)
+                        else:
+                            with pytest.raises(pc.NotDisjoint):
+                                pc.clify_step(f, pc.entry_levels(f, k), i, k)
+
     def test_not_disjoint(self):
         f = pc.PathFamily.from_rows([[], [0], [0, 0]], [[0], [0, 1], [0, 1, 1]])
         assert pc.validate_family(f) == []
@@ -303,6 +316,37 @@ class TestUncomb:
         f = pc.family_from_bits(tri([0], [1, 0]))
         with pytest.raises(pc.NotDisjoint):
             pc.uncomb(f)
+
+    @staticmethod
+    def check_sweep_certifies_disjointness(f):
+        if pc.is_disjoint(f):
+            assert pc.comb(pc.uncomb(f)) == f
+        else:
+            with pytest.raises(pc.NotDisjoint):
+                pc.uncomb(f)
+
+    def test_sweep_certifies_disjointness_exhaustive(self, schroder_by_n):
+        for n in range(6):
+            for f in schroder_by_n[n]:
+                self.check_sweep_certifies_disjointness(f)
+
+    @given(valid_families(max_n=8))
+    @settings(max_examples=300)
+    def test_sweep_certifies_disjointness_sampled(self, f):
+        assert pc.validate_family(f) == []
+        self.check_sweep_certifies_disjointness(f)
+
+    @pytest.mark.parametrize("B,D", [
+        ([[], [0], [0, 1]], [[0], [0, 0], [0, 0, 0]]),  # rows 1 and 2 descend too few levels
+        ([[], [0], [0, 0]], [[0], [0, 1], [0, -1, 3]]),  # negative vertical count
+    ])
+    def test_rejects_invalid(self, B, D):
+        f = pc.PathFamily.from_rows(B, D)
+        with pytest.raises(pc.InvalidFamily) as explicit:
+            pc.explicit_paths(f)
+        with pytest.raises(pc.InvalidFamily) as swept:
+            pc.uncomb(f)
+        assert str(swept.value) == str(explicit.value)
 
 
 class TestTraces:

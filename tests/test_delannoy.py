@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
 
 import pathcomb as pc
-from pathcomb.delannoy import _matmul, _transpose
+
+# the package's delannoy function shadows the submodule of the same name
+delannoy_module = importlib.import_module("pathcomb.delannoy")
 
 
 def walk_count(i: int, j: int) -> int:
@@ -24,6 +27,37 @@ def walk_count(i: int, j: int) -> int:
         return total
 
     return rec(i, 0)
+
+
+def matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def transpose(m):
+    return tuple(zip(*m))
+
+
+def reduction_by_products(a) -> bool:
+    """The conjugation identity E^T A E = [[1, 0], [0, 2*A']] by dense
+    matrix products, A' being the leading block of A one order smaller."""
+    n = len(a)
+    e = tuple(tuple(1 if i == j else (-1 if j == i + 1 else 0) for j in range(n))
+              for i in range(n))
+    block = ((1,) + (0,) * (n - 1),) + tuple((0,) + tuple(2 * x for x in row[:n - 1])
+                                              for row in a[:n - 1])
+    return matmul(matmul(transpose(e), a), e) == block
+
+
+def recurrence_table(top, left):
+    """The square table with first row top, first column left and every
+    other entry the sum of its upper, left and upper-left neighbours."""
+    rows = [tuple(top)]
+    for i in range(1, len(top)):
+        row = [left[i]]
+        for j in range(1, len(top)):
+            row.append(rows[-1][j] + row[-1] + rows[-1][j - 1])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def det_cofactor(m) -> int:
@@ -106,8 +140,26 @@ class TestReduction:
     def test_order_two_block(self):
         a = pc.delannoy_matrix(2)
         e = ((1, -1), (0, 1))
-        assert _matmul(_matmul(_transpose(e), a), e) == ((1, 0), (0, 2))
+        assert matmul(matmul(transpose(e), a), e) == ((1, 0), (0, 2))
         assert pc.verify_reduction(2)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_dense_products(self, n, monkeypatch):
+        a = pc.delannoy_matrix(n)
+        assert recurrence_table((1,) * n, (1,) * n) == a
+        assert pc.verify_reduction(n) and reduction_by_products(a)
+        # every single wrong entry, and every wrong border entry carried
+        # through the recurrence, must fail both checks
+        wrong = [tuple(tuple(x + (r == i and c == j) for c, x in enumerate(row))
+                       for r, row in enumerate(a))
+                 for i in range(n) for j in range(n)]
+        for t in range(1, n):
+            bumped = tuple(1 + (j == t) for j in range(n))
+            wrong += [recurrence_table(bumped, (1,) * n), recurrence_table((1,) * n, bumped)]
+        for bad in wrong:
+            monkeypatch.setattr(delannoy_module, "delannoy_matrix", lambda m: bad)
+            assert not pc.verify_reduction(n)
+            assert not reduction_by_products(bad)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_holds(self, n):

@@ -26,6 +26,12 @@ def random_region(rng: random.Random, max_cells: int = 24) -> pc.Region:
     return pc.Region(frozenset(cells))
 
 
+def assert_runs_entries_to_exits(region, fam):
+    edges = pc.region_edges(region)
+    assert {p[0] for p in fam.paths} == edges.entries
+    assert {p[-1] for p in fam.paths} == edges.exits
+
+
 class TestRegionEdges:
     def test_empty(self):
         e = pc.region_edges(pc.Region(frozenset()))
@@ -121,6 +127,7 @@ class TestPathsToTiling:
         region = pc.aztec_region(m)
         for t in pc.enumerate_tilings(region):
             fam = pc.tiling_to_paths(region, t)
+            assert_runs_entries_to_exits(region, fam)
             assert pc.paths_to_tiling(region, fam) == t
             assert pc.tiling_to_paths(region, pc.paths_to_tiling(region, fam)) == fam
 
@@ -131,6 +138,7 @@ class TestPathsToTiling:
             region = random_region(rng)
             for t in pc.enumerate_tilings(region):
                 fam = pc.tiling_to_paths(region, t)
+                assert_runs_entries_to_exits(region, fam)
                 assert pc.paths_to_tiling(region, fam) == t
                 checked += 1
         assert checked > 100
