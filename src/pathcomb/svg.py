@@ -7,6 +7,8 @@ are <rect> elements, grid lines are <line> elements.
 
 from __future__ import annotations
 
+import math
+
 from .families import PathFamily, explicit_paths
 from .tilings import Convention, DominoTiling, convention_paths, dual_family
 
@@ -26,35 +28,35 @@ DOMINO_FILL = {
 class _Canvas:
     def __init__(self) -> None:
         self.parts: list[str] = []
-        self.min_x = self.min_y = self.max_x = self.max_y = None
+        self.min_x = self.min_y = math.inf
+        self.max_x = self.max_y = -math.inf
 
-    def cover(self, x: float, y: float) -> None:
-        if self.min_x is None:
-            self.min_x = self.max_x = x
-            self.min_y = self.max_y = y
-        else:
-            self.min_x = min(self.min_x, x)
-            self.max_x = max(self.max_x, x)
-            self.min_y = min(self.min_y, y)
-            self.max_y = max(self.max_y, y)
+    def cover(self, lo_x: float, lo_y: float, hi_x: float, hi_y: float) -> None:
+        # a bound moves only on a strict gain, so of 0.0 and -0.0 the first drawn stays
+        if lo_x < self.min_x:
+            self.min_x = lo_x
+        if lo_y < self.min_y:
+            self.min_y = lo_y
+        if hi_x > self.max_x:
+            self.max_x = hi_x
+        if hi_y > self.max_y:
+            self.max_y = hi_y
 
     def line(self, x1, y1, x2, y2, color=GRID_COLOR, width=1.0) -> None:
-        self.cover(x1, y1)
-        self.cover(x2, y2)
+        self.cover(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
         self.parts.append(
             f'<line x1="{x1:g}" y1="{y1:g}" x2="{x2:g}" y2="{y2:g}" '
             f'stroke="{color}" stroke-width="{width:g}"/>')
 
     def rect(self, x, y, w, h, fill) -> None:
-        self.cover(x, y)
-        self.cover(x + w, y + h)
+        self.cover(x, y, x + w, y + h)
         self.parts.append(
             f'<rect x="{x:g}" y="{y:g}" width="{w:g}" height="{h:g}" '
             f'fill="{fill}" stroke="#333333" stroke-width="1"/>')
 
     def polyline_path(self, pts, color, width=2.5) -> None:
-        for x, y in pts:
-            self.cover(x, y)
+        xs, ys = zip(*pts)
+        self.cover(min(xs), min(ys), max(xs), max(ys))
         if len(pts) == 1:
             x, y = pts[0]
             data = f"M {x:g} {y:g} l 0 0"
@@ -65,7 +67,7 @@ class _Canvas:
             f'stroke-width="{width:g}" stroke-linecap="round" stroke-linejoin="round"/>')
 
     def document(self) -> str:
-        if self.min_x is None:
+        if not self.parts:
             view = "0 0 40 40"
         else:
             view = (f"{self.min_x - MARGIN:g} {self.min_y - MARGIN:g} "

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from .combing import NotDisjoint
@@ -31,7 +32,6 @@ from .families import (
     PathFamily,
     explicit_paths,
     family_from_paths,
-    is_disjoint,
 )
 
 Cell = tuple[int, int]
@@ -99,8 +99,7 @@ class DominoTiling:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Cell, Cell]]) -> "DominoTiling":
-        return cls(frozenset(tuple(sorted(((int(a), int(b)), (int(c), int(d)))))
-                             for (a, b), (c, d) in pairs))
+        return cls(frozenset((p, q) if p <= q else (q, p) for p, q in pairs))
 
     def cells(self) -> frozenset[Cell]:
         return frozenset(c for pair in self.dominoes for c in pair)
@@ -111,19 +110,23 @@ class DominoTiling:
 
     @classmethod
     def from_text(cls, text: str) -> "DominoTiling":
-        pairs = []
+        line_of: dict[tuple[Cell, Cell], int] = {}
         for ln, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
             fields = line.split()
+            if not fields:
+                continue
             if len(fields) != 4:
                 raise ParseError("tiling line must hold four integers", line=ln)
             try:
-                a, b, c, d = (int(x) for x in fields)
+                a, b, c, d = map(int, fields)
             except ValueError:
                 raise ParseError("non-integer cell coordinate", line=ln) from None
-            pairs.append(((a, b), (c, d)))
-        return cls.from_pairs(pairs)
+            p, q = (a, b), (c, d)
+            pair = (p, q) if p <= q else (q, p)
+            if line_of.setdefault(pair, ln) != ln:
+                raise ParseError(f"domino repeats line {line_of[pair]}", line=ln)
+        # built from the keys view: frozenset(dict) presizes its table to 2x
+        return cls(frozenset(line_of.keys()))
 
 
 @dataclass(frozen=True)
@@ -142,16 +145,11 @@ def region_edges(s: Region) -> EdgeSets:
     cells = s.cells
     entries, interior, exits = set(), set(), set()
     for c in cells:
-        left = (c[0], c[1] - 1)
-        if is_black(c):
-            if left in cells:
-                interior.add(c)
-            else:
-                entries.add(c)
-        else:
-            right = (c[0], c[1] + 1)
-            if right not in cells:
-                exits.add(right)
+        i, j = c
+        if (i - j) % 2 == 0:
+            (interior if (i, j - 1) in cells else entries).add(c)
+        elif (i, j + 1) not in cells:
+            exits.add((i, j + 1))
     return EdgeSets(frozenset(entries), frozenset(interior), frozenset(exits))
 
 
@@ -178,10 +176,9 @@ def tiling_to_paths(s: Region, t: DominoTiling) -> EdgePathFamily:
     _check_tiles(s, t)
     step_from: dict[Cell, Cell] = {}
     for c1, c2 in t.dominoes:
-        black, white = (c1, c2) if is_black(c1) else (c2, c1)
-        e, e2 = black, (white[0], white[1] + 1)
-        if e != e2:
-            step_from[e] = e2
+        black, (wi, wj) = (c1, c2) if (c1[0] - c1[1]) % 2 == 0 else (c2, c1)
+        if black != (wi, wj + 1):
+            step_from[black] = (wi, wj + 1)
     targets = set(step_from.values())
     paths = []
     for start in step_from:
@@ -212,37 +209,40 @@ def paths_to_tiling(s: Region, p: EdgePathFamily) -> DominoTiling:
             raise InvalidFamily(f"path start {path[0]} is not an entry")
         if path[-1] not in edges.exits:
             raise InvalidFamily(f"path end {path[-1]} is not an exit")
-        for mid in path[1:-1]:
-            if mid not in edges.interior:
-                raise InvalidFamily(f"edge {mid} is not interior")
+        if not edges.interior.issuperset(path[1:-1]):
+            mid = next(e for e in path[1:-1] if e not in edges.interior)
+            raise InvalidFamily(f"edge {mid} is not interior")
         for a, b in zip(path, path[1:]):
             if (b[0] - a[0], b[1] - a[1]) not in EDGE_STEPS:
                 raise InvalidFamily(f"bad step {a} -> {b}")
             next_edge[a] = b
-        for e in path:
-            if e in seen_edges:
-                raise InvalidFamily(f"edge {e} lies on two paths")
-            seen_edges.add(e)
+        # steps advance the column, so a path cannot meet itself
+        if not seen_edges.isdisjoint(path):
+            e = next(e for e in path if e in seen_edges)
+            raise InvalidFamily(f"edge {e} lies on two paths")
+        seen_edges.update(path)
     if {path[0] for path in p.paths} != edges.entries:
         raise InvalidFamily("every entry must lie on a path")
     if {path[-1] for path in p.paths} != edges.exits:
         raise InvalidFamily("every exit must lie on a path")
-    whites = s.white_cells()
+    blacks, whites = [], set()
+    for c in s.cells:
+        if (c[0] - c[1]) % 2 == 0:
+            blacks.append(c)
+        else:
+            whites.add(c)
     used: set[Cell] = set()
     pairs = []
-    for black in s.black_cells():
-        if black in next_edge:
-            nxt = next_edge[black]
-            white = (nxt[0], nxt[1] - 1)
-        else:
-            white = (black[0], black[1] - 1)
+    for black in blacks:
+        i, j = next_edge.get(black, black)
+        white = (i, j - 1)
         if white not in whites or white in used:
             raise InvalidFamily(f"black cell {black} cannot pair with {white}")
         used.add(white)
-        pairs.append((black, white))
+        pairs.append((black, white) if black <= white else (white, black))
     if used != whites:
         raise InvalidFamily("some white cells stay uncovered")
-    return DominoTiling.from_pairs(pairs)
+    return DominoTiling(frozenset(pairs))
 
 
 def aztec_region(order: int) -> Region:
@@ -253,7 +253,7 @@ def aztec_region(order: int) -> Region:
     cells = []
     for i in range(1, 2 * order + 1):
         half = i if i <= order else 2 * order - i + 1
-        cells.extend((i, j) for j in range(-half, half))
+        cells.extend(zip(repeat(i), range(-half, half)))
     return Region(frozenset(cells))
 
 
@@ -290,11 +290,6 @@ def enumerate_tilings(s: Region, cap: int = 40) -> set[DominoTiling]:
     return out
 
 
-def _shear(point: Cell) -> Cell:
-    lev, col = point
-    return (lev + col, col - lev)
-
-
 def _unshear(edge: Cell) -> Cell:
     s, u = edge
     if (s - u) % 2:
@@ -308,32 +303,42 @@ def family_to_tiling(f: PathFamily) -> DominoTiling:
 
     Paths P_1, ..., P_{n-1} shear onto edge paths of the region; P_0 sits
     on the virtual edge (0, 0) outside the region and is dropped.
+
+    explicit_paths raises InvalidFamily unless f is a valid family; a point
+    shared by two paths raises NotDisjoint; paths_to_tiling raises
+    InvalidFamily unless the sheared paths route every entry of the region
+    to an exit through interior edges.
     """
     if f.n < 1:
         raise ValueError("need at least one path")
-    if not is_disjoint(f):
+    points = [path.points() for path in explicit_paths(f)]
+    if sum(map(len, points)) != len({pt for pts in points for pt in pts}):
         raise NotDisjoint("only disjoint families correspond to tilings")
-    region = aztec_region(f.n - 1)
-    paths = explicit_paths(f)
-    edge_paths = [tuple(_shear(pt) for pt in paths[i].points()) for i in range(1, f.n)]
-    return paths_to_tiling(region, EdgePathFamily.from_paths(edge_paths))
+    edge_paths = [tuple((lev + col, col - lev) for lev, col in pts) for pts in points[1:]]
+    return paths_to_tiling(aztec_region(f.n - 1), EdgePathFamily.from_paths(edge_paths))
 
 
 def _aztec_order_of(t: DominoTiling) -> int:
-    count = len(t.cells())
+    """The order m with 2m(m+1) == 2 * len(t.dominoes); whether the dominoes
+    cover exactly that diamond is left to tiling_to_paths."""
+    count = 2 * len(t.dominoes)
     order = 0
     while 2 * order * (order + 1) < count:
         order += 1
     if 2 * order * (order + 1) != count:
         raise NotATiling(f"{count} cells is not an Aztec diamond cell count")
-    if t.cells() != aztec_region(order).cells:
-        raise NotATiling("cells do not form the Aztec diamond in standard placement")
     return order
 
 
 def tiling_to_family(t: DominoTiling) -> PathFamily:
     """The disjoint order m+1 family of a tiling of the order-m Aztec
-    diamond; inverse of family_to_tiling."""
+    diamond; inverse of family_to_tiling.
+
+    tiling_to_paths, through its exact-cover check, raises NotATiling
+    unless t tiles the order-m diamond in standard placement; the unshear
+    and the start checks raise NotATiling unless the edge paths are the
+    images of lattice paths starting at distinct points (i, 0), 1 <= i <= m.
+    """
     order = _aztec_order_of(t)
     fam = tiling_to_paths(aztec_region(order), t)
     by_index: dict[int, ExplicitPath] = {0: ExplicitPath((0, 0), ())}
@@ -348,8 +353,32 @@ def tiling_to_family(t: DominoTiling) -> PathFamily:
     return family_from_paths([by_index[i] for i in range(order + 1)])
 
 
-def _rotate_cell(order: int) -> Callable[[Cell], Cell]:
-    return lambda c: (2 * order + 1 - c[0], -1 - c[1])
+class Convention(IntEnum):
+    """The four edge conventions for extracting paths from one tiling."""
+
+    CANONICAL = 0
+    HALF_TURN = 1
+    TRANSPOSE = 2
+    ANTITRANSPOSE = 3
+
+
+def _symmetry(conv: Convention, m: int, cells: bool) -> Callable:
+    """The involution of the order-m diamond under convention conv.
+
+    On drawing points it is p -> (s0*q0 - c0, s1*q1 - c1), with q the point
+    p, transposed for the transposing conventions.  On cells it is the same
+    map seen at the cell centres c + 1/2, which moves each offset by
+    (1 - s)/2.  The offsets are subtracted because x - 0 keeps the sign of a
+    zero where x + 0 does not, and the drawings print -0.0 as "-0".
+    """
+    swap, s0, s1, k0, k1 = ((False, 1, 1, 0, 0), (False, -1, -1, -2, 0),
+                            (True, 1, 1, -1, 1), (True, -1, -1, -1, -1))[conv]
+    c0, c1 = k0 * (m + 1), k1 * (m + 1)
+    if cells:
+        c0, c1 = c0 + (1 - s0) // 2, c1 + (1 - s1) // 2
+    if swap:
+        return lambda p: (s0 * p[1] - c0, s1 * p[0] - c1)
+    return lambda p: (s0 * p[0] - c0, s1 * p[1] - c1)
 
 
 def dual_family(f: PathFamily) -> PathFamily:
@@ -362,40 +391,9 @@ def dual_family(f: PathFamily) -> PathFamily:
     """
     if f.n == 0:
         return f
-    tiling = family_to_tiling(f)
-    rot = _rotate_cell(f.n - 1)
-    rotated = DominoTiling.from_pairs((rot(a), rot(b)) for a, b in tiling.dominoes)
-    return tiling_to_family(rotated)
-
-
-class Convention(IntEnum):
-    """The four edge conventions for extracting paths from one tiling."""
-
-    CANONICAL = 0
-    HALF_TURN = 1
-    TRANSPOSE = 2
-    ANTITRANSPOSE = 3
-
-
-def _cell_symmetry(conv: Convention, m: int) -> Callable[[Cell], Cell]:
-    if conv == Convention.CANONICAL:
-        return lambda c: c
-    if conv == Convention.HALF_TURN:
-        return _rotate_cell(m)
-    if conv == Convention.TRANSPOSE:
-        return lambda c: (c[1] + m + 1, c[0] - m - 1)
-    return lambda c: (m - c[1], m - c[0])
-
-
-def _point_symmetry(conv: Convention, m: int) -> Callable[[tuple[float, float]], tuple[float, float]]:
-    # Continuous counterparts of _cell_symmetry; each is an involution.
-    if conv == Convention.CANONICAL:
-        return lambda p: p
-    if conv == Convention.HALF_TURN:
-        return lambda p: (2 * m + 2 - p[0], -p[1])
-    if conv == Convention.TRANSPOSE:
-        return lambda p: (p[1] + m + 1, p[0] - m - 1)
-    return lambda p: (m + 1 - p[1], m + 1 - p[0])
+    rot = _symmetry(Convention.HALF_TURN, f.n - 1, cells=True)
+    return tiling_to_family(DominoTiling.from_pairs(
+        (rot(a), rot(b)) for a, b in family_to_tiling(f).dominoes))
 
 
 def convention_paths(t: DominoTiling, conv: Convention) -> list[list[tuple[float, float]]]:
@@ -406,11 +404,11 @@ def convention_paths(t: DominoTiling, conv: Convention) -> list[list[tuple[float
     order-m tiling always yields m+1 polylines.
     """
     m = _aztec_order_of(t)
-    sym = _cell_symmetry(conv, m)
-    unsym = _point_symmetry(conv, m)
-    mapped = DominoTiling.from_pairs((sym(a), sym(b)) for a, b in t.dominoes)
+    cell = _symmetry(conv, m, cells=True)
+    point = _symmetry(conv, m, cells=False)
+    mapped = DominoTiling.from_pairs((cell(a), cell(b)) for a, b in t.dominoes)
     fam = tiling_to_paths(aztec_region(m), mapped)
-    polylines = [[unsym((0.5, 0.0))]]
+    polylines = [[point((0.5, 0.0))]]
     for path in fam.paths:
-        polylines.append([unsym((e[0] + 0.5, float(e[1]))) for e in path])
+        polylines.append([point((e[0] + 0.5, float(e[1]))) for e in path])
     return polylines

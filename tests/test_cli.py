@@ -152,6 +152,14 @@ class TestTile:
         assert r.returncode == 1
         assert "NotDisjoint" in r.stderr
 
+    def test_repeated_domino_is_a_parse_error(self, tmp_path):
+        til_file = tmp_path / "t.txt"
+        # a complete order-1 tiling, then its first domino again, reversed
+        til_file.write_text("1 -1 1 0\n2 -1 2 0\n1 0 1 -1\n")
+        r = run_cli("tile", "--input", str(til_file), "--direction", "to-family")
+        assert r.returncode == 1
+        assert r.stderr == "error: ParseError: domino repeats line 1 (line 3)\n"
+
 
 class TestRender:
     def test_empty_family(self):

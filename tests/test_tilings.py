@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 import pathcomb as pc
-from pathcomb.tilings import EdgePathFamily, is_black
+from pathcomb.tilings import EdgePathFamily, _symmetry, is_black
 
 
 def tri(*rows):
@@ -204,6 +204,46 @@ class TestFamilyTilingBridge:
         with pytest.raises(pc.NotATiling):
             pc.tiling_to_family(t)
 
+    @pytest.mark.parametrize("n,seed", [(50, 1), (100, 2), (200, 3)])
+    def test_round_trip_large_order(self, n, seed):
+        f = pc.comb(pc.random_triangle(n, seed))
+        t = pc.family_to_tiling(f)
+        assert len(t.dominoes) == (n - 1) * n
+        assert pc.tiling_to_family(t) == f
+
+    def test_rejects_intersecting_large_order(self):
+        f = pc.family_from_bits(pc.random_triangle(50, 4))
+        assert pc.validate_family(f) == [] and not pc.is_disjoint(f)
+        with pytest.raises(pc.NotDisjoint):
+            pc.family_to_tiling(f)
+
+    def test_rejects_doubled_cell_large_order(self):
+        # swap one domino for one that shares a cell with a neighbour: the
+        # domino count stays an Aztec count, one cell is covered twice
+        t = pc.family_to_tiling(pc.comb(pc.random_triangle(50, 5)))
+        covered = t.cells()
+        a, b = min(t.dominoes)
+        c = next(nb for nb in ((a[0] + 1, a[1]), (a[0] - 1, a[1]), (a[0], a[1] + 1),
+                               (a[0], a[1] - 1)) if nb != b and nb in covered)
+        doubled = pc.DominoTiling.from_pairs((t.dominoes - {(a, b)}) | {(a, c)})
+        assert len(doubled.dominoes) == len(t.dominoes)
+        with pytest.raises(pc.NotATiling):
+            pc.tiling_to_family(doubled)
+        for conv in pc.Convention:
+            with pytest.raises(pc.NotATiling):
+                pc.convention_paths(doubled, conv)
+
+    def test_rejects_translated_diamond(self):
+        t = pc.family_to_tiling(pc.comb(pc.random_triangle(6, 6)))
+        for di, dj in ((0, 2), (1, 1), (-2, 0)):
+            moved = pc.DominoTiling.from_pairs(
+                ((a + di, b + dj), (c + di, d + dj)) for (a, b), (c, d) in t.dominoes)
+            with pytest.raises(pc.NotATiling):
+                pc.tiling_to_family(moved)
+            for conv in pc.Convention:
+                with pytest.raises(pc.NotATiling):
+                    pc.convention_paths(moved, conv)
+
 
 class TestDuality:
     def test_all_diagonal_self_dual(self):
@@ -248,6 +288,17 @@ class TestDuality:
                 assert reflect(self._step_starts(f, V_STEP)) == \
                     self._step_starts(g, H_STEP)
 
+    @pytest.mark.parametrize("n,seed", [(50, 1), (100, 2), (200, 3)])
+    def test_large_order_involution_and_crossings(self, n, seed):
+        from pathcomb.families import H_STEP, V_STEP
+
+        f = pc.comb(pc.random_triangle(n, seed))
+        g = pc.dual_family(f)
+        assert g != f and pc.dual_family(g) == f
+        reflect = lambda pts: {(n - k, n - 1 - l) for k, l in pts}
+        assert reflect(self._step_starts(f, H_STEP)) == self._step_starts(g, V_STEP)
+        assert reflect(self._step_starts(f, V_STEP)) == self._step_starts(g, H_STEP)
+
     def test_combed_example_crossings(self):
         from pathcomb.families import H_STEP
 
@@ -258,6 +309,22 @@ class TestDuality:
 
 
 class TestConventions:
+    @pytest.mark.parametrize("conv", list(pc.Convention))
+    def test_symmetry_table(self, conv):
+        for m in range(7):
+            cell = _symmetry(conv, m, cells=True)
+            point = _symmetry(conv, m, cells=False)
+            region = pc.aztec_region(m).cells
+            assert {cell(c) for c in region} == region
+            for c in region:
+                assert cell(cell(c)) == c
+                centre = (c[0] + 0.5, c[1] + 0.5)
+                mapped = cell(c)
+                assert point(centre) == (mapped[0] + 0.5, mapped[1] + 0.5)
+                assert point(point(centre)) == centre
+                edge = (c[0] + 0.5, float(c[1]))
+                assert point(point(edge)) == edge
+
     def test_four_extractions(self):
         for m in (1, 2):
             for t in pc.enumerate_tilings(pc.aztec_region(m)):
