@@ -18,13 +18,15 @@ dominance properties of the d-sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, product, repeat
+from operator import add, itemgetter, xor
+from typing import Iterable, Sequence
 
 from .families import (
     BitTriangle,
     PathFamily,
     entry_levels,
     explicit_paths,
-    family_from_bits,
     require_valid,
 )
 
@@ -64,12 +66,73 @@ class CombTrace:
         return self.d_seq[-1]
 
 
-def _to_lists(f: PathFamily) -> tuple[list[list[int]], list[list[int]]]:
-    return [list(r) for r in f.B], [list(r) for r in f.D]
+W = 4
+"""Columns per chunk of a packed B row."""
 
 
-def _freeze(B: list[list[int]], D: list[list[int]]) -> PathFamily:
-    return PathFamily(tuple(tuple(r) for r in B), tuple(tuple(r) for r in D))
+def _table(backward: bool) -> list[tuple[int, int, int]]:
+    """The scan of one chunk, for every chunk pair and entering slack.
+
+    The slack is how far the control value d stays from the running gap
+    sum: forward it is d - cur and gains x_j - y_j per column, backward it
+    is cur - d and gains y_j - x_j, with columns taken high to low.  A
+    column where it would go negative is a record: both rows' bits there
+    flip, d moves by one (up forward, down backward) and the slack stays 0.
+    A slack of W or more enters a chunk that cannot hold a record, so the
+    key clamps it to W: min(slack, W) << 2W | x << W | y.  The entry is
+    (record mask, change of d, change of slack).
+    """
+    cols = range(W - 1, -1, -1) if backward else range(W)
+    sign = -1 if backward else 1
+    walks = [[(j, sign * ((x >> j & 1) - (y >> j & 1))) for j in cols]
+             for x in range(1 << W) for y in range(1 << W)]
+    table = []
+    for s0 in range(W + 1):
+        for steps in walks:
+            s, r = s0, 0
+            for j, gain in steps:
+                s += gain
+                if s < 0:
+                    s, r = 0, r | 1 << j
+            table.append((r, sign * r.bit_count(), s - s0))
+    return table
+
+
+_FORWARD = _table(backward=False)
+_BACKWARD = _table(backward=True)
+_BITS = [bytes(m >> j & 1 for j in range(W)) for m in range(1 << W)]
+# a row of at most 2W bits packs and unpacks with one lookup
+_NIBBLE = {bits: sum(b << j for j, b in enumerate(bits))
+           for n in range(1, W + 1) for bits in product((0, 1), repeat=n)}
+_PACK = {(): (), **{bits: (v,) for bits, v in _NIBBLE.items()},
+         **{lo + hi: (_NIBBLE[lo], v) for lo in product((0, 1), repeat=W)
+            for hi, v in _NIBBLE.items()}}
+_UNPACK = {(len(bits), chunks): bits for bits, chunks in _PACK.items()}
+# Times a string of 0/1 bytes read as a little-endian integer, this moves
+# the W bits of each 4-byte group into the low nibble of the group's last
+# byte; no two partial products share a bit, so nothing carries.
+_GATHER_MUL = 1 << 24 | 1 << 17 | 1 << 10 | 1 << 3
+_LOW_NIBBLE = bytes(b & 15 for b in range(256))
+
+
+def _gather(bits: bytes) -> list[int]:
+    """The chunks of a bit string with one 0/1 byte per column: bit b of
+    chunk c is column W*c + b."""
+    moved = int.from_bytes(bits, "little") * _GATHER_MUL
+    return list(moved.to_bytes(len(bits) + 3, "little")[3::4].translate(_LOW_NIBBLE))
+
+
+def _spread(chunks: Iterable[int]) -> bytes:
+    """The columns of a run of chunks, one 0/1 byte each; inverse of _gather."""
+    return b"".join(map(_BITS.__getitem__, chunks))
+
+
+def _pack(row: tuple[int, ...]) -> list[int]:
+    return list(_PACK[row]) if len(row) <= 2 * W else _gather(bytes(row))
+
+
+def _unpack(x: list[int], length: int) -> tuple[int, ...]:
+    return _UNPACK[length, tuple(x)] if length <= 2 * W else tuple(_spread(x)[:length])
 
 
 def _check_clear_before(f: PathFamily, i: int, k: int) -> None:
@@ -81,58 +144,113 @@ def _check_clear_before(f: PathFamily, i: int, k: int) -> None:
                     f"vertical steps before column {k}")
 
 
-def _disj(B: list[list[int]], D: list[list[int]], i: int, k: int) -> tuple[int, ...]:
+def _scan(X: Sequence[list[int]], i: int, k: int, d: int, s: int, backward: bool) -> int:
+    """The chunked kernel: scan columns 0..k-1 of packed rows i, i+1 in place.
+
+    d and s are the control value and slack on entry (see _table).  One
+    lookup per whole chunk, and one masked lookup for the partial chunk
+    below column k, flip the record bits of both rows.  Returns d at the
+    end of the scan, and raises NotDisjoint when a backward scan drives d
+    below 0, at the record where the paths collide.
+    """
+    x, y = X[i], X[i + 1]
+    q, m = k >> 2, (1 << (k & 3)) - 1
+    if backward:
+        table, chunks = _BACKWARD, range(q - 1, -1, -1)
+        if m:  # the partial chunk holds the highest columns, so it comes first
+            r, dd, ds = table[(s if s < 4 else 4) << 8 | (x[q] & m) << 4 | y[q] & m]
+            x[q] ^= r
+            y[q] ^= r
+            d += dd
+            if d < 0:
+                raise _collision(i, q, r, d - dd)
+            s += ds
+    else:
+        table, chunks = _FORWARD, range(q)
+    for c in chunks:
+        # the key is min(s, W) << 2W | x << W | y, written out for W = 4
+        r, dd, ds = table[(s if s < 4 else 4) << 8 | x[c] << 4 | y[c]]
+        if r:
+            x[c] ^= r
+            y[c] ^= r
+            d += dd
+            if d < 0:
+                raise _collision(i, c, r, d - dd)
+        s += ds
+    if m and not backward:
+        r, dd, _ = table[(s if s < 4 else 4) << 8 | (x[q] & m) << 4 | y[q] & m]
+        x[q] ^= r
+        y[q] ^= r
+        d += dd
+    return d
+
+
+def _collision(i: int, c: int, r: int, d: int) -> NotDisjoint:
+    """Paths i, i+1 collide at the (d+1)-th record of chunk c, walking its
+    record mask r from the high bit down: there a backward scan entering
+    the chunk with control value d drives it below 0."""
+    j = W * c + [b for b in range(W - 1, -1, -1) if r >> b & 1][d]
+    return NotDisjoint(f"paths {i},{i + 1} collide in column {j}")
+
+
+def _trace(before: list[int], after: list[int], i: int, k: int, d0: int) -> CombTrace:
+    """The trace of one basic operation on rows i, i+1, read off the bits it
+    flipped in row i: from d0 at column 0, the control value steps by one
+    at every flipped column."""
+    flips = _spread(map(xor, before, after))[:k]
+    return CombTrace(i, k, tuple(accumulate(flips, initial=d0)))
+
+
+def _disj(X: Sequence[list[int]], D: Sequence[list[int]], i: int, k: int) -> None:
     """Forward operation on rows i, i+1 up to column k, in place."""
     if D[i + 1][k]:
         raise ResidualVerticalSteps(
             f"D[{i + 1}][{k}] = {D[i + 1][k]} must be 0 before the forward operation")
-    bi, bi1 = B[i], B[i + 1]
-    cur = 0
-    d = 0
-    seq = [0]
-    for j in range(k):
-        cur += bi1[j] - bi[j]
-        if cur > d:
-            d = cur
-            bi[j], bi1[j] = 1, 0
-        seq.append(d)
+    d = _scan(X, i, k, 0, 0, backward=False)
     if D[i][k] < d:
         raise InsufficientVerticalSteps(
             f"need {d} vertical steps in D[{i}][{k}] but only {D[i][k]} present")
     D[i][k] -= d
     D[i + 1][k] = d
-    return tuple(seq)
 
 
-def _clify(B: list[list[int]], D: list[list[int]], h: list[int], i: int, k: int,
-           ) -> tuple[int, ...]:
+def _clify(X: Sequence[list[int]], D: Sequence[list[int]], h: list[int], i: int, k: int) -> int:
     """Backward operation on rows i, i+1 up to column k, in place.
 
     h[i] and h[i+1] must hold the entry levels of the two paths into
-    column k; they are updated to match the result.
+    column k; they are updated to match the result.  Returns the control
+    value at column 0.
     """
     d = D[i + 1][k]
-    cur = h[i + 1] - h[i] - 1
-    if not 0 <= d <= cur:
+    gap = h[i + 1] - h[i] - 1
+    if not 0 <= d <= gap:
         raise NotDisjoint(
             f"paths {i},{i + 1} are not disjoint up to column {k}: "
-            f"gap {cur} cannot absorb {d} vertical steps")
+            f"gap {gap} cannot absorb {d} vertical steps")
     D[i + 1][k] = 0
     D[i][k] += d
     h[i + 1] -= d
     h[i] += d
-    seq = [0] * (k + 1)
-    seq[k] = d
-    bi, bi1 = B[i], B[i + 1]
-    for j in range(k - 1, -1, -1):
-        cur += bi1[j] - bi[j]
-        if cur < 0:
-            raise NotDisjoint(f"paths {i},{i + 1} collide in column {j}")
-        if cur < d:
-            d = cur
-            bi[j], bi1[j] = 0, 1
-        seq[j] = d
-    return tuple(seq)
+    return _scan(X, i, k, d, gap - d, backward=True)
+
+
+def _stage(f: PathFamily, rows: slice, k: int) -> tuple[list, list]:
+    """The part of f that basic operations up to column k on the given rows
+    read or write: columns < k of those B rows, packed, and those D rows as
+    lists.  The other rows stay as they are."""
+    X, D = list(f.B), list(f.D)
+    X[rows] = map(_pack, map(itemgetter(slice(k)), f.B[rows]))
+    D[rows] = map(list, f.D[rows])
+    return X, D
+
+
+def _staged(f: PathFamily, rows: slice, k: int, X: list, D: list) -> PathFamily:
+    """f with the given rows put back from a stage."""
+    B = list(f.B)
+    B[rows] = map(add, map(_unpack, X[rows], repeat(k)),
+                  map(itemgetter(slice(k, None)), f.B[rows]))
+    D[rows] = map(tuple, D[rows])
+    return PathFamily(tuple(B), tuple(D))
 
 
 def disj_step(f: PathFamily, i: int, k: int) -> tuple[PathFamily, CombTrace]:
@@ -146,9 +264,10 @@ def disj_step(f: PathFamily, i: int, k: int) -> tuple[PathFamily, CombTrace]:
     if not 0 <= k <= i < f.n - 1:
         raise ValueError(f"need 0 <= k <= i < n-1, got i={i}, k={k}, n={f.n}")
     _check_clear_before(f, i, k)
-    B, D = _to_lists(f)
-    seq = _disj(B, D, i, k)
-    return _freeze(B, D), CombTrace(i=i, k=k, d_seq=seq)
+    X, D = _stage(f, slice(i, i + 2), k)
+    before = X[i][:]
+    _disj(X, D, i, k)
+    return _staged(f, slice(i, i + 2), k, X, D), _trace(before, X[i], i, k, 0)
 
 
 def clify_step(f: PathFamily, h: HeightVector, i: int, k: int,
@@ -165,20 +284,22 @@ def clify_step(f: PathFamily, h: HeightVector, i: int, k: int,
     if len(h) != f.n:
         raise ValueError(f"height vector has {len(h)} entries, expected {f.n}")
     _check_clear_before(f, i, k)
-    B, D = _to_lists(f)
+    X, D = _stage(f, slice(i, i + 2), k)
     hs = list(h)
-    seq = _clify(B, D, hs, i, k)
-    return _freeze(B, D), tuple(hs), CombTrace(i=i, k=k, d_seq=seq)
+    before = X[i][:]
+    d0 = _clify(X, D, hs, i, k)
+    return _staged(f, slice(i, i + 2), k, X, D), tuple(hs), _trace(before, X[i], i, k, d0)
 
 
-def _comb_column(B: list[list[int]], D: list[list[int]], k: int,
+def _comb_column(X: Sequence[list[int]], D: Sequence[list[int]], k: int,
                  trace_sink: list[CombTrace] | None = None) -> None:
-    n = len(B)
-    D[k][k] = k - sum(B[k])
-    for i in range(k, n - 1):
-        seq = _disj(B, D, i, k)
-        if trace_sink is not None:
-            trace_sink.append(CombTrace(i=i, k=k, d_seq=seq))
+    for i in range(k, len(D) - 1):
+        if trace_sink is None:
+            _disj(X, D, i, k)
+        else:
+            before = X[i][:k // W + 1]
+            _disj(X, D, i, k)
+            trace_sink.append(_trace(before, X[i], i, k, 0))
 
 
 def comb_column(f: PathFamily, k: int,
@@ -192,18 +313,21 @@ def comb_column(f: PathFamily, k: int,
     """
     if not 0 <= k < f.n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={f.n}")
-    B, D = _to_lists(f)
-    _comb_column(B, D, k, trace_sink)
-    return _freeze(B, D)
+    X, D = _stage(f, slice(k, None), k)
+    D[k][k] = k - sum(f.B[k])
+    _comb_column(X, D, k, trace_sink)
+    return _staged(f, slice(k, None), k, X, D)
 
 
-def _uncomb_column(B: list[list[int]], D: list[list[int]], h: list[int], k: int,
+def _uncomb_column(X: Sequence[list[int]], D: Sequence[list[int]], h: list[int], k: int,
                    trace_sink: list[CombTrace] | None = None) -> None:
-    n = len(B)
-    for i in range(n - 2, k - 1, -1):
-        seq = _clify(B, D, h, i, k)
-        if trace_sink is not None:
-            trace_sink.append(CombTrace(i=i, k=k, d_seq=seq))
+    for i in range(len(D) - 2, k - 1, -1):
+        if trace_sink is None:
+            _clify(X, D, h, i, k)
+        else:
+            before = X[i][:k // W + 1]
+            d0 = _clify(X, D, h, i, k)
+            trace_sink.append(_trace(before, X[i], i, k, d0))
 
 
 def uncomb_column(f: PathFamily, k: int,
@@ -211,9 +335,9 @@ def uncomb_column(f: PathFamily, k: int,
     """Inverse of comb_column at k: collect column k's vertical steps in P_k."""
     if not 0 <= k < f.n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={f.n}")
-    B, D = _to_lists(f)
-    _uncomb_column(B, D, list(entry_levels(f, k)), k, trace_sink)
-    return _freeze(B, D)
+    X, D = _stage(f, slice(k, None), k)
+    _uncomb_column(X, D, list(entry_levels(f, k)), k, trace_sink)
+    return _staged(f, slice(k, None), k, X, D)
 
 
 def comb(t: BitTriangle, trace_sink: list[CombTrace] | None = None) -> PathFamily:
@@ -223,11 +347,12 @@ def comb(t: BitTriangle, trace_sink: list[CombTrace] | None = None) -> PathFamil
     swap between adjacent rows within a column, so per-column sums of B and
     of D are conserved throughout.
     """
-    f = family_from_bits(t)
-    B, D = _to_lists(f)
-    for k in range(t.n - 1, -1, -1):
-        _comb_column(B, D, k, trace_sink)
-    return _freeze(B, D)
+    n = t.n
+    X = [_pack(row) for row in t.bits]
+    D = [[0] * i + [i - sum(row)] for i, row in enumerate(t.bits)]
+    for k in range(n - 1, -1, -1):
+        _comb_column(X, D, k, trace_sink)
+    return PathFamily(tuple(map(_unpack, X, range(n))), tuple(map(tuple, D)))
 
 
 def uncomb(f: PathFamily, trace_sink: list[CombTrace] | None = None) -> BitTriangle:
@@ -242,17 +367,19 @@ def uncomb(f: PathFamily, trace_sink: list[CombTrace] | None = None) -> BitTrian
     vertical steps it moves up a row for as many diagonal steps moved down,
     so the swept family is the cliff-shaped family of the returned bits.
     The height vector starts at h[i] = i in column 0 and drops by B[i][k]
-    once column k has been swept.
+    once column k has been swept; only later sweeps change column k, so
+    B[i][k] is still f's.
     """
     require_valid(f)
     n = f.n
-    B, D = _to_lists(f)
+    X = [_pack(row) for row in f.B]
+    D = [list(r) for r in f.D]
     h = list(range(n))
     for k in range(n):
-        _uncomb_column(B, D, h, k, trace_sink)
+        _uncomb_column(X, D, h, k, trace_sink)
         for i in range(k + 1, n):
-            h[i] -= B[i][k]
-    return BitTriangle(tuple(tuple(r) for r in B))
+            h[i] -= f.B[i][k]
+    return BitTriangle(tuple(map(_unpack, X, range(n))))
 
 
 def in_pathfam_nk(f: PathFamily, k: int) -> bool:

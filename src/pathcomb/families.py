@@ -19,6 +19,8 @@ disjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 H_STEP = (0, 1)
@@ -350,14 +352,25 @@ def is_cliff_shaped(f: PathFamily) -> bool:
 
 
 def is_disjoint(f: PathFamily) -> bool:
-    """True when the supports of the n paths are pairwise disjoint."""
-    seen: set[tuple[int, int]] = set()
-    for path in explicit_paths(f):
-        for pt in path.points():
-            if pt in seen:
-                return False
-            seen.add(pt)
-    return True
+    """True when the supports of the n paths are pairwise disjoint.
+
+    Raises InvalidFamily, as explicit_paths does, when f is not valid.  Path
+    i enters column j at level e_j = i - sum(B[i][:j] + D[i][:j]) and holds
+    the levels e_j - D[i][j] .. e_j there; point (level, column) is counted
+    as column * n + level, and the paths are disjoint when no point is
+    counted twice.
+    """
+    require_valid(f)
+    n = f.n
+    seen: set[int] = set()
+    points = 0
+    for i, (brow, drow) in enumerate(zip(f.B, f.D)):
+        entry = list(accumulate(map(add, brow, drow), sub, initial=i))
+        bottom = map(sub, entry, drow)
+        seen.update(chain.from_iterable(map(range, map(add, bottom, range(0, n * i + 1, n)),
+                                            map(add, entry, range(1, n * i + 2, n)))))
+        points += i + 1 + sum(drow)
+    return len(seen) == points
 
 
 def entry_levels(f: PathFamily, k: int) -> tuple[int, ...]:

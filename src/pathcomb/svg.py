@@ -10,7 +10,14 @@ from __future__ import annotations
 import math
 
 from .families import PathFamily, explicit_paths
-from .tilings import Convention, DominoTiling, convention_paths, dual_family
+from .tilings import (
+    Convention,
+    DominoTiling,
+    Region,
+    _check_tiles,
+    convention_paths,
+    dual_family,
+)
 
 SCALE = 24.0
 MARGIN = 20.0
@@ -131,7 +138,12 @@ def render_dual(f: PathFamily) -> str:
 
 
 def render_tiling(t: DominoTiling) -> str:
-    """Dominoes as filled rectangles."""
+    """Dominoes as filled rectangles.
+
+    Raises NotATiling unless the dominoes tile their own cells: each is a
+    pair of adjacent cells and no cell is covered twice.
+    """
+    _check_tiles(Region(t.cells()), t)
     canvas = _Canvas()
     _draw_tiling(canvas, t)
     return canvas.document()

@@ -18,6 +18,7 @@ virtual edge at (0, 0) just outside the region.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import repeat
@@ -68,7 +69,7 @@ class Region:
 
     @classmethod
     def from_text(cls, text: str) -> "Region":
-        cells = []
+        line_of: dict[Cell, int] = {}
         for ln, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
@@ -76,10 +77,12 @@ class Region:
             if len(fields) != 2:
                 raise ParseError("region line must hold two integers", line=ln)
             try:
-                cells.append((int(fields[0]), int(fields[1])))
+                cell = (int(fields[0]), int(fields[1]))
             except ValueError:
                 raise ParseError("non-integer cell coordinate", line=ln) from None
-        return cls(frozenset(cells))
+            if line_of.setdefault(cell, ln) != ln:
+                raise ParseError(f"cell repeats line {line_of[cell]}", line=ln)
+        return cls(frozenset(line_of.keys()))
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,13 @@ class DominoTiling:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Cell, Cell]]) -> "DominoTiling":
-        return cls(frozenset((p, q) if p <= q else (q, p) for p, q in pairs))
+        """Raises NotATiling when a domino is given twice, in either orientation."""
+        ordered = [(p, q) if p <= q else (q, p) for p, q in pairs]
+        dominoes = frozenset(ordered)
+        if len(dominoes) != len(ordered):
+            twice = next(pair for pair, count in Counter(ordered).items() if count > 1)
+            raise NotATiling(f"domino {twice} given twice")
+        return cls(dominoes)
 
     def cells(self) -> frozenset[Cell]:
         return frozenset(c for pair in self.dominoes for c in pair)

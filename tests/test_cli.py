@@ -217,6 +217,15 @@ class TestRender:
         assert r.returncode == 0
         assert count_tags(r.stdout, "path") == 8
 
+    def test_cli_render_tiling_rejects_non_tiling(self, tmp_path):
+        til_file = tmp_path / "t.txt"
+        # a non-adjacent pair, and cell (0, 0) covered twice
+        til_file.write_text("0 0 5 5\n0 0 0 1\n")
+        r = run_cli("render", "--input", str(til_file), "--style", "tiling")
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: NotATiling: ")
+        assert r.stdout == ""
+
     def test_style_kind_mismatch(self, tmp_path):
         fam_file = tmp_path / "f.txt"
         fam_file.write_text(pc.comb(tri([1], [1, 1])).to_text())

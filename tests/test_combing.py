@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathcomb as pc
+from pathcomb import combing
 from pathcomb.combing import CombTrace
 
 from conftest import bit_triangles, column_sums, valid_families
@@ -61,6 +65,137 @@ def disj_oracle(f, i, k):
     D[i][k] -= d[k]
     D[i + 1][k] = d[k]
     return (pc.PathFamily(tuple(map(tuple, B)), tuple(map(tuple, D))), tuple(d))
+
+
+def ref_check_clear_before(f, i, k):
+    for row in (i, i + 1):
+        for j in range(k):
+            if f.D[row][j]:
+                raise pc.ResidualVerticalSteps(
+                    f"D[{row}][{j}] = {f.D[row][j]} but rows {i},{i + 1} may hold no "
+                    f"vertical steps before column {k}")
+
+
+def ref_disj(B, D, i, k):
+    """The forward operation one column at a time: the scan that the chunked
+    kernel replaced, kept as its reference."""
+    if D[i + 1][k]:
+        raise pc.ResidualVerticalSteps(
+            f"D[{i + 1}][{k}] = {D[i + 1][k]} must be 0 before the forward operation")
+    bi, bi1 = B[i], B[i + 1]
+    cur = 0
+    d = 0
+    seq = [0]
+    for j in range(k):
+        cur += bi1[j] - bi[j]
+        if cur > d:
+            d = cur
+            bi[j], bi1[j] = 1, 0
+        seq.append(d)
+    if D[i][k] < d:
+        raise pc.InsufficientVerticalSteps(
+            f"need {d} vertical steps in D[{i}][{k}] but only {D[i][k]} present")
+    D[i][k] -= d
+    D[i + 1][k] = d
+    return tuple(seq)
+
+
+def ref_clify(B, D, h, i, k):
+    """The backward operation one column at a time, from column k-1 down."""
+    d = D[i + 1][k]
+    cur = h[i + 1] - h[i] - 1
+    if not 0 <= d <= cur:
+        raise pc.NotDisjoint(
+            f"paths {i},{i + 1} are not disjoint up to column {k}: "
+            f"gap {cur} cannot absorb {d} vertical steps")
+    D[i + 1][k] = 0
+    D[i][k] += d
+    h[i + 1] -= d
+    h[i] += d
+    seq = [0] * (k + 1)
+    seq[k] = d
+    bi, bi1 = B[i], B[i + 1]
+    for j in range(k - 1, -1, -1):
+        cur += bi1[j] - bi[j]
+        if cur < 0:
+            raise pc.NotDisjoint(f"paths {i},{i + 1} collide in column {j}")
+        if cur < d:
+            d = cur
+            bi[j], bi1[j] = 0, 1
+        seq[j] = d
+    return tuple(seq)
+
+
+def lists(f):
+    return [list(r) for r in f.B], [list(r) for r in f.D]
+
+
+def frozen(B, D):
+    return pc.PathFamily(tuple(map(tuple, B)), tuple(map(tuple, D)))
+
+
+def ref_disj_step(f, i, k):
+    if not 0 <= k <= i < f.n - 1:
+        raise ValueError(f"need 0 <= k <= i < n-1, got i={i}, k={k}, n={f.n}")
+    ref_check_clear_before(f, i, k)
+    B, D = lists(f)
+    seq = ref_disj(B, D, i, k)
+    return frozen(B, D), CombTrace(i, k, seq)
+
+
+def ref_clify_step(f, h, i, k):
+    if not 0 <= k <= i < f.n - 1:
+        raise ValueError(f"need 0 <= k <= i < n-1, got i={i}, k={k}, n={f.n}")
+    ref_check_clear_before(f, i, k)
+    B, D = lists(f)
+    hs = list(h)
+    seq = ref_clify(B, D, hs, i, k)
+    return frozen(B, D), tuple(hs), CombTrace(i, k, seq)
+
+
+def ref_comb_column(B, D, k, sink):
+    D[k][k] = k - sum(B[k])
+    for i in range(k, len(B) - 1):
+        sink.append(CombTrace(i, k, ref_disj(B, D, i, k)))
+
+
+def ref_uncomb_column(B, D, h, k, sink):
+    for i in range(len(B) - 2, k - 1, -1):
+        sink.append(CombTrace(i, k, ref_clify(B, D, h, i, k)))
+
+
+def ref_comb(t, sink):
+    """comb through the reference scan, its traces into sink."""
+    B, D = lists(pc.family_from_bits(t))
+    for k in range(t.n - 1, -1, -1):
+        ref_comb_column(B, D, k, sink)
+    return frozen(B, D)
+
+
+def ref_uncomb(f, sink):
+    """uncomb through the reference scan, its traces into sink."""
+    pc.explicit_paths(f)  # raises InvalidFamily for an invalid family
+    B, D = lists(f)
+    h = list(range(f.n))
+    for k in range(f.n):
+        ref_uncomb_column(B, D, h, k, sink)
+        for i in range(k + 1, f.n):
+            h[i] -= B[i][k]
+    return pc.BitTriangle(tuple(map(tuple, B)))
+
+
+def traced(fn, arg):
+    """What fn(arg, sink) gives, with the traces it put in sink."""
+    sink = []
+    return outcome(fn, arg, sink), sink
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (pc.PreconditionViolation, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 class TestDisjStep:
@@ -381,3 +516,108 @@ class TestTraces:
             for tr in traces:
                 assert tr.transferred == tr.d_seq[-1]
             assert pc.is_disjoint(f)
+
+
+class TraceDigest:
+    """A trace sink that keeps a SHA-256 of the traces, not the traces."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.count = 0
+
+    def append(self, trace):
+        self.sha.update(f"{trace.i} {trace.k} {trace.d_seq}\n".encode())
+        self.count += 1
+
+
+class TestKernel:
+    """The chunked kernel against the reference scan above."""
+
+    @staticmethod
+    def walk(backward, s0, x, y):
+        """One chunk through the reference scan, entered with slack s0:
+        (record mask, change of d, change of slack)."""
+        W = combing.W
+        xs = [x >> j & 1 for j in range(W)]
+        ys = [y >> j & 1 for j in range(W)]
+        cur = sum(ys) - sum(xs)
+        if backward:
+            # the scan runs from column W-1 down; d = W cannot run out
+            B, D, h = [xs[:], ys[:]], [[0] * (W + 1), [0] * W + [W]], [0, W + s0 + 1]
+            seq = ref_clify(B, D, h, 0, W)
+            d0, d1, cur = W, seq[0], W + s0 + cur
+            slack = cur - d1
+        else:
+            # s0 lead columns with x = 1, y = 0 raise the slack to s0
+            B = [[1] * s0 + xs, [0] * s0 + ys]
+            D = [[0] * (s0 + W) + [W], [0] * (s0 + W + 1)]
+            seq = ref_disj(B, D, 0, s0 + W)
+            d0, d1, cur = 0, seq[-1], cur - s0
+            slack = d1 - cur
+            B = [row[s0:] for row in B]
+        mask = sum(1 << j for j in range(W) if B[0][j] != xs[j])
+        return mask, d1 - d0, slack - s0
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_table_entries_are_per_bit_walks(self, backward):
+        W = combing.W
+        table = combing._BACKWARD if backward else combing._FORWARD
+        assert len(table) == (W + 1) << 2 * W
+        # slacks past W share the clamped key
+        for s0 in range(W + 4):
+            for x in range(1 << W):
+                for y in range(1 << W):
+                    key = min(s0, W) << 2 * W | x << W | y
+                    assert table[key] == self.walk(backward, s0, x, y), (s0, x, y)
+
+    def test_steps_match_reference_exhaustive(self, schroder_by_n):
+        for n in range(2, 6):
+            for f in schroder_by_n[n]:
+                for k in range(n - 1):
+                    h = pc.entry_levels(f, k)
+                    for i in range(k, n - 1):
+                        assert outcome(pc.disj_step, f, i, k) == outcome(ref_disj_step, f, i, k)
+                        assert (outcome(pc.clify_step, f, h, i, k)
+                                == outcome(ref_clify_step, f, h, i, k))
+
+    @given(bit_triangles(max_n=24), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stages_match_reference_sampled(self, t, data):
+        # orders up to 24 put k in every residue mod 4 and past several chunks
+        if t.n < 2:
+            return
+        k = data.draw(st.integers(0, t.n - 2))
+        i = data.draw(st.integers(k, t.n - 2))
+        f = pc.family_from_bits(t)
+        for col in range(t.n - 1, k, -1):
+            f = pc.comb_column(f, col)
+        B, D = lists(f)
+        want = []
+        ref_comb_column(B, D, k, want)
+        assert traced(lambda g, sink: pc.comb_column(g, k, sink), f) == (frozen(B, D), want)
+        g = frozen(B, D)
+        h = list(pc.entry_levels(g, k))
+        want = []
+        ref_uncomb_column(B, D, h, k, want)
+        assert traced(lambda g, sink: pc.uncomb_column(g, k, sink), g) == (frozen(B, D), want)
+        assert outcome(pc.disj_step, f, i, k) == outcome(ref_disj_step, f, i, k)
+        h = pc.entry_levels(g, k)
+        assert outcome(pc.clify_step, g, h, i, k) == outcome(ref_clify_step, g, h, i, k)
+
+    @given(valid_families(max_n=24))
+    @settings(max_examples=150, deadline=None)
+    def test_uncomb_matches_reference_sampled(self, f):
+        # most of these families intersect, so the collision column is checked
+        assert traced(pc.uncomb, f) == traced(ref_uncomb, f)
+
+    @pytest.mark.parametrize("n,seed", [(200, 2012), (400, 5373)])
+    def test_large_order_certificates(self, n, seed):
+        t = pc.random_triangle(n, seed)
+        got, want = TraceDigest(), TraceDigest()
+        f = pc.comb(t, got)
+        assert f == ref_comb(t, want)
+        assert pc.is_disjoint(f)
+        assert (got.count, got.sha.digest()) == (want.count, want.sha.digest())
+        got, want = TraceDigest(), TraceDigest()
+        assert pc.uncomb(f, got) == t == ref_uncomb(f, want)
+        assert (got.count, got.sha.digest()) == (want.count, want.sha.digest())

@@ -144,6 +144,34 @@ class TestPredicates:
         assert pc.is_disjoint(f)
         assert f.D[2][1] == 1 and not pc.is_cliff_shaped(f)
 
+    @staticmethod
+    def supports_disjoint(f):
+        supports = [p.support() for p in pc.explicit_paths(f)]
+        return sum(map(len, supports)) == len(frozenset().union(*supports))
+
+    def test_disjoint_matches_supports_exhaustive(self, schroder_by_n):
+        for n in range(5):
+            for f in schroder_by_n[n]:
+                assert pc.is_disjoint(f) == self.supports_disjoint(f)
+
+    @pytest.mark.parametrize("n,seed", [(7, 1), (30, 2), (120, 3)])
+    def test_disjoint_matches_supports_seeded(self, n, seed):
+        f = pc.comb(pc.random_triangle(n, seed))
+        assert pc.is_disjoint(f) and self.supports_disjoint(f)
+        # paths 1 and 2 rerouted through (1, 1): no longer disjoint
+        g = pc.PathFamily(f.B[:1] + ((0,), (1, 1)) + f.B[3:],
+                          f.D[:1] + ((0, 1), (0, 0, 0)) + f.D[3:])
+        assert pc.validate_family(g) == []
+        assert not pc.is_disjoint(g) and not self.supports_disjoint(g)
+
+    def test_disjoint_rejects_invalid(self):
+        f = pc.PathFamily.from_rows([[], [0], [0, 1]], [[0], [0, 0], [0, 0, 0]])
+        with pytest.raises(pc.InvalidFamily) as explicit:
+            pc.explicit_paths(f)
+        with pytest.raises(pc.InvalidFamily) as disjoint:
+            pc.is_disjoint(f)
+        assert str(disjoint.value) == str(explicit.value)
+
     def test_single_path_cliff(self):
         assert pc.is_cliff_shaped(pc.family_from_bits(pc.BitTriangle(((),))))
 

@@ -372,6 +372,18 @@ class TestSerialization:
             pc.DominoTiling.from_text("a b c d\n")
 
 
+    def test_repeated_cell_is_a_parse_error(self):
+        with pytest.raises(pc.ParseError) as err:
+            pc.Region.from_text("1 2\n3 4\n1 2\n")
+        assert str(err.value) == "cell repeats line 1 (line 3)"
+        assert err.value.line == 3
+
+    def test_from_pairs_rejects_a_repeated_domino(self):
+        for second in (((0, 0), (0, 1)), ((0, 1), (0, 0))):
+            with pytest.raises(pc.NotATiling, match="given twice"):
+                pc.DominoTiling.from_pairs([((0, 0), (0, 1)), ((1, 0), (1, 1)), second])
+
+
 class TestColors:
     @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
     def test_parity(self, cell):
