@@ -11,7 +11,6 @@ from collections import Counter
 from .combing import NotDisjoint, PreconditionViolation, comb, comb_column, uncomb
 from .delannoy import delannoy_matrix, det_exact, verify_reduction
 from .enumeration import (
-    CapExceeded,
     column_counts,
     diagonal_step_count,
     enumerate_disjoint,
@@ -19,18 +18,10 @@ from .enumeration import (
     row_counts,
     verify_bijection,
 )
-from .families import (
-    BitTriangle,
-    InvalidFamily,
-    MalformedPath,
-    ParseError,
-    PathFamily,
-    family_from_bits,
-    is_disjoint,
-)
+from .families import BitTriangle, ParseError, PathFamily, _fields, family_from_bits, is_disjoint
 from .rng import random_triangle
 from .svg import render_dual, render_family, render_overlay, render_tiling
-from .tilings import Convention, DominoTiling, NotATiling, family_to_tiling, tiling_to_family
+from .tilings import Convention, DominoTiling, family_to_tiling, tiling_to_family
 
 STATISTICS = {
     "columns": column_counts,
@@ -142,15 +133,13 @@ def cmd_tile(input_path: str, direction: str, output: str | None) -> int:
 
 
 def _detect_kind(text: str) -> str:
-    for line in text.splitlines():
-        fields = line.split()
-        if not fields:
-            continue
+    lines = text.splitlines()
+    for ln, fields in _fields(lines):
         if len(fields) == 1:
             return "family"
         if len(fields) == 4:
             return "tiling"
-        raise ParseError(f"cannot tell input kind from line {line!r}", line=1)
+        raise ParseError(f"cannot tell input kind from line {lines[ln - 1]!r}", line=ln)
     return "tiling"  # empty file: the order-0 tiling
 
 
@@ -173,6 +162,12 @@ def cmd_render(input_path: str, style: str, convention: int, output: str | None)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def order(text: str) -> int:
+        n = int(text)
+        if n < 0:
+            raise argparse.ArgumentTypeError(f"order must be nonnegative, got {n}")
+        return n
+
     p = argparse.ArgumentParser(
         prog="pathcomb",
         description="Comb free-bit path families into disjoint ones, convert "
@@ -181,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sample", help="comb a random triangle deterministically")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=order, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-family")
     sp.add_argument("--out-triangle")
@@ -197,15 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output")
 
     sp = sub.add_parser("det", help="exact determinant of the Delannoy matrix")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=order, required=True)
 
     sp = sub.add_parser("enumerate", help="enumerate disjoint families")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=order, required=True)
     sp.add_argument("--cap", type=int, default=5)
     sp.add_argument("--stat", choices=sorted(STATISTICS))
 
     sp = sub.add_parser("verify", help="exhaustively verify the bijection")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=order, required=True)
     sp.add_argument("--cap", type=int, default=5)
 
     sp = sub.add_parser("tile", help="convert between family and tiling files")
@@ -243,8 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "render":
             return cmd_render(args.input, args.style, args.convention, args.output)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ParseError, InvalidFamily, MalformedPath, NotATiling,
-            PreconditionViolation, CapExceeded, ValueError, OSError) as exc:
+    except (ValueError, PreconditionViolation, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

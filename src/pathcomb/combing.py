@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 from .families import (
     BitTriangle,
+    InvalidFamily,
     PathFamily,
     entry_levels,
     explicit_paths,
@@ -313,8 +314,10 @@ def comb_column(f: PathFamily, k: int,
     """
     if not 0 <= k < f.n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={f.n}")
+    if f.D[k][k] != k - sum(f.B[k]):
+        raise InvalidFamily(f"row {k}, column {k}: D[{k}][{k}] = {f.D[k][k]} is not "
+                            f"{k} - sum(B[{k}]), as a stage input needs")
     X, D = _stage(f, slice(k, None), k)
-    D[k][k] = k - sum(f.B[k])
     _comb_column(X, D, k, trace_sink)
     return _staged(f, slice(k, None), k, X, D)
 

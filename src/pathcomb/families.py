@@ -49,6 +49,60 @@ class ParseError(ValueError):
         self.column = column
 
 
+def _fields(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) of each nonblank line, numbering from start."""
+    for ln, line in enumerate(lines, start):
+        fields = line.split()
+        if fields:
+            yield ln, fields
+
+
+def _order(text: str) -> tuple[list[str], int]:
+    """The lines of a triangle or family file, and the order n on line 1."""
+    lines = text.splitlines()
+    if not lines or not lines[0].split():
+        raise ParseError("missing order header", line=1)
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise ParseError(f"bad order header {lines[0]!r}", line=1) from None
+    if n < 0:
+        raise ParseError("order must be nonnegative", line=1)
+    return lines, n
+
+
+def _rows(lines: list[str], first: int, n: int, what: str) -> Iterator[tuple[int, int, str]]:
+    """Yield (i, line number, line) for rows i = first..n-1, one per line below
+    the header, then require only blank lines after them.  The caller checks
+    each row before the next is read, so the first bad line is reported."""
+    for ln, i in enumerate(range(first, n), 2):
+        if ln > len(lines):
+            raise ParseError(f"missing row {i}", line=ln)
+        yield i, ln, lines[ln - 1]
+    end = max(n - first, 0) + 1
+    for ln, _ in _fields(lines[end:], end + 1):
+        raise ParseError(f"trailing content after {what}", line=ln)
+
+
+def _records(text: str, width: int, wrong_width: str, noun: str,
+             keys: list) -> Iterator[tuple[int, ...]]:
+    """Yield the integers on each nonblank line, which must hold width of them.
+    The caller appends each record's key to keys before asking for the next
+    record; a key met on an earlier line is a ParseError naming that line."""
+    line_of: dict = {}
+    for ln, fields in _fields(text.splitlines()):
+        if len(fields) != width:
+            raise ParseError(wrong_width, line=ln)
+        try:
+            record = tuple(map(int, fields))
+        except ValueError:
+            raise ParseError("non-integer cell coordinate", line=ln) from None
+        yield record
+        key = keys[-1]
+        if line_of.setdefault(key, ln) != ln:
+            raise ParseError(f"{noun} repeats line {line_of[key]}", line=ln)
+
+
 @dataclass(frozen=True)
 class BitTriangle:
     """A strictly lower triangular array of bits: rows 0..n-1, row i has i bits."""
@@ -78,33 +132,17 @@ class BitTriangle:
 
     @classmethod
     def from_text(cls, text: str) -> "BitTriangle":
-        lines = text.splitlines()
-        if not lines or not lines[0].split():
-            raise ParseError("missing order header", line=1)
-        try:
-            n = int(lines[0])
-        except ValueError:
-            raise ParseError(f"bad order header {lines[0]!r}", line=1) from None
-        if n < 0:
-            raise ParseError("order must be nonnegative", line=1)
+        lines, n = _order(text)
         rows: list[tuple[int, ...]] = [()]
-        for i in range(1, n):
-            if i >= len(lines):
-                raise ParseError(f"missing row {i}", line=i + 1)
-            fields = lines[i].split()
+        for i, ln, line in _rows(lines, 1, n, "triangle"):
+            fields = line.split()
             if len(fields) != i:
-                raise ParseError(f"row {i} must hold {i} bits", line=i + 1)
-            row = []
+                raise ParseError(f"row {i} must hold {i} bits", line=ln)
             for col, field in enumerate(fields):
                 if field not in ("0", "1"):
-                    raise ParseError(f"bad bit {field!r}", line=i + 1, column=col)
-                row.append(int(field))
-            rows.append(tuple(row))
-        for offset, extra in enumerate(lines[max(n, 1):]):
-            if extra.strip():
-                raise ParseError("trailing content after triangle",
-                                 line=max(n, 1) + offset + 1)
-        return cls(tuple(rows[:n]) if n else ())
+                    raise ParseError(f"bad bit {field!r}", line=ln, column=col)
+            rows.append(tuple(map(int, fields)))
+        return cls(tuple(rows[:n]))
 
 
 @dataclass(frozen=True)
@@ -184,42 +222,28 @@ class PathFamily:
 
     @classmethod
     def from_text(cls, text: str) -> "PathFamily":
-        lines = text.splitlines()
-        if not lines or not lines[0].split():
-            raise ParseError("missing order header", line=1)
-        try:
-            n = int(lines[0])
-        except ValueError:
-            raise ParseError(f"bad order header {lines[0]!r}", line=1) from None
-        if n < 0:
-            raise ParseError("order must be nonnegative", line=1)
+        lines, n = _order(text)
         B, D = [], []
-        for i in range(n):
-            if i + 1 >= len(lines):
-                raise ParseError(f"missing row {i}", line=i + 2)
-            line = lines[i + 1]
+        for i, ln, line in _rows(lines, 0, n, "family"):
             if "|" not in line:
-                raise ParseError("row must contain '|'", line=i + 2)
+                raise ParseError("row must contain '|'", line=ln)
             left, _, right = line.partition("|")
             lfields = left.split()
             rfields = right.split()
             if not lfields or lfields[0] != "B:":
-                raise ParseError("row must start with 'B:'", line=i + 2)
+                raise ParseError("row must start with 'B:'", line=ln)
             if not rfields or rfields[0] != "D:":
-                raise ParseError("second half must start with 'D:'", line=i + 2)
+                raise ParseError("second half must start with 'D:'", line=ln)
             try:
                 brow = tuple(int(x) for x in lfields[1:])
                 drow = tuple(int(x) for x in rfields[1:])
             except ValueError:
-                raise ParseError("non-integer entry", line=i + 2) from None
+                raise ParseError("non-integer entry", line=ln) from None
             if len(brow) != i or len(drow) != i + 1:
                 raise ParseError(f"row {i} must hold {i} B entries and {i + 1} D entries",
-                                 line=i + 2)
+                                 line=ln)
             B.append(brow)
             D.append(drow)
-        for offset, extra in enumerate(lines[n + 1:]):
-            if extra.strip():
-                raise ParseError("trailing content after family", line=n + offset + 2)
         return cls(tuple(B), tuple(D))
 
 

@@ -29,8 +29,8 @@ from .enumeration import CapExceeded
 from .families import (
     ExplicitPath,
     InvalidFamily,
-    ParseError,
     PathFamily,
+    _records,
     explicit_paths,
     family_from_paths,
 )
@@ -69,20 +69,10 @@ class Region:
 
     @classmethod
     def from_text(cls, text: str) -> "Region":
-        line_of: dict[Cell, int] = {}
-        for ln, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ParseError("region line must hold two integers", line=ln)
-            try:
-                cell = (int(fields[0]), int(fields[1]))
-            except ValueError:
-                raise ParseError("non-integer cell coordinate", line=ln) from None
-            if line_of.setdefault(cell, ln) != ln:
-                raise ParseError(f"cell repeats line {line_of[cell]}", line=ln)
-        return cls(frozenset(line_of.keys()))
+        cells: list[Cell] = []
+        for cell in _records(text, 2, "region line must hold two integers", "cell", cells):
+            cells.append(cell)
+        return cls(frozenset(cells))
 
 
 @dataclass(frozen=True)
@@ -119,23 +109,11 @@ class DominoTiling:
 
     @classmethod
     def from_text(cls, text: str) -> "DominoTiling":
-        line_of: dict[tuple[Cell, Cell], int] = {}
-        for ln, line in enumerate(text.splitlines(), start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 4:
-                raise ParseError("tiling line must hold four integers", line=ln)
-            try:
-                a, b, c, d = map(int, fields)
-            except ValueError:
-                raise ParseError("non-integer cell coordinate", line=ln) from None
+        keys: list[tuple[Cell, Cell]] = []
+        for a, b, c, d in _records(text, 4, "tiling line must hold four integers", "domino", keys):
             p, q = (a, b), (c, d)
-            pair = (p, q) if p <= q else (q, p)
-            if line_of.setdefault(pair, ln) != ln:
-                raise ParseError(f"domino repeats line {line_of[pair]}", line=ln)
-        # built from the keys view: frozenset(dict) presizes its table to 2x
-        return cls(frozenset(line_of.keys()))
+            keys.append((p, q) if p <= q else (q, p))
+        return cls(frozenset(keys))
 
 
 @dataclass(frozen=True)

@@ -72,3 +72,46 @@ def column_sums(rows) -> tuple[int, ...]:
     from itertools import zip_longest
 
     return tuple(sum(col) for col in zip_longest(*rows, fillvalue=0)) if rows else ()
+
+
+TOKENS = ("0", "1", "2", "7", "-1", "+1", "10", "x", "B:", "D:", "|", "B:|")
+soup_lines = st.one_of(st.lists(st.sampled_from(TOKENS), max_size=6).map(" ".join),
+                       st.text(max_size=12))
+cells = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+VALID_TEXTS = {
+    "triangle": bit_triangles(max_n=6).map(pc.BitTriangle.to_text),
+    "family": valid_families(max_n=6).map(pc.PathFamily.to_text),
+    "region": st.frozensets(cells, max_size=8).map(lambda s: pc.Region(s).to_text()),
+    "tiling": st.one_of(
+        bit_triangles(max_n=5).filter(lambda t: t.n).map(
+            lambda t: pc.family_to_tiling(pc.comb(t)).to_text()),
+        st.frozensets(st.tuples(cells, cells).map(lambda pair: tuple(sorted(pair))),
+                      max_size=6).map(lambda s: pc.DominoTiling(s).to_text())),
+}
+
+
+@st.composite
+def mutated(draw, texts):
+    """A text with one to three lines deleted, inserted, repeated or edited."""
+    lines = draw(texts).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(("delete", "insert", "repeat", "edit")))
+        if op == "insert" or not lines:
+            lines.insert(i, draw(soup_lines))
+        elif op == "delete":
+            del lines[i % len(lines)]
+        elif op == "repeat":
+            lines.insert(i, draw(st.sampled_from(lines)))
+        else:
+            fields = lines[i % len(lines)].split() or [""]
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(TOKENS))
+            lines[i % len(lines)] = " ".join(fields)
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n", "\n\n", "\r\n")))
+
+
+def format_texts(kind: str):
+    """Token soup, valid serializations of the given format, and mutations of them."""
+    soup = st.lists(soup_lines, max_size=8).map(lambda lines: "\n".join(lines) + "\n")
+    return st.one_of(soup, VALID_TEXTS[kind], mutated(VALID_TEXTS[kind]))

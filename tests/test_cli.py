@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import io
+import os
+import re
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import pathcomb as pc
 import pathcomb.cli
+from conftest import format_texts
 from pathcomb.svg import render_dual, render_family, render_overlay, render_tiling
 
 
@@ -23,6 +31,10 @@ def count_tags(svg_text: str, tag: str) -> int:
 
 def tri(*rows):
     return pc.BitTriangle.from_rows([(), *rows])
+
+
+ORDER_COMMANDS = ("sample", "det", "enumerate", "verify")
+FILE_COMMANDS = ("comb", "uncomb", "tile", "render")
 
 
 class TestSample:
@@ -132,6 +144,16 @@ class TestDetVerifyEnumerate:
         assert r.returncode == 1
         assert "CapExceeded" in r.stderr
 
+    @pytest.mark.parametrize("command", ORDER_COMMANDS)
+    def test_negative_order_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            pathcomb.cli.main([command, "--n", "-1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: pathcomb {command} ")
+        assert err.endswith("error: argument --n: order must be nonnegative, got -1\n")
+
 
 class TestTile:
     def test_round_trip(self, tmp_path):
@@ -235,3 +257,68 @@ class TestRender:
     def test_usage_error_exit_code(self):
         r = run_cli("render", "--style", "nonsense")
         assert r.returncode == 2
+
+
+@st.composite
+def cli_runs(draw):
+    """An argv for main, with DIR standing for a temporary directory, and the
+    text of DIR/input.txt (None: the file is missing).  Orders stay at most
+    6 and --cap is never passed, so verify and enumerate stay cheap."""
+    command = draw(st.sampled_from(ORDER_COMMANDS + FILE_COMMANDS))
+    argv, text = [command], None
+    if command in ORDER_COMMANDS:
+        argv += ["--n", str(draw(st.integers(-3, 6)))]
+    else:
+        argv += ["--input", "DIR/input.txt"]
+        if draw(st.booleans()):
+            argv += ["--output", "DIR/out"]
+    reads = None  # the kind of file the command reads
+    if command == "sample":
+        argv += ["--seed", str(draw(st.integers(0, 9)))]
+        for flag in sorted(draw(st.sets(st.sampled_from(
+                ("--out-family", "--out-triangle", "--svg"))))):
+            argv += [flag, "DIR/" + flag[2:]]
+    elif command == "comb":
+        reads = "triangle"
+        if draw(st.booleans()):
+            argv += ["--stages", "DIR/stages"]
+    elif command == "uncomb":
+        reads = "family"
+    elif command == "enumerate" and draw(st.booleans()):
+        argv += ["--stat", draw(st.sampled_from(sorted(pathcomb.cli.STATISTICS)))]
+    elif command == "tile":
+        direction = draw(st.sampled_from(("to-tiling", "to-family")))
+        argv += ["--direction", direction]
+        reads = "family" if direction == "to-tiling" else "tiling"
+    elif command == "render":
+        style = draw(st.sampled_from(("paths", "tiling", "overlay", "dual")))
+        argv += ["--style", style, "--convention", str(draw(st.integers(0, 3)))]
+        reads = "family" if style in ("paths", "dual") else "tiling"
+    if reads:
+        kind = st.sampled_from((reads, "triangle", "family", "region", "tiling"))
+        text = draw(st.none() | kind.flatmap(format_texts))
+    return argv, text
+
+
+class TestMainContract:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(cli_runs())
+    def test_exit_status_and_error_line(self, run):
+        argv, text = run
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as d:
+            if text is not None:
+                with open(os.path.join(d, "input.txt"), "w") as fh:
+                    fh.write(text)
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                try:
+                    code = pathcomb.cli.main([a.replace("DIR", d) for a in argv])
+                except SystemExit as exc:
+                    code = exc.code
+        if code == 2:
+            assert argv[0] in ORDER_COMMANDS and int(argv[2]) < 0
+            assert err.getvalue().startswith("usage: ")
+        elif code == 1:
+            assert re.fullmatch(r"error: \w+: [^\n]+\n", err.getvalue())
+        else:
+            assert code == 0 and err.getvalue() == ""

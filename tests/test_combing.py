@@ -154,7 +154,6 @@ def ref_clify_step(f, h, i, k):
 
 
 def ref_comb_column(B, D, k, sink):
-    D[k][k] = k - sum(B[k])
     for i in range(k, len(B) - 1):
         sink.append(CombTrace(i, k, ref_disj(B, D, i, k)))
 
@@ -361,6 +360,12 @@ class TestColumnStages:
         g = pc.comb_column(f, 1)
         assert g.B[1] == (1,) and g.B[2] == (0, 0) and g.D[2][1] == 1
         assert pc.uncomb_column(g, 1) == f
+
+    def test_rejects_a_final_count_that_breaks_the_balance(self):
+        # row 1 descends 1 level only with D[1][1] = 1 - sum(B[1]) = 1
+        f = pc.PathFamily(((), (0,), (0, 0)), ((0,), (0, 5), (0, 0, 2)))
+        with pytest.raises(pc.InvalidFamily, match=r"^row 1, column 1: D\[1\]\[1\] = 5"):
+            pc.comb_column(f, 1)
 
     def test_stage_membership_transitions(self):
         f = pc.family_from_bits(tri([0], [1, 0]))

@@ -1,4 +1,5 @@
-"""The text formats: every ParseError message, with its line and column."""
+"""The four text formats: every ParseError message, with its line and
+column, and fuzzed inputs that either round-trip or raise ParseError."""
 
 from __future__ import annotations
 
@@ -6,9 +7,11 @@ import os
 import tempfile
 
 import pytest
+from hypothesis import given, settings
 
 import pathcomb as pc
 import pathcomb.cli
+from conftest import format_texts
 
 
 def _render(style):
@@ -60,6 +63,7 @@ MESSAGES = [
     (TILING, "0 0 0 1\n\n0 1 0 0\n", "domino repeats line 1", 3, None),
     (TILING, "0 0 0 1\n0 0 0 1\n0 0\n", "domino repeats line 1", 2, None),
     (DETECT, "1 2\n", "cannot tell input kind from line '1 2'", 1, None),
+    (DETECT, "\n\n1 2\n", "cannot tell input kind from line '1 2'", 3, None),
     (_render("paths"), "0 0 0 1\n", "style 'paths' needs a family file", None, None),
     (_render("overlay"), "1\nB: | D: 0\n", "style 'overlay' needs a tiling file", None, None),
 ]
@@ -75,3 +79,26 @@ def test_parse_error_messages(parse, text, message, line, column):
         loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
     assert str(err.value) == message + loc
     assert (err.value.line, err.value.column) == (line, column)
+
+
+FORMATS = {"triangle": pc.BitTriangle, "family": pc.PathFamily,
+           "region": pc.Region, "tiling": pc.DominoTiling}
+
+
+@pytest.mark.parametrize("kind", FORMATS)
+def test_fuzzed_text_round_trips_or_names_its_line(kind):
+    parse = FORMATS[kind].from_text
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(format_texts(kind))
+    def check(text):
+        try:
+            x = parse(text)
+        except pc.ParseError as err:
+            assert err.line is not None
+            return
+        out = x.to_text()
+        assert parse(out) == x
+        assert parse(out).to_text() == out
+
+    check()
