@@ -1,7 +1,10 @@
-"""Byte-level golden outputs of the tiling bridge and the SVG renderer.
+"""Byte-level golden outputs of the tiling bridge, the SVG renderer and the
+brute-force oracles.
 
-The digests were recorded from the commit before the bridge lost its
-repeated passes; any change to these files' bytes is a behaviour change.
+The bridge and SVG digests were recorded from the commit before the bridge
+lost its repeated passes, and the verify/enumerate digests from the commit
+before the oracles shared one Schröder-row generator; any change to these
+outputs' bytes is a behaviour change.
 """
 
 from __future__ import annotations
@@ -26,6 +29,19 @@ GOLDEN = {
     "tiling.svg": "0d5ac66c32d44efc8dbdd70c42b0ecd751991db31b8d8ba92e40f3494c05ccbb",
     "sample.stdout": "e5a13daaf06c473a49bde76bbd8085d6016f36834d77ecfb2a96d7f8aa537055",
     "sample.svg": "d09fa3f7c52ab464a3ac7240ba447b44432911b44d01b8c8f7cd52944f64fa7f",
+}
+
+ORACLE_GOLDEN = {
+    ("verify", "--n", "5"):
+        "ee7ab203ff157487a01cc39787c349a30d3513f658db407c47f41f4e53af9b3d",
+    ("enumerate", "--n", "5", "--stat", "columns"):
+        "8ead63c1b8577c911887b7e2a53f583a93294d49759159903309e37295646868",
+    ("enumerate", "--n", "5", "--stat", "intercolumns"):
+        "eddacafd33431b9fca2b242b189c2936227ae77755266e53426a8b143f35a4f2",
+    ("enumerate", "--n", "5", "--stat", "rows"):
+        "8ead63c1b8577c911887b7e2a53f583a93294d49759159903309e37295646868",
+    ("enumerate", "--n", "5", "--stat", "diagonals"):
+        "31b1e4c2cae9b6fe0dc442cb6bda5ec3e65f23ccdc6e0b457118f004aeb1b61a",
 }
 
 
@@ -62,3 +78,9 @@ def test_sample_golden(tmp_path, capsys):
 @pytest.mark.parametrize("name", [k for k in GOLDEN if not k.startswith("sample")])
 def test_bridge_golden(outputs, name):
     assert _sha((outputs / name).read_bytes()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("argv", list(ORACLE_GOLDEN), ids=" ".join)
+def test_oracle_golden(argv, capsys):
+    assert pathcomb.cli.main(list(argv)) == 0
+    assert _sha(capsys.readouterr().out.encode()) == ORACLE_GOLDEN[argv]
