@@ -238,9 +238,15 @@ def _clify(X: Sequence[list[int]], D: Sequence[list[int]], h: list[int], i: int,
 def _stage(f: PathFamily, rows: slice, k: int) -> tuple[list, list]:
     """The part of f that basic operations up to column k on the given rows
     read or write: columns < k of those B rows, packed, and those D rows as
-    lists.  The other rows stay as they are."""
+    lists.  The other rows stay as they are.  Raises InvalidFamily when an
+    entry to be packed is not a bit."""
     X, D = list(f.B), list(f.D)
-    X[rows] = map(_pack, map(itemgetter(slice(k)), f.B[rows]))
+    window = [row[:k] for row in f.B[rows]]
+    for i, row in zip(range(f.n)[rows], window):
+        if row.count(0) + row.count(1) != len(row):
+            j, b = next((j, b) for j, b in enumerate(row) if b not in (0, 1))
+            raise InvalidFamily(f"B[{i}][{j}] = {b!r} is not a bit")
+    X[rows] = map(_pack, window)
     D[rows] = map(list, f.D[rows])
     return X, D
 
@@ -314,10 +320,10 @@ def comb_column(f: PathFamily, k: int,
     """
     if not 0 <= k < f.n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={f.n}")
+    X, D = _stage(f, slice(k, None), k)
     if f.D[k][k] != k - sum(f.B[k]):
         raise InvalidFamily(f"row {k}, column {k}: D[{k}][{k}] = {f.D[k][k]} is not "
                             f"{k} - sum(B[{k}]), as a stage input needs")
-    X, D = _stage(f, slice(k, None), k)
     _comb_column(X, D, k, trace_sink)
     return _staged(f, slice(k, None), k, X, D)
 

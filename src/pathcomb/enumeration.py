@@ -1,9 +1,13 @@
 """Brute-force ground truth for small orders.
 
-Exhaustive enumeration of disjoint families (and of all families, for the
-stage sets of combing), the step statistics, and an end-to-end check that
+One generator lists the (B, D) rows of every Schröder path of a given row.
+Exhaustive enumeration of disjoint families backtracks over those rows with
+an occupancy set of lattice points, and enumeration of all families (the
+stage sets of combing) takes their product; both build each family straight
+in (B, D).  Also here: the step statistics, and an end-to-end check that
 combing and uncombing realise a bijection.  Everything here is independent
-of the combing code paths it is used to verify.
+of the combing code paths it is used to verify: only comb and uncomb come
+from them, as the defaults under test in verify_bijection.
 """
 
 from __future__ import annotations
@@ -14,14 +18,7 @@ from itertools import product
 from typing import Callable, Hashable, Iterator
 
 from .combing import comb, uncomb
-from .families import (
-    BitTriangle,
-    ExplicitPath,
-    H_STEP,
-    PathFamily,
-    explicit_paths,
-    family_from_paths,
-)
+from .families import BitTriangle, PathFamily, require_valid
 
 
 class CapExceeded(ValueError):
@@ -35,32 +32,44 @@ def all_bit_triangles(n: int) -> Iterator[BitTriangle]:
         yield BitTriangle(rows)
 
 
-def _schroder_paths(i: int, occupied: set[tuple[int, int]]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Point sequences of paths from (i, 0) to (0, i) staying on or above the
-    anti-diagonal and avoiding occupied points."""
-    if (i, 0) in occupied:
-        return
-    path = [(i, 0)]
+def _schroder_rows(i: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (B row, D row) of every path from (i, 0) to (0, i) on or above the
+    anti-diagonal, in lexicographic order of (D[0], B[0], D[1], B[1], ...).
 
-    def rec(lev: int, col: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        if lev == 0 and col == i:
-            yield tuple(path)
+    An odometer over columns j < i: a path that has descended pre levels
+    before column j stays above with any D[j] <= j - pre, and column i takes
+    the i - pre levels left.  Each advance bumps the last column that can
+    still move, from B[j] = 0 to 1 or else to one more vertical step, and
+    resets the columns after it.
+    """
+    B = [0] * i
+    D = [0] * i + [i]
+    while True:
+        yield tuple(B), tuple(D)
+        pre = i - D[i]
+        for j in range(i - 1, -1, -1):
+            pre -= B[j] + D[j]
+            if not B[j]:
+                B[j] = 1
+                break
+            if D[j] < j - pre:
+                B[j] = 0
+                D[j] += 1
+                break
+            B[j] = D[j] = 0
+        else:
             return
-        moves = []
-        if col < i:
-            moves.append((lev, col + 1))
-            if lev > 0:
-                moves.append((lev - 1, col + 1))
-        if lev > 0:
-            moves.append((lev - 1, col))
-        for nxt in moves:
-            if nxt[0] + nxt[1] < i or nxt in occupied:
-                continue
-            path.append(nxt)
-            yield from rec(*nxt)
-            path.pop()
+        D[i] = i - pre - B[j] - D[j]
 
-    yield from rec(i, 0)
+
+def _points(i: int, brow: tuple[int, ...], drow: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """The lattice points (level, column) that the path of row i visits."""
+    points = []
+    level = i
+    for j, d in enumerate(drow):
+        points.extend((level - v, j) for v in range(d + 1))
+        level -= d + (brow[j] if j < i else 0)
+    return frozenset(points)
 
 
 def enumerate_disjoint(n: int, cap: int = 5) -> set[PathFamily]:
@@ -68,38 +77,25 @@ def enumerate_disjoint(n: int, cap: int = 5) -> set[PathFamily]:
     with an occupancy set.  Exactly 2^(n(n-1)/2) results."""
     if n > cap:
         raise CapExceeded(f"order {n} exceeds cap {cap}")
+    options = [[(brow, drow, _points(i, brow, drow)) for brow, drow in _schroder_rows(i)]
+               for i in range(n)]
     out: set[PathFamily] = set()
     occupied: set[tuple[int, int]] = set()
-    chosen: list[tuple[tuple[int, int], ...]] = [()] * n
+    B: list[tuple[int, ...]] = [()] * n
+    D: list[tuple[int, ...]] = [()] * n
 
     def place(i: int) -> None:
         if i < 0:
-            out.add(family_from_paths([ExplicitPath.from_points(p) for p in chosen]))
+            out.add(PathFamily(tuple(B), tuple(D)))
             return
-        for pts in _schroder_paths(i, occupied):
-            chosen[i] = pts
-            occupied.update(pts)
-            place(i - 1)
-            occupied.difference_update(pts)
+        for B[i], D[i], points in options[i]:
+            if occupied.isdisjoint(points):
+                occupied.update(points)
+                place(i - 1)
+                occupied.difference_update(points)
 
     place(n - 1)
     return out
-
-
-def _row_options(i: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    for brow in product((0, 1), repeat=i):
-        residual = i - sum(brow)
-
-        def rec(j: int, pre: int, left: int, acc: tuple[int, ...]
-                ) -> Iterator[tuple[int, ...]]:
-            if j == i:
-                yield acc + (left,)
-                return
-            for dj in range(min(left, j - pre) + 1):
-                yield from rec(j + 1, pre + dj + brow[j], left - dj, acc + (dj,))
-
-        for drow in rec(0, 0, residual, ()):
-            yield brow, drow
 
 
 def enumerate_schroder(n: int, cap: int = 5) -> set[PathFamily]:
@@ -107,12 +103,9 @@ def enumerate_schroder(n: int, cap: int = 5) -> set[PathFamily]:
     before any disjointness is imposed)."""
     if n > cap:
         raise CapExceeded(f"order {n} exceeds cap {cap}")
-    out: set[PathFamily] = set()
-    for rows in product(*[list(_row_options(i)) for i in range(n)]):
-        B = tuple(r[0] for r in rows)
-        D = tuple(r[1] for r in rows)
-        out.add(PathFamily(B, D))
-    return out
+    options = [list(_schroder_rows(i)) for i in range(n)]
+    return {PathFamily(tuple(r[0] for r in rows), tuple(r[1] for r in rows))
+            for rows in product(*options)}
 
 
 def column_counts(f: PathFamily) -> tuple[int, ...]:
@@ -128,14 +121,15 @@ def intercolumn_counts(f: PathFamily) -> tuple[int, ...]:
 
 def row_counts(f: PathFamily) -> tuple[int, ...]:
     """Total horizontal steps on each level."""
+    require_valid(f)
     counts = [0] * f.n
-    for path in explicit_paths(f):
-        lev, col = path.start
-        for dl, dc in path.steps:
-            if (dl, dc) == H_STEP:
-                counts[lev] += 1
-            lev += dl
-            col += dc
+    for i, (brow, drow) in enumerate(zip(f.B, f.D)):
+        level = i
+        for b, d in zip(brow, drow):
+            level -= d
+            if not b:
+                counts[level] += 1
+            level -= b
     return tuple(counts)
 
 

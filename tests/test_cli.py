@@ -262,12 +262,19 @@ class TestRender:
 @st.composite
 def cli_runs(draw):
     """An argv for main, with DIR standing for a temporary directory, and the
-    text of DIR/input.txt (None: the file is missing).  Orders stay at most
-    6 and --cap is never passed, so verify and enumerate stay cheap."""
+    text of DIR/input.txt (None: the file is missing).  verify and enumerate
+    sometimes get a --cap from [-3, 9].  Orders stay at most 6, and at most 5
+    whenever a cap is drawn, so no run enumerates past order 5 (the default
+    cap refuses order 6)."""
     command = draw(st.sampled_from(ORDER_COMMANDS + FILE_COMMANDS))
     argv, text = [command], None
     if command in ORDER_COMMANDS:
-        argv += ["--n", str(draw(st.integers(-3, 6)))]
+        cap = None
+        if command in ("enumerate", "verify"):
+            cap = draw(st.none() | st.integers(-3, 9))
+        argv += ["--n", str(draw(st.integers(-3, 6 if cap is None else 5)))]
+        if cap is not None:
+            argv += ["--cap", str(cap)]
     else:
         argv += ["--input", "DIR/input.txt"]
         if draw(st.booleans()):

@@ -390,6 +390,55 @@ class TestColumnStages:
                     assert pc.comb_column(pc.uncomb_column(g, k), k) == g
 
 
+def short_row_family():
+    # B[1][0] = 2; rows of at most 8 bits pack by one table lookup
+    return pc.PathFamily(((), (2,), (0, 0)), ((0,), (0, 0), (0, 0, 2)))
+
+
+def long_row_family(j):
+    # B[11][j] = 3 in an order-12 family whose D rows balance the B rows;
+    # rows of more than 8 bits pack arithmetically
+    B = [(0,) * i for i in range(12)]
+    B[11] = tuple(3 if c == j else 0 for c in range(11))
+    return pc.PathFamily(tuple(B), tuple((0,) * i + (i - sum(B[i]),) for i in range(12)))
+
+
+class TestStagesRejectNonBits:
+    """Every B entry a stage packs must be a bit; the error is the one
+    validate_family reports for it."""
+
+    @staticmethod
+    def check(call, f, message):
+        assert message in [v.message for v in pc.validate_family(f)]
+        with pytest.raises(pc.InvalidFamily) as err:
+            call(f)
+        assert str(err.value) == message
+
+    def test_disj_step(self):
+        self.check(lambda f: pc.disj_step(f, 1, 1), short_row_family(), "B[1][0] = 2 is not a bit")
+        # a step at k <= i <= 10 packs columns < k only, so the bad entry sits at column 9
+        self.check(lambda f: pc.disj_step(f, 10, 10), long_row_family(9),
+                   "B[11][9] = 3 is not a bit")
+
+    def test_clify_step(self):
+        def call(i):
+            return lambda f: pc.clify_step(f, pc.entry_levels(f, i), i, i)
+
+        self.check(call(1), short_row_family(), "B[1][0] = 2 is not a bit")
+        self.check(call(10), long_row_family(9), "B[11][9] = 3 is not a bit")
+
+    def test_comb_column(self):
+        self.check(lambda f: pc.comb_column(f, 1), short_row_family(), "B[1][0] = 2 is not a bit")
+        self.check(lambda f: pc.comb_column(f, 11), long_row_family(10),
+                   "B[11][10] = 3 is not a bit")
+
+    def test_uncomb_column(self):
+        self.check(lambda f: pc.uncomb_column(f, 1), short_row_family(),
+                   "B[1][0] = 2 is not a bit")
+        self.check(lambda f: pc.uncomb_column(f, 11), long_row_family(10),
+                   "B[11][10] = 3 is not a bit")
+
+
 class TestComb:
     def test_already_disjoint_unchanged(self):
         for n in range(6):

@@ -1,15 +1,36 @@
 from __future__ import annotations
 
+import time
 from collections import Counter
 from math import comb as choose
 
 import pytest
 
 import pathcomb as pc
+from pathcomb.enumeration import _schroder_rows
 
 
 def tri(*rows):
     return pc.BitTriangle.from_rows([(), *rows])
+
+
+class TestSchroderRows:
+    def test_counts_are_large_schroder_numbers(self):
+        for i, count in enumerate([1, 2, 6, 22, 90, 394, 1806, 8558]):
+            rows = list(_schroder_rows(i))
+            assert len(set(rows)) == len(rows) == count
+            # rows below i are the all-horizontal cliff paths, which are valid
+            B = tuple((0,) * r for r in range(i))
+            D = tuple((0,) * r + (r,) for r in range(i))
+            for brow, drow in rows:
+                assert pc.validate_family(pc.PathFamily(B + (brow,), D + (drow,))) == []
+
+    def test_first_row_of_a_long_path(self):
+        # the recursive generator this replaced hit the recursion limit here
+        start = time.perf_counter()
+        brow, drow = next(_schroder_rows(1000))
+        assert time.perf_counter() - start < 1
+        assert (len(brow), len(drow)) == (1000, 1001)
 
 
 class TestEnumerateDisjoint:
@@ -21,6 +42,10 @@ class TestEnumerateDisjoint:
         for f in disjoint_by_n[4]:
             assert pc.validate_family(f) == []
             assert pc.is_disjoint(f)
+
+    def test_equals_the_disjoint_valid_families(self, disjoint_by_n, schroder_by_n):
+        for n in range(6):
+            assert disjoint_by_n[n] == {f for f in schroder_by_n[n] if pc.is_disjoint(f)}
 
     def test_cap(self):
         with pytest.raises(pc.CapExceeded):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pathcomb as pc
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+ENUMERATION = Path(pc.__file__).parent / "enumeration.py"
 
 
 def test_no_assert_statements_in_library():
@@ -40,3 +41,22 @@ def test_traced_spans_resolve():
         if not found:
             missing.append(f"{mod_name}.{attr}")
     assert missing == []
+
+
+def test_oracles_stay_independent():
+    # the brute-force oracles check combing, so they may reach combing only
+    # through the comb and uncomb that verify_bijection puts under test, and
+    # must not lean on the library's own validity or disjointness checks
+    tree = ast.parse(ENUMERATION.read_text(), filename=str(ENUMERATION))
+    imported = [alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module == "combing"
+                for alias in node.names]
+    assert imported == ["comb", "uncomb"]
+    oracles = {"_schroder_rows", "_points", "enumerate_disjoint", "enumerate_schroder"}
+    bodies = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in oracles]
+    assert {node.name for node in bodies} == oracles
+    banned = {"is_disjoint", "explicit_paths", "validate_family", "comb", "uncomb"}
+    used = {getattr(node, "id", None) or getattr(node, "attr", None)
+            for body in bodies for node in ast.walk(body)}
+    assert used & banned == set()
