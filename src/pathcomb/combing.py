@@ -18,7 +18,7 @@ dominance properties of the d-sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, product, repeat
+from itertools import accumulate, chain, product, repeat
 from operator import add, itemgetter, xor
 from typing import Iterable, Sequence
 
@@ -114,6 +114,7 @@ _UNPACK = {(len(bits), chunks): bits for bits, chunks in _PACK.items()}
 # byte; no two partial products share a bit, so nothing carries.
 _GATHER_MUL = 1 << 24 | 1 << 17 | 1 << 10 | 1 << 3
 _LOW_NIBBLE = bytes(b & 15 for b in range(256))
+_BIT_VALUES = frozenset((0, 1))
 
 
 def _gather(bits: bytes) -> list[int]:
@@ -242,10 +243,10 @@ def _stage(f: PathFamily, rows: slice, k: int) -> tuple[list, list]:
     entry to be packed is not a bit."""
     X, D = list(f.B), list(f.D)
     window = [row[:k] for row in f.B[rows]]
-    for i, row in zip(range(f.n)[rows], window):
-        if row.count(0) + row.count(1) != len(row):
-            j, b = next((j, b) for j, b in enumerate(row) if b not in (0, 1))
-            raise InvalidFamily(f"B[{i}][{j}] = {b!r} is not a bit")
+    if not _BIT_VALUES.issuperset(chain.from_iterable(window)):
+        i, j, b = next((i, j, b) for i, row in zip(range(f.n)[rows], window)
+                       for j, b in enumerate(row) if b not in _BIT_VALUES)
+        raise InvalidFamily(f"B[{i}][{j}] = {b!r} is not a bit")
     X[rows] = map(_pack, window)
     D[rows] = map(list, f.D[rows])
     return X, D

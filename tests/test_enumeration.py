@@ -26,7 +26,7 @@ class TestSchroderRows:
                 assert pc.validate_family(pc.PathFamily(B + (brow,), D + (drow,))) == []
 
     def test_first_row_of_a_long_path(self):
-        # the recursive generator this replaced hit the recursion limit here
+        # one recursion level per column would pass the interpreter's limit here
         start = time.perf_counter()
         brow, drow = next(_schroder_rows(1000))
         assert time.perf_counter() - start < 1
