@@ -103,9 +103,11 @@ def enumerate_schroder(n: int, cap: int = 5) -> set[PathFamily]:
     before any disjointness is imposed)."""
     if n > cap:
         raise CapExceeded(f"order {n} exceeds cap {cap}")
-    options = [list(_schroder_rows(i)) for i in range(n)]
-    return {PathFamily(tuple(r[0] for r in rows), tuple(r[1] for r in rows))
-            for rows in product(*options)}
+    rows = [list(_schroder_rows(i)) for i in range(n)]
+    # both products run through the choices of rows in the same order
+    B = product(*[[brow for brow, _ in options] for options in rows])
+    D = product(*[[drow for _, drow in options] for options in rows])
+    return set(map(PathFamily, B, D))
 
 
 def column_counts(f: PathFamily) -> tuple[int, ...]:
