@@ -375,21 +375,26 @@ def is_cliff_shaped(f: PathFamily) -> bool:
     return all(f.D[i][j] == 0 for i in range(f.n) for j in range(i))
 
 
+def _row_entries(i: int, brow: Sequence[int], drow: Sequence[int]) -> list[int]:
+    """The level e_j = i - sum(B[i][:j] + D[i][:j]) at which path i enters
+    column j, for j = 0..i; it holds the levels e_j - D[i][j] .. e_j there."""
+    return list(accumulate(map(add, brow, drow), sub, initial=i))
+
+
 def is_disjoint(f: PathFamily) -> bool:
     """True when the supports of the n paths are pairwise disjoint.
 
     Raises InvalidFamily, as explicit_paths does, when f is not valid.  Path
-    i enters column j at level e_j = i - sum(B[i][:j] + D[i][:j]) and holds
-    the levels e_j - D[i][j] .. e_j there; point (level, column) is counted
-    as column * n + level, and the paths are disjoint when no point is
-    counted twice.
+    i holds the levels _row_entries gives in each column; point (level,
+    column) is counted as column * n + level, and the paths are disjoint
+    when no point is counted twice.
     """
     require_valid(f)
     n = f.n
     seen: set[int] = set()
     points = 0
     for i, (brow, drow) in enumerate(zip(f.B, f.D)):
-        entry = list(accumulate(map(add, brow, drow), sub, initial=i))
+        entry = _row_entries(i, brow, drow)
         bottom = map(sub, entry, drow)
         seen.update(chain.from_iterable(map(range, map(add, bottom, range(0, n * i + 1, n)),
                                             map(add, entry, range(1, n * i + 2, n)))))

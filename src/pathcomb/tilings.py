@@ -7,13 +7,24 @@ white region cell to the left), interior edges (white region cell to the
 left) and exits (white region cell to the left, black cell outside the
 region).  Tilings of the region correspond bijectively to families of
 disjoint paths routing every entry to an exit through interior edges, with
-steps (1,1), (0,2), (-1,1).
+steps (1,1), (0,2), (-1,1).  region_edges, tiling_to_paths and
+paths_to_tiling implement this for any region, checking every entry, exit,
+interior edge and edge reuse; they are the general-region API and the
+oracles the Aztec bridge below is tested against.
 
 Specialised to the Aztec diamond of order m (placed here with rows 1..2m
 centred on column -1/2), these edge paths are exactly the images of the
 disjoint order-(m+1) path families under the shear (level, column) ->
 (level+column, column-level), with the empty path P_0 carried by the
-virtual edge at (0, 0) just outside the region.
+virtual edge at (0, 0) just outside the region.  The bridge works on that
+picture directly and builds no Region: each black cell of the diamond pairs
+with the white cell one step forward on its path, or with the cell to its
+left when no path crosses it.  family_to_tiling certifies its family once
+with is_disjoint and then makes these pairs in one walk over (B, D);
+tiling_to_family and convention_paths check the exact cover in one pass over
+the dominoes and follow the step chains from the entries (i, -i); and
+dual_family turns the forward pairs through the half-turn straight into the
+dual's chains.
 """
 
 from __future__ import annotations
@@ -26,14 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 from .combing import NotDisjoint
 from .enumeration import CapExceeded
-from .families import (
-    ExplicitPath,
-    InvalidFamily,
-    PathFamily,
-    _records,
-    explicit_paths,
-    family_from_paths,
-)
+from .families import InvalidFamily, PathFamily, _records, _row_entries, is_disjoint
 
 Cell = tuple[int, int]
 
@@ -128,7 +132,10 @@ class EdgePathFamily:
 
 
 def region_edges(s: Region) -> EdgeSets:
-    """Classify the vertical edges of s into entries, interior edges, exits."""
+    """Classify the vertical edges of s into entries, interior edges, exits.
+
+    Part of the general-region API; the Aztec bridge does not call it.
+    """
     cells = s.cells
     entries, interior, exits = set(), set(), set()
     for c in cells:
@@ -158,7 +165,8 @@ def tiling_to_paths(s: Region, t: DominoTiling) -> EdgePathFamily:
 
     Each domino contributes the pair (left edge of its black cell, right
     edge of its white cell); the pairs with distinct edges chain into
-    maximal paths from entries to exits.
+    maximal paths from entries to exits.  Works on any region, checking the
+    exact cover against s.cells; the Aztec bridge is tested against it.
     """
     _check_tiles(s, t)
     step_from: dict[Cell, Cell] = {}
@@ -184,7 +192,9 @@ def paths_to_tiling(s: Region, p: EdgePathFamily) -> DominoTiling:
 
     A black cell pairs with the white cell across its left edge when that
     edge is off every path, and otherwise with the white cell one path step
-    forward.
+    forward.  Works on any region and checks every entry, exit, interior
+    edge and edge reuse, raising InvalidFamily; the Aztec bridge, which
+    needs none of these checks past is_disjoint, is tested against it.
     """
     edges = region_edges(s)
     seen_edges: set[Cell] = set()
@@ -277,37 +287,46 @@ def enumerate_tilings(s: Region, cap: int = 40) -> set[DominoTiling]:
     return out
 
 
-def _unshear(edge: Cell) -> Cell:
-    s, u = edge
-    if (s - u) % 2:
-        raise NotATiling(f"edge {edge} is not the image of a lattice point")
-    return ((s - u) // 2, (s + u) // 2)
+def _partners(f: PathFamily) -> dict[Cell, Cell]:
+    """The white partner of every black cell of the order n-1 diamond under
+    a disjoint order-n family.
 
-
-def family_to_tiling(f: PathFamily) -> DominoTiling:
-    """The tiling of the order n-1 Aztec diamond carried by a disjoint
-    order-n family.
-
-    Paths P_1, ..., P_{n-1} shear onto edge paths of the region; P_0 sits
-    on the virtual edge (0, 0) outside the region and is dropped.
-
-    explicit_paths raises InvalidFamily unless f is a valid family; a point
-    shared by two paths raises NotDisjoint; paths_to_tiling raises
-    InvalidFamily unless the sheared paths route every entry of the region
-    to an exit through interior edges.
+    Raises ValueError for n < 1, InvalidFamily unless f is valid and
+    NotDisjoint unless it is disjoint.  Past those certificates the theorem
+    makes the pairs below the dominoes of a tiling, so nothing more is
+    checked.  Each point
+    (level, column) of P_1, ..., P_{n-1} but its last shears onto the black
+    cell (level + column, column - level), which pairs with the cell one step
+    forward on its path: up for a horizontal step, right for a diagonal one,
+    down for a vertical one.  A black cell no path crosses pairs with the
+    cell to its left.
     """
     if f.n < 1:
         raise ValueError("need at least one path")
-    points = [path.points() for path in explicit_paths(f)]
-    if sum(map(len, points)) != len({pt for pts in points for pt in pts}):
+    if not is_disjoint(f):
         raise NotDisjoint("only disjoint families correspond to tilings")
-    edge_paths = [tuple((lev + col, col - lev) for lev, col in pts) for pts in points[1:]]
-    return paths_to_tiling(aztec_region(f.n - 1), EdgePathFamily.from_paths(edge_paths))
+    partner: dict[Cell, Cell] = {}
+    for i in range(1, f.n):
+        brow, drow = f.B[i], f.D[i]
+        for j, entry in enumerate(_row_entries(i, brow, drow)):
+            bottom = entry - drow[j]
+            for lev in range(entry, bottom, -1):
+                partner[lev + j, j - lev] = (lev + j - 1, j - lev)
+            if j < i:
+                s, u = bottom + j, j - bottom
+                partner[s, u] = (s, u + 1) if brow[j] else (s + 1, u)
+    m = f.n - 1
+    for s in range(1, 2 * m + 1):
+        half = min(s, 2 * m + 1 - s)
+        for u in range(-half + (s > m), half, 2):
+            if (s, u) not in partner:
+                partner[s, u] = (s, u - 1)
+    return partner
 
 
 def _aztec_order_of(t: DominoTiling) -> int:
     """The order m with 2m(m+1) == 2 * len(t.dominoes); whether the dominoes
-    cover exactly that diamond is left to tiling_to_paths."""
+    cover exactly that diamond is left to _cover."""
     count = 2 * len(t.dominoes)
     order = 0
     while 2 * order * (order + 1) < count:
@@ -317,27 +336,105 @@ def _aztec_order_of(t: DominoTiling) -> int:
     return order
 
 
+def _cover(t: DominoTiling) -> tuple[int, dict[Cell, Cell]]:
+    """The order m of the Aztec diamond t tiles, and the white partner of
+    each of its black cells.
+
+    Raises NotATiling, naming the cell at fault, unless the domino count is
+    m(m+1) and each domino is a pair of adjacent cells inside the order-m
+    diamond, each cell covered once.  Those m(m+1) dominoes then cover all
+    2m(m+1) cells of the diamond.  Cell (i, j) lies inside when
+    |2i - 2m - 1| + |2j + 1| < 2m + 1: rows 1..2m, row i spanning columns
+    -h..h-1 with h = min(i, 2m + 1 - i).
+    """
+    m = _aztec_order_of(t)
+    top = 2 * m + 1
+    partner: dict[Cell, Cell] = {}
+    whites: set[Cell] = set()
+    for p, q in t.dominoes:
+        (a, b), (c, d) = p, q
+        if abs(a - c) + abs(b - d) != 1:
+            raise NotATiling(f"cells {p} and {q} are not adjacent")
+        if abs(2 * a - top) + abs(2 * b + 1) >= top:
+            raise NotATiling(f"cell {p} lies outside the order-{m} diamond")
+        if abs(2 * c - top) + abs(2 * d + 1) >= top:
+            raise NotATiling(f"cell {q} lies outside the order-{m} diamond")
+        if (a - b) % 2:
+            p, q = q, p
+        if p in partner:
+            raise NotATiling(f"cell {p} covered twice")
+        if q in whites:
+            raise NotATiling(f"cell {q} covered twice")
+        partner[p] = q
+        whites.add(q)
+    return m, partner
+
+
+def _edge_paths(m: int, partner: dict[Cell, Cell]) -> list[list[Cell]]:
+    """The edge paths of an order-m diamond tiling, in the order of their
+    entries (i, -i): each black cell's left edge steps to the edge right of
+    its white partner, up to the exit (i, i) outside the diamond.
+
+    partner must pair the cells of an exact cover, as _cover and _partners
+    guarantee.  Then no chain meets a black cell paired with the cell to its
+    left, since that cell is the previous step's white partner; so every step
+    moves one column right and each chain ends at its exit.
+    """
+    paths = []
+    for i in range(1, m + 1):
+        edge = (i, -i)
+        path = [edge]
+        while edge in partner:
+            s, u = partner[edge]
+            edge = (s, u + 1)
+            path.append(edge)
+        paths.append(path)
+    return paths
+
+
+def _family(m: int, partner: dict[Cell, Cell]) -> PathFamily:
+    """The order m+1 family whose P_1, ..., P_m shear onto the edge paths:
+    an edge step one row up is a horizontal step, one along the row a
+    diagonal step and one row down a vertical step."""
+    B: list[tuple[int, ...]] = [()]
+    D: list[tuple[int, ...]] = [(0,)]
+    for i, path in enumerate(_edge_paths(m, partner), 1):
+        brow, drow, col = [0] * i, [0] * (i + 1), 0
+        for (s, _), (s2, _) in zip(path, path[1:]):
+            if s2 < s:
+                drow[col] += 1
+            else:
+                if s2 == s:
+                    brow[col] = 1
+                col += 1
+        B.append(tuple(brow))
+        D.append(tuple(drow))
+    return PathFamily(tuple(B), tuple(D))
+
+
+def family_to_tiling(f: PathFamily) -> DominoTiling:
+    """The tiling of the order n-1 Aztec diamond carried by a disjoint
+    order-n family.
+
+    Built straight from (B, D): is_disjoint, which runs require_valid,
+    certifies f, and then one walk over the paths P_1, ..., P_{n-1} pairs
+    every black cell with its white partner (_partners).  P_0 sits on the
+    virtual edge (0, 0) outside the diamond and is dropped.  Raises
+    ValueError for n < 1, InvalidFamily and NotDisjoint.
+    """
+    return DominoTiling(frozenset(
+        (b, w) if b < w else (w, b) for b, w in _partners(f).items()))
+
+
 def tiling_to_family(t: DominoTiling) -> PathFamily:
     """The disjoint order m+1 family of a tiling of the order-m Aztec
     diamond; inverse of family_to_tiling.
 
-    tiling_to_paths, through its exact-cover check, raises NotATiling
-    unless t tiles the order-m diamond in standard placement; the unshear
-    and the start checks raise NotATiling unless the edge paths are the
-    images of lattice paths starting at distinct points (i, 0), 1 <= i <= m.
+    One pass over the dominoes checks the exact cover (_cover raises
+    NotATiling, naming the cell at fault); the step chains from the entries
+    (i, -i) are then written as the B and D rows of P_1, ..., P_m.
     """
-    order = _aztec_order_of(t)
-    fam = tiling_to_paths(aztec_region(order), t)
-    by_index: dict[int, ExplicitPath] = {0: ExplicitPath((0, 0), ())}
-    for edge_path in fam.paths:
-        points = [_unshear(e) for e in edge_path]
-        i = points[0][0]
-        if points[0] != (i, 0) or i in by_index:
-            raise NotATiling(f"edge path starting at {edge_path[0]} is misplaced")
-        by_index[i] = ExplicitPath.from_points(points)
-    if sorted(by_index) != list(range(order + 1)):
-        raise NotATiling("edge paths do not form a complete family")
-    return family_from_paths([by_index[i] for i in range(order + 1)])
+    return _family(*_cover(t))
 
 
 class Convention(IntEnum):
@@ -372,30 +469,36 @@ def dual_family(f: PathFamily) -> PathFamily:
     """The family extracted from the same tiling under the opposite edge
     convention, in reflected coordinates.
 
-    Implemented as the tiling round trip through the half-turn of the
-    diamond.  An involution; every horizontal step of f is crossed at its
-    midpoint by a vertical step of the dual and vice versa.
+    The half-turn of the diamond keeps cell colours, so it maps each
+    (black, white) domino of f's forward pass (_partners) straight to a
+    domino of the turned tiling, whose (B, D) is read off its step chains.
+    No tiling is built or validated again.  Raises what family_to_tiling
+    raises, except that the empty family is its own dual.  An involution;
+    every horizontal step of f is crossed at its midpoint by a vertical step
+    of the dual and vice versa.
     """
     if f.n == 0:
         return f
     rot = _symmetry(Convention.HALF_TURN, f.n - 1, cells=True)
-    return tiling_to_family(DominoTiling.from_pairs(
-        (rot(a), rot(b)) for a, b in family_to_tiling(f).dominoes))
+    return _family(f.n - 1, {rot(b): rot(w) for b, w in _partners(f).items()})
 
 
 def convention_paths(t: DominoTiling, conv: Convention) -> list[list[tuple[float, float]]]:
     """Edge-midpoint polylines of an Aztec tiling under one of the four
     conventions, in (level, column) drawing coordinates.
 
-    The first polyline is the single-point carrier of the empty path, so an
-    order-m tiling always yields m+1 polylines.
+    _cover checks the exact cover, naming cells as t gives them; the
+    symmetry of conv keeps colours, adjacency and the diamond, so it maps
+    the partners of t to those of the mapped tiling, whose step chains are
+    drawn back through the symmetry.  The first polyline is the single-point
+    carrier of the empty path, so an order-m tiling always yields m+1
+    polylines.
     """
-    m = _aztec_order_of(t)
+    m, partner = _cover(t)
     cell = _symmetry(conv, m, cells=True)
     point = _symmetry(conv, m, cells=False)
-    mapped = DominoTiling.from_pairs((cell(a), cell(b)) for a, b in t.dominoes)
-    fam = tiling_to_paths(aztec_region(m), mapped)
+    mapped = {cell(b): cell(w) for b, w in partner.items()}
     polylines = [[point((0.5, 0.0))]]
-    for path in fam.paths:
-        polylines.append([point((e[0] + 0.5, float(e[1]))) for e in path])
+    for path in _edge_paths(m, mapped):
+        polylines.append([point((s + 0.5, float(u))) for s, u in path])
     return polylines

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 
 import pathcomb as pc
+from pathcomb.tilings import Convention, EdgePathFamily, _check_tiles, _symmetry
 
 
 @pytest.fixture(scope="session")
@@ -115,3 +116,63 @@ def format_texts(kind: str):
     """Token soup, valid serializations of the given format, and mutations of them."""
     soup = st.lists(soup_lines, max_size=8).map(lambda lines: "\n".join(lines) + "\n")
     return st.one_of(soup, VALID_TEXTS[kind], mutated(VALID_TEXTS[kind]))
+
+
+# Oracles for the Aztec bridge, built from the general-region API: the sheared
+# explicit paths go through paths_to_tiling, and tilings come back through
+# tiling_to_paths, both on aztec_region.
+
+def aztec_order(t: pc.DominoTiling) -> int:
+    m = 0
+    while m * (m + 1) < len(t.dominoes):
+        m += 1
+    return m
+
+
+def oracle_tiling(f: pc.PathFamily) -> pc.DominoTiling:
+    """family_to_tiling's oracle, for a disjoint family."""
+    edge_paths = [tuple((lev + col, col - lev) for lev, col in path.points())
+                  for path in pc.explicit_paths(f)[1:]]
+    return pc.paths_to_tiling(pc.aztec_region(f.n - 1), EdgePathFamily.from_paths(edge_paths))
+
+
+def oracle_family(t: pc.DominoTiling) -> pc.PathFamily:
+    """tiling_to_family's oracle, for a tiling of an Aztec diamond."""
+    fam = pc.tiling_to_paths(pc.aztec_region(aztec_order(t)), t)
+    paths = [pc.ExplicitPath((0, 0), ())]
+    paths.extend(pc.ExplicitPath.from_points([((s - u) // 2, (s + u) // 2) for s, u in path])
+                 for path in fam.paths)
+    return pc.family_from_paths(paths)
+
+
+def oracle_dual(f: pc.PathFamily) -> pc.PathFamily:
+    """dual_family's oracle: the round trip through the half-turned tiling."""
+    if f.n == 0:
+        return f
+    rot = _symmetry(Convention.HALF_TURN, f.n - 1, cells=True)
+    return oracle_family(pc.DominoTiling.from_pairs(
+        (rot(a), rot(b)) for a, b in oracle_tiling(f).dominoes))
+
+
+def oracle_convention_paths(t: pc.DominoTiling, conv: Convention) -> list:
+    """convention_paths' oracle, for a tiling of an Aztec diamond."""
+    m = aztec_order(t)
+    cell = _symmetry(conv, m, cells=True)
+    point = _symmetry(conv, m, cells=False)
+    mapped = pc.DominoTiling.from_pairs((cell(a), cell(b)) for a, b in t.dominoes)
+    polylines = [[point((0.5, 0.0))]]
+    for path in pc.tiling_to_paths(pc.aztec_region(m), mapped).paths:
+        polylines.append([point((e[0] + 0.5, float(e[1]))) for e in path])
+    return polylines
+
+
+def oracle_rejects(t: pc.DominoTiling) -> bool:
+    """True when t does not tile the Aztec diamond its domino count names."""
+    m = aztec_order(t)
+    if m * (m + 1) != len(t.dominoes):
+        return True
+    try:
+        _check_tiles(pc.aztec_region(m), t)
+    except pc.NotATiling:
+        return True
+    return False

@@ -8,6 +8,7 @@ import pathcomb as pc
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 ENUMERATION = Path(pc.__file__).parent / "enumeration.py"
+TILINGS = Path(pc.__file__).parent / "tilings.py"
 
 
 def test_no_assert_statements_in_library():
@@ -59,4 +60,28 @@ def test_oracles_stay_independent():
     banned = {"is_disjoint", "explicit_paths", "validate_family", "comb", "uncomb"}
     used = {getattr(node, "id", None) or getattr(node, "attr", None)
             for body in bodies for node in ast.walk(body)}
+    assert used & banned == set()
+
+
+def test_fast_bridge_stays_off_the_oracles():
+    # the Aztec bridge is tested against the general-region API, so neither
+    # the four bridge functions nor any module function they reach may name
+    # it, build a Region or go through explicit paths
+    tree = ast.parse(TILINGS.read_text(), filename=str(TILINGS))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    bridge = {"family_to_tiling", "tiling_to_family", "dual_family", "convention_paths"}
+    assert bridge <= set(functions)
+    reached, todo, used = set(), list(bridge), set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        names = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 for node in ast.walk(functions[name])}
+        used |= names
+        todo.extend(names & set(functions))
+    assert {"_cover", "_partners", "_family", "_edge_paths", "_symmetry"} <= reached
+    banned = {"paths_to_tiling", "tiling_to_paths", "region_edges", "aztec_region",
+              "explicit_paths", "ExplicitPath", "family_from_paths", "Region", "_check_tiles"}
     assert used & banned == set()

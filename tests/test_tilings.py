@@ -1,12 +1,21 @@
 from __future__ import annotations
 
 import random
+import re
+from functools import partial
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 import pathcomb as pc
+from conftest import (
+    oracle_convention_paths,
+    oracle_dual,
+    oracle_family,
+    oracle_rejects,
+    oracle_tiling,
+)
 from pathcomb.tilings import EdgePathFamily, _symmetry, is_black
 
 
@@ -209,7 +218,10 @@ class TestFamilyTilingBridge:
         f = pc.comb(pc.random_triangle(n, seed))
         t = pc.family_to_tiling(f)
         assert len(t.dominoes) == (n - 1) * n
+        assert t == oracle_tiling(f)
         assert pc.tiling_to_family(t) == f
+        for conv in pc.Convention:
+            assert repr(pc.convention_paths(t, conv)) == repr(oracle_convention_paths(t, conv))
 
     def test_rejects_intersecting_large_order(self):
         f = pc.family_from_bits(pc.random_triangle(50, 4))
@@ -243,6 +255,120 @@ class TestFamilyTilingBridge:
             for conv in pc.Convention:
                 with pytest.raises(pc.NotATiling):
                     pc.convention_paths(moved, conv)
+
+
+class TestBridgeAgainstOracles:
+    """The Aztec bridge against the general-region API it no longer calls
+    (the oracles in conftest.py).  The orders 50, 100 and 200 are covered by
+    test_round_trip_large_order and test_large_order_involution_and_crossings."""
+
+    def test_every_disjoint_family_up_to_order_5(self, disjoint_by_n):
+        for n in range(1, 6):
+            for f in disjoint_by_n[n]:
+                t = pc.family_to_tiling(f)
+                assert t == oracle_tiling(f)
+                assert pc.tiling_to_family(t) == f == oracle_family(t)
+                assert pc.dual_family(f) == oracle_dual(f)
+
+    def test_conventions_up_to_order_4(self, disjoint_by_n):
+        # repr tells -0.0 from 0.0, which the drawings print differently
+        for n in range(1, 6):
+            for f in disjoint_by_n[n]:
+                t = pc.family_to_tiling(f)
+                for conv in pc.Convention:
+                    assert repr(pc.convention_paths(t, conv)) == \
+                        repr(oracle_convention_paths(t, conv))
+
+
+def _neighbours(c):
+    return [(c[0] + 1, c[1]), (c[0] - 1, c[1]), (c[0], c[1] + 1), (c[0], c[1] - 1)]
+
+
+def _mutants(t: pc.DominoTiling, rng: random.Random):
+    """Tilings one edit away from t: moved, dropped, repeated, stretched and
+    flipped dominoes, a translated diamond and non-Aztec counts."""
+    dominoes = sorted(t.dominoes)
+    cells = t.cells()
+    picks = rng.sample(dominoes, 4)
+    for p, q in picks:
+        rest = t.dominoes - {(p, q)}
+        for di, dj in ((0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (0, 2)):
+            yield "move", rest | {((p[0] + di, p[1] + dj), (q[0] + di, q[1] + dj))}
+        yield "drop", rest
+        yield "add overlapping", t.dominoes | {(p, next(
+            c for c in _neighbours(p) if c != q))}
+        other = rng.choice(dominoes)
+        if other != (p, q):
+            # the same cells twice, once in each orientation
+            yield "repeat reversed", rest | {(other[1], other[0])}
+        yield "stretch", rest | {(p, (2 * q[0] - p[0], 2 * q[1] - p[1]))}
+        yield "same cell twice", rest | {(p, p)}
+        yield "diagonal", rest | {(p, (q[0] + q[1] - p[1], q[1] + q[0] - p[0]))}
+        yield "swap for a neighbour", rest | {(p, next(
+            c for c in _neighbours(p) if c != q and c in cells))}
+        outside = [c for c in _neighbours(p) if c not in cells]
+        if outside:
+            yield "swap outward", rest | {(p, outside[0])}
+    for di, dj in ((0, 2), (1, 1), (-2, 0), (0, -1)):
+        yield "translate", frozenset(((a + di, b + dj), (c + di, d + dj))
+                                     for (a, b), (c, d) in t.dominoes)
+    yield "add a far domino", t.dominoes | {((100, 100), (100, 101))}
+    flips = 0
+    for (a, b), (c, d) in dominoes:
+        if a == c and ((a + 1, b), (a + 1, d)) in t.dominoes:
+            flips += 1
+            yield "flip", (t.dominoes - {((a, b), (c, d)), ((a + 1, b), (a + 1, d))}) | {
+                ((a, b), (a + 1, b)), ((a, d), (a + 1, d))}
+            if flips == 3:
+                break
+
+
+# every reader of a tiling that checks its exact cover
+COVER_CHECKED = [pc.tiling_to_family] + [partial(pc.convention_paths, conv=conv)
+                                         for conv in pc.Convention]
+
+
+class TestRejectionParity:
+    """The fast checks reject exactly the tilings that the general-region
+    exact-cover check rejects on the diamond the domino count names."""
+
+    @pytest.mark.parametrize("n,seed", [(7, 11), (51, 12)])
+    def test_mutants(self, n, seed):
+        t = pc.family_to_tiling(pc.comb(pc.random_triangle(n, seed)))
+        kinds = {}
+        for kind, dominoes in _mutants(t, random.Random(seed)):
+            mutant = pc.DominoTiling(frozenset(dominoes))
+            rejected = oracle_rejects(mutant)
+            kinds.setdefault(kind, set()).add(rejected)
+            if not rejected:
+                assert pc.tiling_to_family(mutant) == oracle_family(mutant)
+                for conv in pc.Convention:
+                    assert repr(pc.convention_paths(mutant, conv)) == \
+                        repr(oracle_convention_paths(mutant, conv))
+                continue
+            for call in COVER_CHECKED:
+                with pytest.raises(pc.NotATiling) as err:
+                    call(mutant)
+                assert re.search(r"cells? \(-?\d+, -?\d+\)|is not an Aztec diamond cell count",
+                                 str(err.value)), str(err.value)
+        assert kinds["flip"] == {False}
+        assert {k for k, seen in kinds.items() if seen == {True}} == set(kinds) - {"flip"}
+
+    @pytest.mark.parametrize("dominoes,message", [
+        ({((1, -1), (1, 0)), ((2, 0), (2, 1))}, "cell (2, 1) lies outside the order-1 diamond"),
+        ({((1, -1), (1, 0)), ((1, 0), (2, 0))}, "cell (1, 0) covered twice"),
+        ({((1, -1), (1, 0)), ((1, -1), (2, -1))}, "cell (1, -1) covered twice"),
+        ({((1, -1), (1, 0)), ((2, -1), (1, 1))}, "cells (2, -1) and (1, 1) are not adjacent"),
+        ({((1, -1), (2, -1)), ((1, 0), (1, 0))}, "cells (1, 0) and (1, 0) are not adjacent"),
+        ({((1, -1), (1, 0))}, "2 cells is not an Aztec diamond cell count"),
+    ])
+    def test_messages_name_the_cell(self, dominoes, message):
+        t = pc.DominoTiling(frozenset(dominoes))
+        assert oracle_rejects(t)
+        for call in COVER_CHECKED:
+            with pytest.raises(pc.NotATiling) as err:
+                call(t)
+            assert str(err.value) == message
 
 
 class TestDuality:
@@ -294,6 +420,7 @@ class TestDuality:
 
         f = pc.comb(pc.random_triangle(n, seed))
         g = pc.dual_family(f)
+        assert g == oracle_dual(f)
         assert g != f and pc.dual_family(g) == f
         reflect = lambda pts: {(n - k, n - 1 - l) for k, l in pts}
         assert reflect(self._step_starts(f, H_STEP)) == self._step_starts(g, V_STEP)
