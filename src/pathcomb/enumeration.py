@@ -112,11 +112,13 @@ def enumerate_schroder(n: int, cap: int = 5) -> set[PathFamily]:
 
 def column_counts(f: PathFamily) -> tuple[int, ...]:
     """Total vertical steps in each column."""
+    require_valid(f)
     return tuple(sum(f.D[i][k] for i in range(k, f.n)) for k in range(f.n))
 
 
 def intercolumn_counts(f: PathFamily) -> tuple[int, ...]:
     """Total horizontal steps between column j and j+1, for j = 0..n-2."""
+    require_valid(f)
     return tuple(sum(1 for i in range(j + 1, f.n) if f.B[i][j] == 0)
                  for j in range(f.n - 1))
 
@@ -137,6 +139,7 @@ def row_counts(f: PathFamily) -> tuple[int, ...]:
 
 def diagonal_step_count(f: PathFamily) -> int:
     """Total diagonal steps of the family."""
+    require_valid(f)
     return sum(sum(row) for row in f.B)
 
 
@@ -164,10 +167,19 @@ def verify_bijection(n: int, cap: int = 5,
                      ) -> VerificationReport:
     """Check that combing is a bijection onto the disjoint families.
 
-    Verifies injectivity over all triangles, that the image equals the
-    independently enumerated set, and both round trips.  Failures carry the
-    offending serializations.  comb_fn/uncomb_fn are injectable so harness
-    defects can be demonstrated against a broken implementation.
+    Verifies uncomb(comb(t)) == t and injectivity over all triangles, and
+    that the image equals the independently enumerated set.  Failures carry
+    the offending serializations.  comb_fn/uncomb_fn are injectable so
+    harness defects can be demonstrated against a broken implementation;
+    each is called once per triangle.
+
+    The other round trip is implied, so it is not run.  When the image
+    equals the disjoint set, each disjoint g is comb_fn(t) for a triangle t
+    with uncomb_fn(g) == t, so comb_fn(uncomb_fn(g)) == comb_fn(t) == g for
+    deterministic functions; a report that is ok would stay ok with it.  For
+    the library's comb and uncomb the kept tests in tests/test_combing.py,
+    TestUncomb.test_sweep_certifies_disjointness_exhaustive and
+    test_double_round_trip_n4, check comb(uncomb(g)) == g directly.
     """
     if n > cap:
         raise CapExceeded(f"order {n} exceeds cap {cap}")
@@ -192,11 +204,5 @@ def verify_bijection(n: int, cap: int = 5,
         failures.append(f"comb image not disjoint: {extra.to_text()!r}")
     for missing in disjoint - set(image):
         failures.append(f"disjoint family not reached: {missing.to_text()!r}")
-    for g in disjoint:
-        try:
-            if comb_fn(uncomb_fn(g)) != g:
-                failures.append(f"comb(uncomb(f)) != f for f = {g.to_text()!r}")
-        except Exception as exc:  # a broken uncomb_fn may throw; report, not crash
-            failures.append(f"round trip raised {exc!r} for f = {g.to_text()!r}")
     return VerificationReport(n=n, triangles=count, disjoint_families=len(disjoint),
                               failures=tuple(failures))

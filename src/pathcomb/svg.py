@@ -3,13 +3,19 @@
 One fixed transform: x = SCALE * column, y = -SCALE * level (level up is
 y down), shifted by a margin.  Family paths are <path> elements, dominoes
 are <rect> elements, grid lines are <line> elements.
+
+Family paths are read straight off (B, D) with the level walk of
+families._row_entries, which is_disjoint and the Aztec bridge share.  Each
+renderer certifies its family once: render_family with require_valid,
+render_dual through the is_disjoint inside dual_family, whose result is
+valid by construction.
 """
 
 from __future__ import annotations
 
 import math
 
-from .families import PathFamily, explicit_paths
+from .families import PathFamily, _row_entries, require_valid
 from .tilings import (
     Convention,
     DominoTiling,
@@ -98,10 +104,11 @@ def _draw_grid(canvas: _Canvas, n: int) -> None:
         canvas.line(*_xy(0, t), *_xy(top, t))
 
 
-def _draw_family(canvas: _Canvas, f: PathFamily, color: str) -> None:
-    for path in explicit_paths(f):
-        pts = [_xy(lev, col) for lev, col in path.points()]
-        canvas.polyline_path(pts, color)
+def _draw_family(canvas: _Canvas, f: PathFamily, color: str, xy=_xy) -> None:
+    # f is valid: in column j path i holds the levels e_j down to e_j - D[i][j]
+    for i, (brow, drow) in enumerate(zip(f.B, f.D)):
+        canvas.polyline_path([xy(lev, j) for j, e in enumerate(_row_entries(i, brow, drow))
+                              for lev in range(e, e - drow[j] - 1, -1)], color)
 
 
 def _draw_tiling(canvas: _Canvas, t: DominoTiling) -> None:
@@ -116,7 +123,11 @@ def _draw_tiling(canvas: _Canvas, t: DominoTiling) -> None:
 
 
 def render_family(f: PathFamily) -> str:
-    """Family paths over a light grid; one <path> element per path."""
+    """Family paths over a light grid; one <path> element per path.
+
+    Raises InvalidFamily unless f is valid.
+    """
+    require_valid(f)
     canvas = _Canvas()
     _draw_grid(canvas, f.n)
     _draw_family(canvas, f, PATH_COLOR)
@@ -124,16 +135,16 @@ def render_family(f: PathFamily) -> str:
 
 
 def render_dual(f: PathFamily) -> str:
-    """f and its dual family, the latter on the half-integer offset grid."""
+    """f and its dual family, the latter on the half-integer offset grid.
+
+    Raises what dual_family raises: InvalidFamily, or NotDisjoint.
+    """
+    g = dual_family(f)
     canvas = _Canvas()
     _draw_grid(canvas, f.n)
     _draw_family(canvas, f, PATH_COLOR)
-    if f.n:
-        g = dual_family(f)
-        # dual point (k, l) sits at (n - 1/2 - k, n - 1/2 - l) in f's picture
-        for path in explicit_paths(g):
-            pts = [_xy(f.n - 0.5 - lev, f.n - 0.5 - col) for lev, col in path.points()]
-            canvas.polyline_path(pts, DUAL_COLOR)
+    # dual point (k, l) sits at (n - 1/2 - k, n - 1/2 - l) in f's picture
+    _draw_family(canvas, g, DUAL_COLOR, lambda k, l: _xy(f.n - 0.5 - k, f.n - 0.5 - l))
     return canvas.document()
 
 

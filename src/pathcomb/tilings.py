@@ -37,7 +37,8 @@ from typing import Callable, Iterable, Sequence
 
 from .combing import NotDisjoint
 from .enumeration import CapExceeded
-from .families import InvalidFamily, PathFamily, _records, _row_entries, is_disjoint
+from .families import (InvalidFamily, PathFamily, _records, _row_entries, is_disjoint,
+                       require_valid)
 
 Cell = tuple[int, int]
 
@@ -473,11 +474,12 @@ def dual_family(f: PathFamily) -> PathFamily:
     (black, white) domino of f's forward pass (_partners) straight to a
     domino of the turned tiling, whose (B, D) is read off its step chains.
     No tiling is built or validated again.  Raises what family_to_tiling
-    raises, except that the empty family is its own dual.  An involution;
-    every horizontal step of f is crossed at its midpoint by a vertical step
-    of the dual and vice versa.
+    raises, except that the valid empty family is its own dual (an invalid
+    one raises InvalidFamily).  An involution; every horizontal step of f is
+    crossed at its midpoint by a vertical step of the dual and vice versa.
     """
     if f.n == 0:
+        require_valid(f)
         return f
     rot = _symmetry(Convention.HALF_TURN, f.n - 1, cells=True)
     return _family(f.n - 1, {rot(b): rot(w) for b, w in _partners(f).items()})

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 
 import pathcomb as pc
 import pathcomb.cli
+import pathcomb.families
+import pathcomb.svg
 from conftest import format_texts
 from pathcomb.svg import render_dual, render_family, render_overlay, render_tiling
 
@@ -209,6 +211,52 @@ class TestRender:
     def test_dual_path_count(self):
         f = pc.comb(tri([0], [1, 0]))
         assert count_tags(render_dual(f), "path") == 6
+
+    @staticmethod
+    def drawn_points(doc):
+        # the (x, y) vertices of each <path>; a one-point path ends "l 0 0"
+        out = []
+        for el in ET.fromstring(doc).iter():
+            if el.tag.endswith("}path"):
+                fields = el.get("d").split()
+                nums = [float(x) for x in fields if x not in ("M", "L", "l")]
+                pts = list(zip(nums[::2], nums[1::2]))
+                out.append(pts[:-1] if "l" in fields else pts)
+        return out
+
+    def test_paths_follow_explicit_paths(self, schroder_by_n, disjoint_by_n):
+        # the renderers walk (B, D) themselves; the explicit paths are the oracle
+        S = pathcomb.svg.SCALE
+        at = lambda v, c: (S * c, -S * v)
+
+        def want(f, xy):
+            return [[xy(v, c) for v, c in p.points()] for p in pc.explicit_paths(f)]
+
+        for n in range(5):
+            # the dual point (k, l) is drawn at (n - 1/2 - k, n - 1/2 - l)
+            turned = lambda v, c: at(n - 0.5 - v, n - 0.5 - c)
+            for f in schroder_by_n[n]:
+                assert self.drawn_points(render_family(f)) == want(f, at)
+            for f in disjoint_by_n[n]:
+                g = pc.dual_family(f)
+                assert self.drawn_points(render_dual(f)) == want(f, at) + want(g, turned)
+
+    @pytest.mark.parametrize("render", [render_family, render_dual])
+    def test_validates_once(self, render, monkeypatch):
+        # the order-65 family of the golden tests; render_dual's one
+        # certificate is the is_disjoint inside dual_family
+        f = pc.comb(pc.random_triangle(65, 5))
+        validate = pathcomb.families.validate_family
+        seen = []
+        monkeypatch.setattr(pathcomb.families, "validate_family",
+                            lambda g: seen.append(g) or validate(g))
+        render(f)
+        assert seen == [f]
+
+    @pytest.mark.parametrize("render", [render_family, render_dual])
+    def test_invalid_empty_family(self, render):
+        with pytest.raises(pc.InvalidFamily):
+            render(pc.PathFamily((), ((0,),)))
 
     def test_cli_render_family(self, tmp_path):
         fam_file = tmp_path / "f.txt"

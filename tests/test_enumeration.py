@@ -8,6 +8,7 @@ import pytest
 
 import pathcomb as pc
 from pathcomb.enumeration import _schroder_rows
+from pathcomb.families import require_valid
 
 
 def tri(*rows):
@@ -98,6 +99,19 @@ class TestStatistics:
         for f in disjoint_by_n[4]:
             assert sum(pc.row_counts(f)) == sum(pc.column_counts(f))
 
+    @pytest.mark.parametrize("stat", [pc.column_counts, pc.intercolumn_counts,
+                                      pc.row_counts, pc.diagonal_step_count])
+    @pytest.mark.parametrize("f", [
+        pc.PathFamily(((), (0,)), ((0,),)),  # D is a row short
+        pc.PathFamily(((), (2,)), ((0,), (0, -1))),  # a B entry of 2, a D entry of -1
+    ], ids=["short-D", "bad-entries"])
+    def test_rejects_invalid(self, f, stat):
+        with pytest.raises(pc.InvalidFamily) as expected:
+            require_valid(f)
+        with pytest.raises(pc.InvalidFamily) as raised:
+            stat(f)
+        assert str(raised.value) == str(expected.value)
+
 
 class TestJointDistribution:
     def test_order_two(self):
@@ -148,6 +162,21 @@ class TestVerifyBijection:
         assert report.ok
         assert report.triangles == 2 ** (n * (n - 1) // 2)
         assert report.disjoint_families == report.triangles
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_one_round_trip_per_triangle(self, n):
+        # comb(uncomb(g)) == g is implied, so each function runs once per triangle
+        calls = Counter()
+
+        def counted(fn):
+            def call(x):
+                calls[fn.__name__] += 1
+                return fn(x)
+            return call
+
+        report = pc.verify_bijection(n, comb_fn=counted(pc.comb), uncomb_fn=counted(pc.uncomb))
+        assert report.ok
+        assert calls == {"comb": 2 ** (n * (n - 1) // 2), "uncomb": 2 ** (n * (n - 1) // 2)}
 
     def test_detects_broken_comb(self):
         def skewed_comb(t):

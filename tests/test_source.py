@@ -9,6 +9,7 @@ import pathcomb as pc
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 ENUMERATION = Path(pc.__file__).parent / "enumeration.py"
 TILINGS = Path(pc.__file__).parent / "tilings.py"
+SVG = Path(pc.__file__).parent / "svg.py"
 
 
 def test_no_assert_statements_in_library():
@@ -85,3 +86,11 @@ def test_fast_bridge_stays_off_the_oracles():
     banned = {"paths_to_tiling", "tiling_to_paths", "region_edges", "aztec_region",
               "explicit_paths", "ExplicitPath", "family_from_paths", "Region", "_check_tiles"}
     assert used & banned == set()
+
+
+def test_svg_draws_straight_from_the_encoding():
+    # the renderers walk (B, D) themselves; explicit paths stay the tests' oracle
+    tree = ast.parse(SVG.read_text(), filename=str(SVG))
+    used = {getattr(node, "id", None) or getattr(node, "attr", None)
+            or getattr(node, "name", None) for node in ast.walk(tree)}
+    assert used & {"explicit_paths", "ExplicitPath", "family_from_paths"} == set()

@@ -382,6 +382,11 @@ class TestDuality:
         f = pc.PathFamily((), ())
         assert pc.dual_family(f) == f
 
+    def test_empty_invalid(self):
+        # an order-0 family with a D row is invalid, not its own dual
+        with pytest.raises(pc.InvalidFamily):
+            pc.dual_family(pc.PathFamily((), ((0,),)))
+
     def test_involution(self, disjoint_by_n):
         for n in range(1, 5):
             for f in disjoint_by_n[n]:
