@@ -31,8 +31,6 @@ from .families import (
     require_valid,
 )
 
-HeightVector = tuple[int, ...]
-
 
 class PreconditionViolation(Exception):
     """A basic operation was invoked outside its legal domain."""
@@ -278,25 +276,22 @@ def disj_step(f: PathFamily, i: int, k: int) -> tuple[PathFamily, CombTrace]:
     return _staged(f, slice(i, i + 2), k, X, D), _trace(before, X[i], i, k, 0)
 
 
-def clify_step(f: PathFamily, h: HeightVector, i: int, k: int,
-               ) -> tuple[PathFamily, HeightVector, CombTrace]:
+def clify_step(f: PathFamily, i: int, k: int) -> tuple[PathFamily, CombTrace]:
     """Exact inverse of disj_step on its image.
 
-    h must map each row to its entry level into column k (see
-    entry_levels); the returned vector reflects the modified rows.  All
-    D[i+1][k] vertical steps move back to row i and the interchanged step
-    directions are restored scanning from column k-1 down to 0.
+    All D[i+1][k] vertical steps move back to row i and the interchanged
+    step directions are restored scanning from column k-1 down to 0.  The
+    gap between the two paths is read off their entry levels into column k,
+    which entry_levels gives exactly because rows i and i+1 hold no vertical
+    steps before column k.
     """
     if not 0 <= k <= i < f.n - 1:
         raise ValueError(f"need 0 <= k <= i < n-1, got i={i}, k={k}, n={f.n}")
-    if len(h) != f.n:
-        raise ValueError(f"height vector has {len(h)} entries, expected {f.n}")
     _check_clear_before(f, i, k)
     X, D = _stage(f, slice(i, i + 2), k)
-    hs = list(h)
     before = X[i][:]
-    d0 = _clify(X, D, hs, i, k)
-    return _staged(f, slice(i, i + 2), k, X, D), tuple(hs), _trace(before, X[i], i, k, d0)
+    d0 = _clify(X, D, list(entry_levels(f, k)), i, k)
+    return _staged(f, slice(i, i + 2), k, X, D), _trace(before, X[i], i, k, d0)
 
 
 def _comb_column(X: Sequence[list[int]], D: Sequence[list[int]], k: int,
@@ -418,7 +413,6 @@ def in_pathfam_nk(f: PathFamily, k: int) -> bool:
 
 __all__ = [
     "CombTrace",
-    "HeightVector",
     "InsufficientVerticalSteps",
     "NotDisjoint",
     "PreconditionViolation",

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import add, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 H_STEP = (0, 1)
 D_STEP = (-1, 1)
@@ -85,10 +85,10 @@ def _rows(lines: list[str], first: int, n: int, what: str) -> Iterator[tuple[int
 
 
 def _records(text: str, width: int, wrong_width: str, noun: str,
-             keys: list) -> Iterator[tuple[int, ...]]:
-    """Yield the integers on each nonblank line, which must hold width of them.
-    The caller appends each record's key to keys before asking for the next
-    record; a key met on an earlier line is a ParseError naming that line."""
+             key: Callable[[tuple[int, ...]], Hashable]) -> frozenset:
+    """The keys of the records on the nonblank lines: each line must hold
+    width integers, and key maps their tuple to the record's key.  A key met
+    on an earlier line is a ParseError naming that line."""
     line_of: dict = {}
     for ln, fields in _fields(text.splitlines()):
         if len(fields) != width:
@@ -97,10 +97,10 @@ def _records(text: str, width: int, wrong_width: str, noun: str,
             record = tuple(map(int, fields))
         except ValueError:
             raise ParseError("non-integer cell coordinate", line=ln) from None
-        yield record
-        key = keys[-1]
-        if line_of.setdefault(key, ln) != ln:
-            raise ParseError(f"{noun} repeats line {line_of[key]}", line=ln)
+        k = key(record)
+        if line_of.setdefault(k, ln) != ln:
+            raise ParseError(f"{noun} repeats line {line_of[k]}", line=ln)
+    return frozenset(line_of)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ are <rect> elements, grid lines are <line> elements.
 Family paths are read straight off (B, D) with the level walk of
 families._row_entries, which is_disjoint and the Aztec bridge share.  Each
 renderer certifies its family once: render_family with require_valid,
-render_dual through the is_disjoint inside dual_family, whose result is
-valid by construction.
+render_dual through dual_family, whose one walk validates f and certifies
+it disjoint, and whose result is valid by construction.
 """
 
 from __future__ import annotations
@@ -137,7 +137,8 @@ def render_family(f: PathFamily) -> str:
 def render_dual(f: PathFamily) -> str:
     """f and its dual family, the latter on the half-integer offset grid.
 
-    Raises what dual_family raises: InvalidFamily, or NotDisjoint.
+    dual_family is the one certificate of f: it raises InvalidFamily or
+    NotDisjoint, and nothing is validated again.
     """
     g = dual_family(f)
     canvas = _Canvas()

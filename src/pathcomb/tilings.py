@@ -19,12 +19,13 @@ disjoint order-(m+1) path families under the shear (level, column) ->
 virtual edge at (0, 0) just outside the region.  The bridge works on that
 picture directly and builds no Region: each black cell of the diamond pairs
 with the white cell one step forward on its path, or with the cell to its
-left when no path crosses it.  family_to_tiling certifies its family once
-with is_disjoint and then makes these pairs in one walk over (B, D);
-tiling_to_family and convention_paths check the exact cover in one pass over
-the dominoes and follow the step chains from the entries (i, -i); and
-dual_family turns the forward pairs through the half-turn straight into the
-dual's chains.
+left when no path crosses it.  family_to_tiling validates its family with
+require_valid and then makes these pairs in one walk over (B, D), which
+also certifies disjointness: it makes one pair per point, so a collision
+shows as a missing pair.  tiling_to_family and convention_paths check the
+exact cover in one pass over the dominoes and follow the step chains from
+the entries (i, -i); and dual_family turns the forward pairs through the
+half-turn straight into the dual's chains.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 from .combing import NotDisjoint
 from .enumeration import CapExceeded
-from .families import (InvalidFamily, PathFamily, _records, _row_entries, is_disjoint,
-                       require_valid)
+from .families import InvalidFamily, PathFamily, _records, _row_entries, require_valid
 
 Cell = tuple[int, int]
 
@@ -74,10 +74,8 @@ class Region:
 
     @classmethod
     def from_text(cls, text: str) -> "Region":
-        cells: list[Cell] = []
-        for cell in _records(text, 2, "region line must hold two integers", "cell", cells):
-            cells.append(cell)
-        return cls(frozenset(cells))
+        return cls(_records(text, 2, "region line must hold two integers", "cell",
+                            lambda cell: cell))
 
 
 @dataclass(frozen=True)
@@ -87,6 +85,12 @@ class EdgeSets:
     entries: frozenset[Cell]
     interior: frozenset[Cell]
     exits: frozenset[Cell]
+
+
+def _domino(record: tuple[int, ...]) -> tuple[Cell, Cell]:
+    """The domino of a tiling line a b c d, its two cells sorted."""
+    p, q = record[:2], record[2:]
+    return (p, q) if p <= q else (q, p)
 
 
 @dataclass(frozen=True)
@@ -114,11 +118,8 @@ class DominoTiling:
 
     @classmethod
     def from_text(cls, text: str) -> "DominoTiling":
-        keys: list[tuple[Cell, Cell]] = []
-        for a, b, c, d in _records(text, 4, "tiling line must hold four integers", "domino", keys):
-            p, q = (a, b), (c, d)
-            keys.append((p, q) if p <= q else (q, p))
-        return cls(frozenset(keys))
+        return cls(_records(text, 4, "tiling line must hold four integers", "domino",
+                            _domino))
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,8 @@ def paths_to_tiling(s: Region, p: EdgePathFamily) -> DominoTiling:
     edge is off every path, and otherwise with the white cell one path step
     forward.  Works on any region and checks every entry, exit, interior
     edge and edge reuse, raising InvalidFamily; the Aztec bridge, which
-    needs none of these checks past is_disjoint, is tested against it.
+    needs none of these checks past require_valid and its own pair count,
+    is tested against it.
     """
     edges = region_edges(s)
     seen_edges: set[Cell] = set()
@@ -293,20 +295,26 @@ def _partners(f: PathFamily) -> dict[Cell, Cell]:
     a disjoint order-n family.
 
     Raises ValueError for n < 1, InvalidFamily unless f is valid and
-    NotDisjoint unless it is disjoint.  Past those certificates the theorem
-    makes the pairs below the dominoes of a tiling, so nothing more is
-    checked.  Each point
-    (level, column) of P_1, ..., P_{n-1} but its last shears onto the black
-    cell (level + column, column - level), which pairs with the cell one step
+    NotDisjoint unless it is disjoint.  Each point (level, column) of
+    P_1, ..., P_{n-1} but its last shears onto the black cell
+    (level + column, column - level), which pairs with the cell one step
     forward on its path: up for a horizontal step, right for a diagonal one,
     down for a vertical one.  A black cell no path crosses pairs with the
     cell to its left.
+
+    The same walk certifies disjointness.  The shear is injective, so the
+    walked points are distinct exactly when they make as many pairs as
+    there are points.  The points it skips cannot collide: a valid path i
+    keeps level + column >= i and ends in column i, so only P_i reaches its
+    last point (0, i), and only P_0 the point (0, 0).  Past that certificate
+    the theorem makes the pairs below the dominoes of a tiling, so nothing
+    more is checked.
     """
     if f.n < 1:
         raise ValueError("need at least one path")
-    if not is_disjoint(f):
-        raise NotDisjoint("only disjoint families correspond to tilings")
+    require_valid(f)
     partner: dict[Cell, Cell] = {}
+    points = 0
     for i in range(1, f.n):
         brow, drow = f.B[i], f.D[i]
         for j, entry in enumerate(_row_entries(i, brow, drow)):
@@ -316,6 +324,9 @@ def _partners(f: PathFamily) -> dict[Cell, Cell]:
             if j < i:
                 s, u = bottom + j, j - bottom
                 partner[s, u] = (s, u + 1) if brow[j] else (s + 1, u)
+        points += i + sum(drow)
+    if len(partner) != points:
+        raise NotDisjoint("only disjoint families correspond to tilings")
     m = f.n - 1
     for s in range(1, 2 * m + 1):
         half = min(s, 2 * m + 1 - s)
@@ -417,9 +428,9 @@ def family_to_tiling(f: PathFamily) -> DominoTiling:
     """The tiling of the order n-1 Aztec diamond carried by a disjoint
     order-n family.
 
-    Built straight from (B, D): is_disjoint, which runs require_valid,
-    certifies f, and then one walk over the paths P_1, ..., P_{n-1} pairs
-    every black cell with its white partner (_partners).  P_0 sits on the
+    Built straight from (B, D): after require_valid, one walk over the
+    paths P_1, ..., P_{n-1} pairs every black cell with its white partner
+    and certifies that the paths are disjoint (_partners).  P_0 sits on the
     virtual edge (0, 0) outside the diamond and is dropped.  Raises
     ValueError for n < 1, InvalidFamily and NotDisjoint.
     """
@@ -473,10 +484,11 @@ def dual_family(f: PathFamily) -> PathFamily:
     The half-turn of the diamond keeps cell colours, so it maps each
     (black, white) domino of f's forward pass (_partners) straight to a
     domino of the turned tiling, whose (B, D) is read off its step chains.
-    No tiling is built or validated again.  Raises what family_to_tiling
-    raises, except that the valid empty family is its own dual (an invalid
-    one raises InvalidFamily).  An involution; every horizontal step of f is
-    crossed at its midpoint by a vertical step of the dual and vice versa.
+    f is walked once, and no tiling is built or validated again.  Raises
+    what family_to_tiling raises, except that the valid empty family is its
+    own dual (an invalid one raises InvalidFamily).  An involution; every
+    horizontal step of f is crossed at its midpoint by a vertical step of
+    the dual and vice versa.
     """
     if f.n == 0:
         require_valid(f)

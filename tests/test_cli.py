@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import io
 import os
 import re
@@ -7,7 +8,9 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 
 import hypothesis.strategies as st
 import pytest
@@ -35,6 +38,8 @@ def tri(*rows):
     return pc.BitTriangle.from_rows([(), *rows])
 
 
+# the package's delannoy function hides the module of that name
+DELANNOY = importlib.import_module("pathcomb.delannoy")
 ORDER_COMMANDS = ("sample", "det", "enumerate", "verify")
 FILE_COMMANDS = ("comb", "uncomb", "tile", "render")
 
@@ -123,6 +128,54 @@ class TestDetVerifyEnumerate:
         r = run_cli("det", "--n", "6")
         assert r.returncode == 0
         assert r.stdout.strip() == "32768 = 2^15"
+
+    @pytest.mark.parametrize("n", [*range(13), 45])
+    def test_det_prints_the_certified_power(self, n, capsys):
+        e = n * (n - 1) // 2
+        assert pathcomb.cli.main(["det", "--n", str(n)]) == 0
+        assert capsys.readouterr() == (f"{2 ** e} = 2^{e}\n", "")
+
+    @pytest.mark.parametrize("n", [170, 200])
+    def test_det_past_the_digit_limit(self, n, capsys):
+        # 2^e has more than the 4,300 digits str(int) prints by default
+        e = n * (n - 1) // 2
+        assert pathcomb.cli.main(["det", "--n", str(n)]) == 0
+        out, err = capsys.readouterr()
+        value, _, rest = out.partition(" = ")
+        assert (rest, err) == (f"2^{e}\n", "")
+        assert value.isdigit() and value[0] != "0" and Decimal(value) == 2 ** e
+
+    def test_det_certifies_once(self, monkeypatch, capsys):
+        # the reduction certificate is the one derivation: no Bareiss run and
+        # one Delannoy table, wherever either is reached from
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for name in ("det_exact", "delannoy_matrix"):
+            counted = counting(name, getattr(DELANNOY, name))
+            for module in (DELANNOY, pathcomb.cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        assert pathcomb.cli.main(["det", "--n", "8"]) == 0
+        assert capsys.readouterr().out == "268435456 = 2^28\n"
+        assert (calls["det_exact"], calls["delannoy_matrix"]) == (0, 1)
+
+    def test_det_fails_on_a_bad_table(self, monkeypatch, capsys):
+        table = DELANNOY.delannoy_matrix
+
+        def bad(n):
+            rows = [list(row) for row in table(n)]
+            rows[-1][-1] += 1
+            return tuple(map(tuple, rows))
+
+        monkeypatch.setattr(DELANNOY, "delannoy_matrix", bad)
+        assert pathcomb.cli.main(["det", "--n", "8"]) == 1
+        assert capsys.readouterr() == ("", "unitriangular reduction identity failed\n")
 
     def test_verify(self):
         r = run_cli("verify", "--n", "4")
@@ -244,7 +297,7 @@ class TestRender:
     @pytest.mark.parametrize("render", [render_family, render_dual])
     def test_validates_once(self, render, monkeypatch):
         # the order-65 family of the golden tests; render_dual's one
-        # certificate is the is_disjoint inside dual_family
+        # certificate is the walk inside dual_family
         f = pc.comb(pc.random_triangle(65, 5))
         validate = pathcomb.families.validate_family
         seen = []

@@ -143,14 +143,13 @@ def ref_disj_step(f, i, k):
     return frozen(B, D), CombTrace(i, k, seq)
 
 
-def ref_clify_step(f, h, i, k):
+def ref_clify_step(f, i, k):
     if not 0 <= k <= i < f.n - 1:
         raise ValueError(f"need 0 <= k <= i < n-1, got i={i}, k={k}, n={f.n}")
     ref_check_clear_before(f, i, k)
     B, D = lists(f)
-    hs = list(h)
-    seq = ref_clify(B, D, hs, i, k)
-    return frozen(B, D), tuple(hs), CombTrace(i, k, seq)
+    seq = ref_clify(B, D, list(pc.entry_levels(f, k)), i, k)
+    return frozen(B, D), CombTrace(i, k, seq)
 
 
 def ref_comb_column(B, D, k, sink):
@@ -275,17 +274,17 @@ class TestClifyStep:
     def test_identity_case(self):
         f = pc.family_from_bits(tri([1], [1, 0]))
         h = pc.entry_levels(f, 1)
-        g, h2, trace = pc.clify_step(f, h, 1, 1)
-        assert g == f and h2 == h and trace.transferred == 0
+        g, trace = pc.clify_step(f, 1, 1)
+        assert g == f and pc.entry_levels(g, 1) == h and trace.transferred == 0
 
     def test_single_swap_pair_inverse(self):
         f = pc.PathFamily.from_rows([[], [1], [0, 0]], [[0], [0, 0], [0, 1, 1]])
         h = pc.entry_levels(f, 1)
         assert h[1:] == (0, 2)
-        g, h2, _ = pc.clify_step(f, h, 1, 1)
+        g, _ = pc.clify_step(f, 1, 1)
         assert g.B[1] == (0,) and g.B[2] == (1, 0)
         assert g.D[1][1] == 1 and g.D[2][1] == 0
-        assert h2[1:] == (1, 1)
+        assert pc.entry_levels(g, 1)[1:] == (1, 1)
 
     def test_inverts_disj_step_exhaustive(self, schroder_by_n):
         for n in (2, 3, 4):
@@ -296,7 +295,7 @@ class TestClifyStep:
                             continue
                         g, ftrace = pc.disj_step(f, i, k)
                         assert in_backward_domain(g, i, k)
-                        back, _, btrace = pc.clify_step(g, pc.entry_levels(g, k), i, k)
+                        back, btrace = pc.clify_step(g, i, k)
                         assert back == f
                         assert btrace.d_seq == ftrace.d_seq
 
@@ -307,7 +306,7 @@ class TestClifyStep:
                     for k in range(i + 1):
                         if not in_backward_domain(f, i, k):
                             continue
-                        g, _, _ = pc.clify_step(f, pc.entry_levels(f, k), i, k)
+                        g, _ = pc.clify_step(f, i, k)
                         assert in_forward_domain(g, i, k)
                         assert pc.disj_step(g, i, k)[0] == f
 
@@ -331,16 +330,16 @@ class TestClifyStep:
                         if any(f.D[r][j] for r in (i, i + 1) for j in range(k)):
                             continue
                         if in_backward_domain(f, i, k):
-                            pc.clify_step(f, pc.entry_levels(f, k), i, k)
+                            pc.clify_step(f, i, k)
                         else:
                             with pytest.raises(pc.NotDisjoint):
-                                pc.clify_step(f, pc.entry_levels(f, k), i, k)
+                                pc.clify_step(f, i, k)
 
     def test_not_disjoint(self):
         f = pc.PathFamily.from_rows([[], [0], [0, 0]], [[0], [0, 1], [0, 1, 1]])
         assert pc.validate_family(f) == []
         with pytest.raises(pc.NotDisjoint):
-            pc.clify_step(f, pc.entry_levels(f, 1), 1, 1)
+            pc.clify_step(f, 1, 1)
 
 
 class TestColumnStages:
@@ -422,7 +421,7 @@ class TestStagesRejectNonBits:
 
     def test_clify_step(self):
         def call(i):
-            return lambda f: pc.clify_step(f, pc.entry_levels(f, i), i, i)
+            return lambda f: pc.clify_step(f, i, i)
 
         self.check(call(1), short_row_family(), "B[1][0] = 2 is not a bit")
         self.check(call(10), long_row_family(9), "B[11][9] = 3 is not a bit")
@@ -628,11 +627,10 @@ class TestKernel:
         for n in range(2, 6):
             for f in schroder_by_n[n]:
                 for k in range(n - 1):
-                    h = pc.entry_levels(f, k)
                     for i in range(k, n - 1):
                         assert outcome(pc.disj_step, f, i, k) == outcome(ref_disj_step, f, i, k)
-                        assert (outcome(pc.clify_step, f, h, i, k)
-                                == outcome(ref_clify_step, f, h, i, k))
+                        assert (outcome(pc.clify_step, f, i, k)
+                                == outcome(ref_clify_step, f, i, k))
 
     @given(bit_triangles(max_n=24), st.data())
     @settings(max_examples=150, deadline=None)
@@ -655,8 +653,7 @@ class TestKernel:
         ref_uncomb_column(B, D, h, k, want)
         assert traced(lambda g, sink: pc.uncomb_column(g, k, sink), g) == (frozen(B, D), want)
         assert outcome(pc.disj_step, f, i, k) == outcome(ref_disj_step, f, i, k)
-        h = pc.entry_levels(g, k)
-        assert outcome(pc.clify_step, g, h, i, k) == outcome(ref_clify_step, g, h, i, k)
+        assert outcome(pc.clify_step, g, i, k) == outcome(ref_clify_step, g, i, k)
 
     @given(valid_families(max_n=24))
     @settings(max_examples=150, deadline=None)

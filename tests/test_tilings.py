@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 
 import pathcomb as pc
+import pathcomb.families
+import pathcomb.tilings
 from conftest import (
     oracle_convention_paths,
     oracle_dual,
@@ -16,6 +18,7 @@ from conftest import (
     oracle_rejects,
     oracle_tiling,
 )
+from pathcomb.families import require_valid
 from pathcomb.tilings import EdgePathFamily, _symmetry, is_black
 
 
@@ -228,6 +231,50 @@ class TestFamilyTilingBridge:
         assert pc.validate_family(f) == [] and not pc.is_disjoint(f)
         with pytest.raises(pc.NotDisjoint):
             pc.family_to_tiling(f)
+
+    @pytest.mark.parametrize("bridge", [pc.family_to_tiling, pc.dual_family])
+    def test_not_disjoint_exactly_when_paths_meet(self, bridge, schroder_by_n):
+        # the bridge's one walk is its disjointness certificate
+        for n in range(1, 6):
+            for f in schroder_by_n[n]:
+                if pc.is_disjoint(f):
+                    bridge(f)
+                else:
+                    with pytest.raises(pc.NotDisjoint) as raised:
+                        bridge(f)
+                    assert str(raised.value) == "only disjoint families correspond to tilings"
+
+    @pytest.mark.parametrize("bridge", [pc.family_to_tiling, pc.dual_family])
+    @pytest.mark.parametrize("f", [
+        pc.PathFamily(((), (0,)), ((0,),)),  # D has a row fewer than B
+        pc.PathFamily(((), (2,)), ((0,), (0, -1))),  # a B entry of 2, a D entry of -1
+        # P_1 dips below the anti-diagonal onto (0, 0), the point of P_0
+        # that the walk does not count
+        pc.PathFamily(((), (0,)), ((0,), (1, 0))),
+    ], ids=["short-D", "bad-entries", "below-anti-diagonal"])
+    def test_rejects_invalid(self, bridge, f):
+        with pytest.raises(pc.InvalidFamily) as expected:
+            require_valid(f)
+        with pytest.raises(pc.InvalidFamily) as raised:
+            bridge(f)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("bridge", [pc.family_to_tiling, pc.dual_family])
+    def test_one_walk_per_path(self, bridge, monkeypatch):
+        # the order-65 family of the golden tests: one _row_entries call for
+        # each of P_1, ..., P_64, wherever it is reached from
+        f = pc.comb(pc.random_triangle(65, 5))
+        row_entries = pathcomb.families._row_entries
+        calls = []
+
+        def counted(i, brow, drow):
+            calls.append(i)
+            return row_entries(i, brow, drow)
+
+        for module in (pathcomb.families, pathcomb.tilings):
+            monkeypatch.setattr(module, "_row_entries", counted)
+        bridge(f)
+        assert calls == list(range(1, 65))
 
     def test_rejects_doubled_cell_large_order(self):
         # swap one domino for one that shares a cell with a neighbour: the
