@@ -10,17 +10,19 @@ disjoint one (comb); the reverse sweeps recover the triangle of free bits
 (uncomb).  Both directions are bijections stage by stage.
 
 All public operations are pure: they return new families and leave their
-arguments untouched.  Trace capture is available through the optional
-trace_sink arguments so that tests can assert the monotonicity and
-dominance properties of the d-sequences.
+arguments untouched.  Each of them runs its basic operations through one
+sweep driver, _sweep, which is also the one place that captures traces for
+the optional trace_sink arguments, so that tests can assert the
+monotonicity and dominance properties of the d-sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain, product, repeat
 from operator import add, itemgetter, xor
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .families import (
     BitTriangle,
@@ -201,8 +203,9 @@ def _trace(before: list[int], after: list[int], i: int, k: int, d0: int) -> Comb
     return CombTrace(i, k, tuple(accumulate(flips, initial=d0)))
 
 
-def _disj(X: Sequence[list[int]], D: Sequence[list[int]], i: int, k: int) -> None:
-    """Forward operation on rows i, i+1 up to column k, in place."""
+def _disj(X: Sequence[list[int]], D: Sequence[list[int]], i: int, k: int) -> int:
+    """Forward operation on rows i, i+1 up to column k, in place.  Returns
+    the control value at column 0, which is 0."""
     if D[i + 1][k]:
         raise ResidualVerticalSteps(
             f"D[{i + 1}][{k}] = {D[i + 1][k]} must be 0 before the forward operation")
@@ -212,14 +215,16 @@ def _disj(X: Sequence[list[int]], D: Sequence[list[int]], i: int, k: int) -> Non
             f"need {d} vertical steps in D[{i}][{k}] but only {D[i][k]} present")
     D[i][k] -= d
     D[i + 1][k] = d
+    return 0
 
 
-def _clify(X: Sequence[list[int]], D: Sequence[list[int]], h: list[int], i: int, k: int) -> int:
+def _clify(h: list[int], X: Sequence[list[int]], D: Sequence[list[int]], i: int, k: int) -> int:
     """Backward operation on rows i, i+1 up to column k, in place.
 
     h[i] and h[i+1] must hold the entry levels of the two paths into
     column k; they are updated to match the result.  Returns the control
-    value at column 0.
+    value at column 0.  Callers bind h with functools.partial, so that both
+    operations take (X, D, i, k).
     """
     d = D[i + 1][k]
     gap = h[i + 1] - h[i] - 1
@@ -259,6 +264,34 @@ def _staged(f: PathFamily, rows: slice, k: int, X: list, D: list) -> PathFamily:
     return PathFamily(tuple(B), tuple(D))
 
 
+def _sweep(op: Callable[..., int], X: Sequence[list[int]], D: Sequence[list[int]], k: int,
+           rows: Iterable[int], trace_sink: list[CombTrace] | None = None) -> None:
+    """Run the basic operation op on the row pairs i, i+1 at column k, for
+    each i in rows in turn.  op works in place and returns the control value
+    at column 0; each trace goes to trace_sink once its operation is done."""
+    if trace_sink is None:
+        for i in rows:
+            op(X, D, i, k)
+        return
+    for i in rows:
+        before = X[i][:k // W + 1]
+        d0 = op(X, D, i, k)
+        trace_sink.append(_trace(before, X[i], i, k, d0))
+
+
+def _step(f: PathFamily, i: int, k: int, backward: bool) -> tuple[PathFamily, CombTrace]:
+    """One basic operation on rows i, i+1 of f up to column k, and its trace."""
+    if not 0 <= k <= i < f.n - 1:
+        raise ValueError(f"need 0 <= k <= i < n-1, got i={i}, k={k}, n={f.n}")
+    _check_clear_before(f, i, k)
+    rows = slice(i, i + 2)
+    X, D = _stage(f, rows, k)
+    traces: list[CombTrace] = []
+    _sweep(partial(_clify, list(entry_levels(f, k))) if backward else _disj,
+           X, D, k, (i,), traces)
+    return _staged(f, rows, k, X, D), traces[0]
+
+
 def disj_step(f: PathFamily, i: int, k: int) -> tuple[PathFamily, CombTrace]:
     """Make paths P_i, P_{i+1} disjoint up to column k inclusive.
 
@@ -267,13 +300,7 @@ def disj_step(f: PathFamily, i: int, k: int) -> tuple[PathFamily, CombTrace]:
     the transfer.  Step directions are interchanged exactly where the
     d-sequence increases; d_k vertical steps move from row i to row i+1.
     """
-    if not 0 <= k <= i < f.n - 1:
-        raise ValueError(f"need 0 <= k <= i < n-1, got i={i}, k={k}, n={f.n}")
-    _check_clear_before(f, i, k)
-    X, D = _stage(f, slice(i, i + 2), k)
-    before = X[i][:]
-    _disj(X, D, i, k)
-    return _staged(f, slice(i, i + 2), k, X, D), _trace(before, X[i], i, k, 0)
+    return _step(f, i, k, backward=False)
 
 
 def clify_step(f: PathFamily, i: int, k: int) -> tuple[PathFamily, CombTrace]:
@@ -285,24 +312,7 @@ def clify_step(f: PathFamily, i: int, k: int) -> tuple[PathFamily, CombTrace]:
     which entry_levels gives exactly because rows i and i+1 hold no vertical
     steps before column k.
     """
-    if not 0 <= k <= i < f.n - 1:
-        raise ValueError(f"need 0 <= k <= i < n-1, got i={i}, k={k}, n={f.n}")
-    _check_clear_before(f, i, k)
-    X, D = _stage(f, slice(i, i + 2), k)
-    before = X[i][:]
-    d0 = _clify(X, D, list(entry_levels(f, k)), i, k)
-    return _staged(f, slice(i, i + 2), k, X, D), _trace(before, X[i], i, k, d0)
-
-
-def _comb_column(X: Sequence[list[int]], D: Sequence[list[int]], k: int,
-                 trace_sink: list[CombTrace] | None = None) -> None:
-    for i in range(k, len(D) - 1):
-        if trace_sink is None:
-            _disj(X, D, i, k)
-        else:
-            before = X[i][:k // W + 1]
-            _disj(X, D, i, k)
-            trace_sink.append(_trace(before, X[i], i, k, 0))
+    return _step(f, i, k, backward=True)
 
 
 def comb_column(f: PathFamily, k: int,
@@ -320,19 +330,8 @@ def comb_column(f: PathFamily, k: int,
     if f.D[k][k] != k - sum(f.B[k]):
         raise InvalidFamily(f"row {k}, column {k}: D[{k}][{k}] = {f.D[k][k]} is not "
                             f"{k} - sum(B[{k}]), as a stage input needs")
-    _comb_column(X, D, k, trace_sink)
+    _sweep(_disj, X, D, k, range(k, f.n - 1), trace_sink)
     return _staged(f, slice(k, None), k, X, D)
-
-
-def _uncomb_column(X: Sequence[list[int]], D: Sequence[list[int]], h: list[int], k: int,
-                   trace_sink: list[CombTrace] | None = None) -> None:
-    for i in range(len(D) - 2, k - 1, -1):
-        if trace_sink is None:
-            _clify(X, D, h, i, k)
-        else:
-            before = X[i][:k // W + 1]
-            d0 = _clify(X, D, h, i, k)
-            trace_sink.append(_trace(before, X[i], i, k, d0))
 
 
 def uncomb_column(f: PathFamily, k: int,
@@ -341,7 +340,8 @@ def uncomb_column(f: PathFamily, k: int,
     if not 0 <= k < f.n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={f.n}")
     X, D = _stage(f, slice(k, None), k)
-    _uncomb_column(X, D, list(entry_levels(f, k)), k, trace_sink)
+    _sweep(partial(_clify, list(entry_levels(f, k))), X, D, k,
+           range(f.n - 2, k - 1, -1), trace_sink)
     return _staged(f, slice(k, None), k, X, D)
 
 
@@ -356,7 +356,7 @@ def comb(t: BitTriangle, trace_sink: list[CombTrace] | None = None) -> PathFamil
     X = [_pack(row) for row in t.bits]
     D = [[0] * i + [i - sum(row)] for i, row in enumerate(t.bits)]
     for k in range(n - 1, -1, -1):
-        _comb_column(X, D, k, trace_sink)
+        _sweep(_disj, X, D, k, range(k, n - 1), trace_sink)
     return PathFamily(tuple(map(_unpack, X, range(n))), tuple(map(tuple, D)))
 
 
@@ -380,8 +380,9 @@ def uncomb(f: PathFamily, trace_sink: list[CombTrace] | None = None) -> BitTrian
     X = [_pack(row) for row in f.B]
     D = [list(r) for r in f.D]
     h = list(range(n))
+    clify = partial(_clify, h)
     for k in range(n):
-        _uncomb_column(X, D, h, k, trace_sink)
+        _sweep(clify, X, D, k, range(n - 2, k - 1, -1), trace_sink)
         for i in range(k + 1, n):
             h[i] -= f.B[i][k]
     return BitTriangle(tuple(map(_unpack, X, range(n))))

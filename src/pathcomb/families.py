@@ -19,7 +19,7 @@ disjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import add, sub
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -270,28 +270,23 @@ def validate_family(f: PathFamily) -> list[Violation]:
                              f"B has {len(f.B)} rows but D has {len(f.D)}"))
         return out
     n = len(f.B)
-    shape_ok = True
     for i in range(n):
         if len(f.B[i]) != i:
             out.append(Violation("triangularity", i, None,
                                  f"B row {i} has length {len(f.B[i])}, expected {i}"))
-            shape_ok = False
         if len(f.D[i]) != i + 1:
             out.append(Violation("triangularity", i, None,
                                  f"D row {i} has length {len(f.D[i])}, expected {i + 1}"))
-            shape_ok = False
-    if not shape_ok:
+    if out:
         return out
     for i in range(n):
         for j, b in enumerate(f.B[i]):
             if b not in (0, 1):
                 out.append(Violation("domain", i, j, f"B[{i}][{j}] = {b!r} is not a bit"))
-                shape_ok = False
         for j, d in enumerate(f.D[i]):
             if not isinstance(d, int) or d < 0:
                 out.append(Violation("domain", i, j, f"D[{i}][{j}] = {d!r} is not a count"))
-                shape_ok = False
-    if not shape_ok:
+    if out:
         return out
     for i in range(n):
         if sum(f.B[i]) + sum(f.D[i]) != i:
@@ -375,30 +370,29 @@ def is_cliff_shaped(f: PathFamily) -> bool:
     return all(f.D[i][j] == 0 for i in range(f.n) for j in range(i))
 
 
-def _row_entries(i: int, brow: Sequence[int], drow: Sequence[int]) -> list[int]:
-    """The level e_j = i - sum(B[i][:j] + D[i][:j]) at which path i enters
-    column j, for j = 0..i; it holds the levels e_j - D[i][j] .. e_j there."""
-    return list(accumulate(map(add, brow, drow), sub, initial=i))
+def _path_points(i: int, brow: Sequence[int], drow: Sequence[int]) -> list[tuple[int, int]]:
+    """The points (level, column) of path i in path order: it enters column j
+    at level e_j = i - sum(B[i][:j] + D[i][:j]) and holds the levels e_j
+    down to e_j - D[i][j] there."""
+    return [(lev, j) for j, e in enumerate(accumulate(map(add, brow, drow), sub, initial=i))
+            for lev in range(e, e - drow[j] - 1, -1)]
 
 
 def is_disjoint(f: PathFamily) -> bool:
     """True when the supports of the n paths are pairwise disjoint.
 
-    Raises InvalidFamily, as explicit_paths does, when f is not valid.  Path
-    i holds the levels _row_entries gives in each column; point (level,
-    column) is counted as column * n + level, and the paths are disjoint
-    when no point is counted twice.
+    Raises InvalidFamily, as explicit_paths does, when f is not valid.  A
+    valid path visits no point twice, so the paths are disjoint exactly when
+    the set of all their points (_path_points) is as large as the sum of
+    their lengths.
     """
     require_valid(f)
-    n = f.n
-    seen: set[int] = set()
+    seen: set[tuple[int, int]] = set()
     points = 0
     for i, (brow, drow) in enumerate(zip(f.B, f.D)):
-        entry = _row_entries(i, brow, drow)
-        bottom = map(sub, entry, drow)
-        seen.update(chain.from_iterable(map(range, map(add, bottom, range(0, n * i + 1, n)),
-                                            map(add, entry, range(1, n * i + 2, n)))))
-        points += i + 1 + sum(drow)
+        path = _path_points(i, brow, drow)
+        seen.update(path)
+        points += len(path)
     return len(seen) == points
 
 

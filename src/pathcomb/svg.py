@@ -4,8 +4,8 @@ One fixed transform: x = SCALE * column, y = -SCALE * level (level up is
 y down), shifted by a margin.  Family paths are <path> elements, dominoes
 are <rect> elements, grid lines are <line> elements.
 
-Family paths are read straight off (B, D) with the level walk of
-families._row_entries, which is_disjoint and the Aztec bridge share.  Each
+Family paths are read straight off (B, D) with the point walk of
+families._path_points, which is_disjoint and the Aztec bridge share.  Each
 renderer certifies its family once: render_family with require_valid,
 render_dual through dual_family, whose one walk validates f and certifies
 it disjoint, and whose result is valid by construction.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .families import PathFamily, _row_entries, require_valid
+from .families import PathFamily, _path_points, require_valid
 from .tilings import (
     Convention,
     DominoTiling,
@@ -105,10 +105,9 @@ def _draw_grid(canvas: _Canvas, n: int) -> None:
 
 
 def _draw_family(canvas: _Canvas, f: PathFamily, color: str, xy=_xy) -> None:
-    # f is valid: in column j path i holds the levels e_j down to e_j - D[i][j]
+    # f is valid: each renderer certifies it before drawing
     for i, (brow, drow) in enumerate(zip(f.B, f.D)):
-        canvas.polyline_path([xy(lev, j) for j, e in enumerate(_row_entries(i, brow, drow))
-                              for lev in range(e, e - drow[j] - 1, -1)], color)
+        canvas.polyline_path([xy(lev, j) for lev, j in _path_points(i, brow, drow)], color)
 
 
 def _draw_tiling(canvas: _Canvas, t: DominoTiling) -> None:

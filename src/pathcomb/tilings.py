@@ -17,12 +17,15 @@ centred on column -1/2), these edge paths are exactly the images of the
 disjoint order-(m+1) path families under the shear (level, column) ->
 (level+column, column-level), with the empty path P_0 carried by the
 virtual edge at (0, 0) just outside the region.  The bridge works on that
-picture directly and builds no Region: each black cell of the diamond pairs
-with the white cell one step forward on its path, or with the cell to its
-left when no path crosses it.  family_to_tiling validates its family with
-require_valid and then makes these pairs in one walk over (B, D), which
-also certifies disjointness: it makes one pair per point, so a collision
-shows as a missing pair.  tiling_to_family and convention_paths check the
+picture directly and builds no Region.  A path's edge steps are the shears
+of its lattice steps, so one rule pairs every crossed black cell: for
+consecutive points p -> q of a path, the black cell shear(p) pairs with the
+white cell shear(q) - (0, 1), left of the next edge.  A black cell no path
+crosses pairs with the cell to its left.  family_to_tiling validates its
+family with require_valid and then makes these pairs in one walk over the
+points of each path (families._path_points), which also certifies
+disjointness: it makes one pair per point, so a collision shows as a
+missing pair.  tiling_to_family and convention_paths check the
 exact cover in one pass over the dominoes and follow the step chains from
 the entries (i, -i); and dual_family turns the forward pairs through the
 half-turn straight into the dual's chains.
@@ -33,12 +36,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import repeat
+from itertools import repeat, starmap
+from operator import gt
 from typing import Callable, Iterable, Sequence
 
 from .combing import NotDisjoint
 from .enumeration import CapExceeded
-from .families import InvalidFamily, PathFamily, _records, _row_entries, require_valid
+from .families import InvalidFamily, PathFamily, _path_points, _records, require_valid
 
 Cell = tuple[int, int]
 
@@ -98,6 +102,13 @@ class DominoTiling:
     """A partition of a region into adjacent cell pairs (each pair sorted)."""
 
     dominoes: frozenset[tuple[Cell, Cell]]
+
+    def __post_init__(self) -> None:
+        # the same dominoes in either orientation make the same tiling;
+        # sorted pairs, as from_text and from_pairs give, are only checked
+        if any(starmap(gt, self.dominoes)):
+            object.__setattr__(self, "dominoes", frozenset(
+                (p, q) if p <= q else (q, p) for p, q in self.dominoes))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Cell, Cell]]) -> "DominoTiling":
@@ -239,7 +250,7 @@ def paths_to_tiling(s: Region, p: EdgePathFamily) -> DominoTiling:
         if white not in whites or white in used:
             raise InvalidFamily(f"black cell {black} cannot pair with {white}")
         used.add(white)
-        pairs.append((black, white) if black <= white else (white, black))
+        pairs.append((black, white))
     if used != whites:
         raise InvalidFamily("some white cells stay uncovered")
     return DominoTiling(frozenset(pairs))
@@ -295,12 +306,11 @@ def _partners(f: PathFamily) -> dict[Cell, Cell]:
     a disjoint order-n family.
 
     Raises ValueError for n < 1, InvalidFamily unless f is valid and
-    NotDisjoint unless it is disjoint.  Each point (level, column) of
-    P_1, ..., P_{n-1} but its last shears onto the black cell
-    (level + column, column - level), which pairs with the cell one step
-    forward on its path: up for a horizontal step, right for a diagonal one,
-    down for a vertical one.  A black cell no path crosses pairs with the
-    cell to its left.
+    NotDisjoint unless it is disjoint.  The shear (level, column) ->
+    (level + column, column - level) maps each point p of P_1, ..., P_{n-1}
+    but its last onto a black cell, which pairs with the cell left of the
+    shear of the next point q: shear(q) - (0, 1).  A black cell no path
+    crosses pairs with the cell to its left.
 
     The same walk certifies disjointness.  The shear is injective, so the
     walked points are distinct exactly when they make as many pairs as
@@ -316,15 +326,10 @@ def _partners(f: PathFamily) -> dict[Cell, Cell]:
     partner: dict[Cell, Cell] = {}
     points = 0
     for i in range(1, f.n):
-        brow, drow = f.B[i], f.D[i]
-        for j, entry in enumerate(_row_entries(i, brow, drow)):
-            bottom = entry - drow[j]
-            for lev in range(entry, bottom, -1):
-                partner[lev + j, j - lev] = (lev + j - 1, j - lev)
-            if j < i:
-                s, u = bottom + j, j - bottom
-                partner[s, u] = (s, u + 1) if brow[j] else (s + 1, u)
-        points += i + sum(drow)
+        path = _path_points(i, f.B[i], f.D[i])
+        for (lev, col), (lev2, col2) in zip(path, path[1:]):
+            partner[lev + col, col - lev] = (lev2 + col2, col2 - lev2 - 1)
+        points += len(path) - 1
     if len(partner) != points:
         raise NotDisjoint("only disjoint families correspond to tilings")
     m = f.n - 1
@@ -434,8 +439,7 @@ def family_to_tiling(f: PathFamily) -> DominoTiling:
     virtual edge (0, 0) outside the diamond and is dropped.  Raises
     ValueError for n < 1, InvalidFamily and NotDisjoint.
     """
-    return DominoTiling(frozenset(
-        (b, w) if b < w else (w, b) for b, w in _partners(f).items()))
+    return DominoTiling(frozenset(_partners(f).items()))
 
 
 def tiling_to_family(t: DominoTiling) -> PathFamily:

@@ -57,13 +57,6 @@ class TestSample:
         c = run_cli("sample", "--n", "5", "--seed", "2")
         assert c.stdout != a.stdout
 
-    def test_intersecting_comb_output_is_a_domain_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(pathcomb.cli, "comb",
-                            lambda t: pc.family_from_bits(tri([0], [1, 0])))
-        assert pathcomb.cli.main(["sample", "--n", "3"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: NotDisjoint: ")
-
     def test_output_files(self, tmp_path):
         fam = tmp_path / "f.txt"
         t = tmp_path / "t.txt"
@@ -77,6 +70,19 @@ class TestSample:
         assert pc.is_disjoint(family)
         assert pc.comb(triangle) == family
         assert count_tags(svg.read_text(), "path") == 8
+
+    @pytest.mark.parametrize("svg,validations", [(False, 0), (True, 1)])
+    def test_validates_only_to_draw(self, svg, validations, tmp_path, monkeypatch, capsys):
+        # comb's output is disjoint by the theorem, so sample certifies
+        # nothing itself; render_family validates what it draws
+        validate = pathcomb.families.validate_family
+        seen = []
+        monkeypatch.setattr(pathcomb.families, "validate_family",
+                            lambda g: seen.append(g) or validate(g))
+        argv = ["sample", "--n", "30"] + (["--svg", str(tmp_path / "f.svg")] if svg else [])
+        assert pathcomb.cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(seen) == validations
 
 
 class TestCombUncomb:

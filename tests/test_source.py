@@ -9,6 +9,7 @@ import pathcomb as pc
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 ENUMERATION = Path(pc.__file__).parent / "enumeration.py"
 TILINGS = Path(pc.__file__).parent / "tilings.py"
+COMBING = Path(pc.__file__).parent / "combing.py"
 SVG = Path(pc.__file__).parent / "svg.py"
 
 
@@ -86,6 +87,20 @@ def test_fast_bridge_stays_off_the_oracles():
     banned = {"paths_to_tiling", "tiling_to_paths", "region_edges", "aztec_region",
               "explicit_paths", "ExplicitPath", "family_from_paths", "Region", "_check_tiles"}
     assert used & banned == set()
+
+
+def test_one_trace_capture_site():
+    # every sweep and single step runs through _sweep, the one place that
+    # builds a trace for a trace_sink
+    tree = ast.parse(COMBING.read_text(), filename=str(COMBING))
+
+    def trace_calls(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "_trace"]
+
+    sweep = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_sweep")
+    assert len(trace_calls(tree)) == len(trace_calls(sweep)) == 1
 
 
 def test_svg_draws_straight_from_the_encoding():

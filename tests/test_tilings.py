@@ -10,6 +10,7 @@ from hypothesis import given
 
 import pathcomb as pc
 import pathcomb.families
+import pathcomb.svg
 import pathcomb.tilings
 from conftest import (
     oracle_convention_paths,
@@ -19,6 +20,7 @@ from conftest import (
     oracle_tiling,
 )
 from pathcomb.families import require_valid
+from pathcomb.svg import render_dual, render_family
 from pathcomb.tilings import EdgePathFamily, _symmetry, is_black
 
 
@@ -259,22 +261,30 @@ class TestFamilyTilingBridge:
             bridge(f)
         assert str(raised.value) == str(expected.value)
 
-    @pytest.mark.parametrize("bridge", [pc.family_to_tiling, pc.dual_family])
-    def test_one_walk_per_path(self, bridge, monkeypatch):
-        # the order-65 family of the golden tests: one _row_entries call for
-        # each of P_1, ..., P_64, wherever it is reached from
+    @pytest.mark.parametrize("call,walks", [
+        (pc.family_to_tiling, [range(1, 65)]),
+        (pc.dual_family, [range(1, 65)]),
+        (pc.is_disjoint, [range(65)]),
+        (render_family, [range(65)]),
+        # the bridge walk of dual_family, then f and its dual drawn
+        (render_dual, [range(1, 65), range(65), range(65)]),
+    ], ids=["family_to_tiling", "dual_family", "is_disjoint", "render_family", "render_dual"])
+    def test_one_walk_per_path(self, call, walks, monkeypatch):
+        # the order-65 family of the golden tests: one _path_points call for
+        # each path walked (P_1, ..., P_64 for the bridge, all 65 otherwise),
+        # wherever it is reached from
         f = pc.comb(pc.random_triangle(65, 5))
-        row_entries = pathcomb.families._row_entries
+        path_points = pathcomb.families._path_points
         calls = []
 
         def counted(i, brow, drow):
             calls.append(i)
-            return row_entries(i, brow, drow)
+            return path_points(i, brow, drow)
 
-        for module in (pathcomb.families, pathcomb.tilings):
-            monkeypatch.setattr(module, "_row_entries", counted)
-        bridge(f)
-        assert calls == list(range(1, 65))
+        for module in (pathcomb.families, pathcomb.tilings, pathcomb.svg):
+            monkeypatch.setattr(module, "_path_points", counted)
+        call(f)
+        assert calls == [i for walk in walks for i in walk]
 
     def test_rejects_doubled_cell_large_order(self):
         # swap one domino for one that shares a cell with a neighbour: the
@@ -405,7 +415,7 @@ class TestRejectionParity:
         ({((1, -1), (1, 0)), ((2, 0), (2, 1))}, "cell (2, 1) lies outside the order-1 diamond"),
         ({((1, -1), (1, 0)), ((1, 0), (2, 0))}, "cell (1, 0) covered twice"),
         ({((1, -1), (1, 0)), ((1, -1), (2, -1))}, "cell (1, -1) covered twice"),
-        ({((1, -1), (1, 0)), ((2, -1), (1, 1))}, "cells (2, -1) and (1, 1) are not adjacent"),
+        ({((1, -1), (1, 0)), ((2, -1), (1, 1))}, "cells (1, 1) and (2, -1) are not adjacent"),
         ({((1, -1), (2, -1)), ((1, 0), (1, 0))}, "cells (1, 0) and (1, 0) are not adjacent"),
         ({((1, -1), (1, 0))}, "2 cells is not an Aztec diamond cell count"),
     ])
@@ -556,6 +566,14 @@ class TestSerialization:
             pc.Region.from_text("1 2\n3 4\n1 2\n")
         assert str(err.value) == "cell repeats line 1 (line 3)"
         assert err.value.line == 3
+
+    def test_orientation_of_a_pair_does_not_matter(self):
+        t = pc.DominoTiling(frozenset({((1, 0), (1, -1)), ((2, -1), (2, 0))}))
+        assert t.dominoes == {((1, -1), (1, 0)), ((2, -1), (2, 0))}
+        assert t.to_text() == "1 -1 1 0\n2 -1 2 0\n"
+        assert t == pc.DominoTiling.from_pairs(t.dominoes)
+        assert t == pc.DominoTiling.from_text(t.to_text())
+        assert t == pc.family_to_tiling(pc.tiling_to_family(t))
 
     def test_from_pairs_rejects_a_repeated_domino(self):
         for second in (((0, 0), (0, 1)), ((0, 1), (0, 0))):
