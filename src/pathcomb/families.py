@@ -84,20 +84,58 @@ def _rows(lines: list[str], first: int, n: int, what: str) -> Iterator[tuple[int
         raise ParseError(f"trailing content after {what}", line=ln)
 
 
+class _Memo(dict):
+    """fn(key) for each key looked up, computed once per key.  Callers
+    build one per call, so nothing is kept between calls."""
+
+    def __init__(self, fn: Callable[[Hashable], object]) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key: Hashable) -> object:
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _integers(text: str, width: int) -> list[int] | None:
+    """The integers of text in order, each distinct field through int once,
+    when every nonblank line holds width of them; else None.  Every line
+    break is whitespace, so text.split() lists the fields of all lines."""
+    if set(map(len, map(str.split, text.splitlines()))) <= {0, width}:
+        try:
+            return list(map(_Memo(int).__getitem__, text.split()))
+        except ValueError:
+            pass
+    return None
+
+
 def _records(text: str, width: int, wrong_width: str, noun: str,
-             key: Callable[[tuple[int, ...]], Hashable]) -> frozenset:
+             keys: Callable[[list[int]], list[Hashable]]) -> frozenset:
     """The keys of the records on the nonblank lines: each line must hold
-    width integers, and key maps their tuple to the record's key.  A key met
-    on an earlier line is a ParseError naming that line."""
+    width integers, and keys maps the integers of any number of records,
+    listed in order, to the list of their keys.  A key met on an earlier
+    line is a ParseError naming that line.
+
+    A well-formed text is converted in one pass over all its fields
+    (_integers).  Only a text that fails there is read again line by line,
+    to name its first bad line."""
+    values = _integers(text, width)
+    if values is not None:
+        found = keys(values)
+        # through a dict, as the line loop builds it, so that the set
+        # iterates in the same order
+        first = dict.fromkeys(found)
+        if len(first) == len(found):
+            return frozenset(first)
     line_of: dict = {}
     for ln, fields in _fields(text.splitlines()):
         if len(fields) != width:
             raise ParseError(wrong_width, line=ln)
         try:
-            record = tuple(map(int, fields))
+            record = list(map(int, fields))
         except ValueError:
             raise ParseError("non-integer cell coordinate", line=ln) from None
-        k = key(record)
+        (k,) = keys(record)
         if line_of.setdefault(k, ln) != ln:
             raise ParseError(f"{noun} repeats line {line_of[k]}", line=ln)
     return frozenset(line_of)

@@ -9,13 +9,22 @@ families._path_points, which is_disjoint and the Aztec bridge share.  Each
 renderer certifies its family once: render_family with require_valid,
 render_dual through dual_family, whose one walk validates f and certifies
 it disjoint, and whose result is valid by construction.
+
+Each batch of elements (the dominoes, or the paths of one family or one
+convention) is drawn in one pass: every distinct level and column is
+formatted once, through a memo keyed by the lattice value, and the batch
+widens the bounding box once, by its extreme values.  render_tiling and
+render_overlay check the tiling before drawing it.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, count, starmap
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
-from .families import PathFamily, _path_points, require_valid
+from .families import PathFamily, _Memo, _path_points, require_valid
 from .tilings import (
     Convention,
     DominoTiling,
@@ -61,20 +70,13 @@ class _Canvas:
             f'<line x1="{x1:g}" y1="{y1:g}" x2="{x2:g}" y2="{y2:g}" '
             f'stroke="{color}" stroke-width="{width:g}"/>')
 
-    def rect(self, x, y, w, h, fill) -> None:
-        self.cover(x, y, x + w, y + h)
-        self.parts.append(
-            f'<rect x="{x:g}" y="{y:g}" width="{w:g}" height="{h:g}" '
-            f'fill="{fill}" stroke="#333333" stroke-width="1"/>')
-
-    def polyline_path(self, pts, color, width=2.5) -> None:
-        xs, ys = zip(*pts)
-        self.cover(min(xs), min(ys), max(xs), max(ys))
-        if len(pts) == 1:
-            x, y = pts[0]
-            data = f"M {x:g} {y:g} l 0 0"
+    def polyline_path(self, points: list[str], color: str, width=2.5) -> None:
+        """One <path> through points, each formatted "x y"; the caller
+        covers them."""
+        if len(points) == 1:
+            data = f"M {points[0]} l 0 0"
         else:
-            data = "M " + " L ".join(f"{x:g} {y:g}" for x, y in pts)
+            data = "M " + " L ".join(points)
         self.parts.append(
             f'<path d="{data}" fill="none" stroke="{color}" '
             f'stroke-width="{width:g}" stroke-linecap="round" stroke-linejoin="round"/>')
@@ -91,8 +93,24 @@ class _Canvas:
                 f'<g class="canvas">\n{body}\n</g>\n</svg>\n')
 
 
-def _xy(level: float, column: float) -> tuple[float, float]:
-    return (SCALE * column, -SCALE * level)
+def _x(column: float) -> float:
+    return SCALE * column
+
+
+def _y(level: float) -> float:
+    return -SCALE * level
+
+
+def _formatted(coord: Callable[[float], float]) -> _Memo:
+    """The formatted drawing coordinates coord(v) of one axis of one batch,
+    keyed by the lattice value v (a level or a column), not by coord(v), so
+    that each distinct value is formatted once.
+
+    0.0 and -0.0 are one key, but no batch draws both on one axis: family
+    points are integers, and each axis of convention_paths carries zeros of
+    one sign.  The dominoes, whose corners print "-0" above level -1, are a
+    batch of their own."""
+    return _Memo(lambda v: f"{coord(v):g}")
 
 
 def _draw_grid(canvas: _Canvas, n: int) -> None:
@@ -100,25 +118,47 @@ def _draw_grid(canvas: _Canvas, n: int) -> None:
         return
     top = n - 1
     for t in range(n):
-        canvas.line(*_xy(t, 0), *_xy(t, top))
-        canvas.line(*_xy(0, t), *_xy(top, t))
+        canvas.line(_x(0), _y(t), _x(top), _y(t))
+        canvas.line(_x(t), _y(0), _x(t), _y(top))
 
 
-def _draw_family(canvas: _Canvas, f: PathFamily, color: str, xy=_xy) -> None:
+def _draw_paths(canvas: _Canvas, paths: Iterable[Sequence[tuple[float, float]]], color: str,
+                level_y: Callable[[float], float], column_x: Callable[[float], float]) -> None:
+    """One <path> per sequence of lattice points (level, column), drawn at
+    (column_x(column), level_y(level)), then one cover of them all."""
+    ys, xs = _formatted(level_y), _formatted(column_x)
+    for path in paths:
+        canvas.polyline_path([f"{xs[col]} {ys[lev]}" for lev, col in path], color)
+    if xs:
+        # over the distinct values in the order met, so the first drawn wins a tie
+        canvas.cover(min(map(column_x, xs)), min(map(level_y, ys)),
+                     max(map(column_x, xs)), max(map(level_y, ys)))
+
+
+def _draw_family(canvas: _Canvas, f: PathFamily, color: str, level_y=_y, column_x=_x) -> None:
     # f is valid: each renderer certifies it before drawing
-    for i, (brow, drow) in enumerate(zip(f.B, f.D)):
-        canvas.polyline_path([xy(lev, j) for lev, j in _path_points(i, brow, drow)], color)
+    _draw_paths(canvas, starmap(_path_points, zip(count(), f.B, f.D)), color, level_y, column_x)
 
 
 def _draw_tiling(canvas: _Canvas, t: DominoTiling) -> None:
-    for c1, c2 in sorted(t.dominoes):
-        (i1, j1), (i2, j2) = c1, c2
-        orient = "h" if i1 == i2 else "v"
-        parity = (min(c1, c2)[0] - min(c1, c2)[1]) % 2
-        x, y = _xy(max(i1, i2) + 1, min(j1, j2))
-        w = SCALE * (2 if orient == "h" else 1)
-        h = SCALE * (1 if orient == "h" else 2)
-        canvas.rect(x, y, w, h, DOMINO_FILL[(orient, parity)])
+    """One <rect> per domino, in sorted order, then one cover of them all.
+
+    The dominoes are sorted adjacent pairs, each cell in one of them, as
+    both renderers check first: so sorting by the first cell sorts them,
+    and each rect's top-left corner is at the column of the first cell and
+    above the level of the second."""
+    if not t.dominoes:
+        return
+    xs, ys = _formatted(_x), _formatted(lambda i: _y(i + 1))
+    tails = {(orient == "h", parity): (
+        f'width="{SCALE * (2 if orient == "h" else 1):g}" '
+        f'height="{SCALE * (1 if orient == "h" else 2):g}" '
+        f'fill="{fill}" stroke="#333333" stroke-width="1"/>')
+        for (orient, parity), fill in DOMINO_FILL.items()}
+    canvas.parts += [f'<rect x="{xs[j]}" y="{ys[i2]}" {tails[i == i2, (i - j) % 2]}'
+                     for (i, j), (i2, _) in sorted(t.dominoes, key=itemgetter(0))]
+    levels, columns = zip(*chain.from_iterable(t.dominoes))
+    canvas.cover(_x(min(columns)), _y(max(levels) + 1), _x(max(columns) + 1), _y(min(levels)))
 
 
 def render_family(f: PathFamily) -> str:
@@ -144,7 +184,7 @@ def render_dual(f: PathFamily) -> str:
     _draw_grid(canvas, f.n)
     _draw_family(canvas, f, PATH_COLOR)
     # dual point (k, l) sits at (n - 1/2 - k, n - 1/2 - l) in f's picture
-    _draw_family(canvas, g, DUAL_COLOR, lambda k, l: _xy(f.n - 0.5 - k, f.n - 0.5 - l))
+    _draw_family(canvas, g, DUAL_COLOR, lambda k: _y(f.n - 0.5 - k), lambda l: _x(f.n - 0.5 - l))
     return canvas.document()
 
 
@@ -161,9 +201,14 @@ def render_tiling(t: DominoTiling) -> str:
 
 
 def render_overlay(t: DominoTiling, conv: Convention = Convention.CANONICAL) -> str:
-    """Tiling with its path family under the chosen edge convention."""
+    """Tiling with its path family under the chosen edge convention.
+
+    convention_paths runs first and checks t: it raises NotATiling unless t
+    tiles an Aztec diamond, and ValueError unless conv is one of the four
+    conventions.
+    """
+    polylines = convention_paths(t, conv)
     canvas = _Canvas()
     _draw_tiling(canvas, t)
-    for poly in convention_paths(t, conv):
-        canvas.polyline_path([_xy(lev, col) for lev, col in poly], PATH_COLOR)
+    _draw_paths(canvas, polylines, PATH_COLOR, _y, _x)
     return canvas.document()

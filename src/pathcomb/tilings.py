@@ -25,10 +25,14 @@ crosses pairs with the cell to its left.  family_to_tiling validates its
 family with require_valid and then makes these pairs in one walk over the
 points of each path (families._path_points), which also certifies
 disjointness: it makes one pair per point, so a collision shows as a
-missing pair.  tiling_to_family and convention_paths check the
-exact cover in one pass over the dominoes and follow the step chains from
-the entries (i, -i); and dual_family turns the forward pairs through the
-half-turn straight into the dual's chains.
+missing pair.  It sorts each pair as DominoTiling keeps them before it
+builds the tiling's one frozenset.  tiling_to_family and convention_paths
+check the exact cover in one pass over the dominoes and follow the step
+chains from the entries (i, -i); and dual_family turns the forward pairs
+through the half-turn straight into the dual's chains.  _symmetry, the one
+table of the four symmetries, maps a whole list of cells or points in one
+pass.  DominoTiling.from_text and Region.from_text read through the one
+parser skeleton families._records.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import repeat, starmap
+from itertools import islice, repeat, starmap
 from operator import gt
 from typing import Callable, Iterable, Sequence
 
@@ -79,7 +83,7 @@ class Region:
     @classmethod
     def from_text(cls, text: str) -> "Region":
         return cls(_records(text, 2, "region line must hold two integers", "cell",
-                            lambda cell: cell))
+                            lambda v: list(zip(v[0::2], v[1::2]))))
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,15 @@ class EdgeSets:
     exits: frozenset[Cell]
 
 
-def _domino(record: tuple[int, ...]) -> tuple[Cell, Cell]:
-    """The domino of a tiling line a b c d, its two cells sorted."""
-    p, q = record[:2], record[2:]
-    return (p, q) if p <= q else (q, p)
+def _sorted_pairs(pairs: Iterable[tuple[Cell, Cell]]) -> list[tuple[Cell, Cell]]:
+    """The pairs (p, q), each with its two cells sorted."""
+    return [(p, q) if p <= q else (q, p) for p, q in pairs]
+
+
+def _dominoes(v: list[int]) -> list[tuple[Cell, Cell]]:
+    """The dominoes of the tiling lines a b c d whose integers v lists in
+    order, their two cells sorted."""
+    return _sorted_pairs(zip(zip(v[0::4], v[1::4]), zip(v[2::4], v[3::4])))
 
 
 @dataclass(frozen=True)
@@ -105,15 +114,15 @@ class DominoTiling:
 
     def __post_init__(self) -> None:
         # the same dominoes in either orientation make the same tiling;
-        # sorted pairs, as from_text and from_pairs give, are only checked
+        # sorted pairs, as from_text, from_pairs and family_to_tiling give,
+        # are only checked
         if any(starmap(gt, self.dominoes)):
-            object.__setattr__(self, "dominoes", frozenset(
-                (p, q) if p <= q else (q, p) for p, q in self.dominoes))
+            object.__setattr__(self, "dominoes", frozenset(_sorted_pairs(self.dominoes)))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Cell, Cell]]) -> "DominoTiling":
         """Raises NotATiling when a domino is given twice, in either orientation."""
-        ordered = [(p, q) if p <= q else (q, p) for p, q in pairs]
+        ordered = _sorted_pairs(pairs)
         dominoes = frozenset(ordered)
         if len(dominoes) != len(ordered):
             twice = next(pair for pair, count in Counter(ordered).items() if count > 1)
@@ -130,7 +139,7 @@ class DominoTiling:
     @classmethod
     def from_text(cls, text: str) -> "DominoTiling":
         return cls(_records(text, 4, "tiling line must hold four integers", "domino",
-                            _domino))
+                            _dominoes))
 
 
 @dataclass(frozen=True)
@@ -435,11 +444,12 @@ def family_to_tiling(f: PathFamily) -> DominoTiling:
 
     Built straight from (B, D): after require_valid, one walk over the
     paths P_1, ..., P_{n-1} pairs every black cell with its white partner
-    and certifies that the paths are disjoint (_partners).  P_0 sits on the
-    virtual edge (0, 0) outside the diamond and is dropped.  Raises
-    ValueError for n < 1, InvalidFamily and NotDisjoint.
+    and certifies that the paths are disjoint (_partners).  Each pair is
+    sorted before the one frozenset is built, which DominoTiling then only
+    checks.  P_0 sits on the virtual edge (0, 0) outside the diamond and is
+    dropped.  Raises ValueError for n < 1, InvalidFamily and NotDisjoint.
     """
-    return DominoTiling(frozenset(_partners(f).items()))
+    return DominoTiling(frozenset(_sorted_pairs(_partners(f).items())))
 
 
 def tiling_to_family(t: DominoTiling) -> PathFamily:
@@ -463,22 +473,28 @@ class Convention(IntEnum):
 
 
 def _symmetry(conv: Convention, m: int, cells: bool) -> Callable:
-    """The involution of the order-m diamond under convention conv.
+    """The involution of the order-m diamond under convention conv, as a map
+    from an iterable of points (level, column) to the list of their images,
+    in one pass.
 
     On drawing points it is p -> (s0*q0 - c0, s1*q1 - c1), with q the point
     p, transposed for the transposing conventions.  On cells it is the same
     map seen at the cell centres c + 1/2, which moves each offset by
     (1 - s)/2.  The offsets are subtracted because x - 0 keeps the sign of a
-    zero where x + 0 does not, and the drawings print -0.0 as "-0".
+    zero where x + 0 does not, and the drawings print -0.0 as "-0".  Raises
+    ValueError unless conv is one of the four conventions.
     """
     swap, s0, s1, k0, k1 = ((False, 1, 1, 0, 0), (False, -1, -1, -2, 0),
-                            (True, 1, 1, -1, 1), (True, -1, -1, -1, -1))[conv]
+                            (True, 1, 1, -1, 1), (True, -1, -1, -1, -1))[Convention(conv)]
     c0, c1 = k0 * (m + 1), k1 * (m + 1)
     if cells:
         c0, c1 = c0 + (1 - s0) // 2, c1 + (1 - s1) // 2
-    if swap:
-        return lambda p: (s0 * p[1] - c0, s1 * p[0] - c1)
-    return lambda p: (s0 * p[0] - c0, s1 * p[1] - c1)
+
+    def image(points):
+        if swap:
+            return [(s0 * q1 - c0, s1 * q0 - c1) for q0, q1 in points]
+        return [(s0 * q0 - c0, s1 * q1 - c1) for q0, q1 in points]
+    return image
 
 
 def dual_family(f: PathFamily) -> PathFamily:
@@ -498,7 +514,8 @@ def dual_family(f: PathFamily) -> PathFamily:
         require_valid(f)
         return f
     rot = _symmetry(Convention.HALF_TURN, f.n - 1, cells=True)
-    return _family(f.n - 1, {rot(b): rot(w) for b, w in _partners(f).items()})
+    partner = _partners(f)
+    return _family(f.n - 1, dict(zip(rot(partner), rot(partner.values()))))
 
 
 def convention_paths(t: DominoTiling, conv: Convention) -> list[list[tuple[float, float]]]:
@@ -508,15 +525,15 @@ def convention_paths(t: DominoTiling, conv: Convention) -> list[list[tuple[float
     _cover checks the exact cover, naming cells as t gives them; the
     symmetry of conv keeps colours, adjacency and the diamond, so it maps
     the partners of t to those of the mapped tiling, whose step chains are
-    drawn back through the symmetry.  The first polyline is the single-point
-    carrier of the empty path, so an order-m tiling always yields m+1
-    polylines.
+    drawn back through the symmetry, all points in one pass.  The first
+    polyline is the single-point carrier of the empty path, so an order-m
+    tiling always yields m+1 polylines.  Raises NotATiling, and ValueError
+    unless conv is one of the four conventions.
     """
     m, partner = _cover(t)
     cell = _symmetry(conv, m, cells=True)
     point = _symmetry(conv, m, cells=False)
-    mapped = {cell(b): cell(w) for b, w in partner.items()}
-    polylines = [[point((0.5, 0.0))]]
-    for path in _edge_paths(m, mapped):
-        polylines.append([point((s + 0.5, float(u))) for s, u in path])
-    return polylines
+    # the virtual edge (0, 0) carries the empty path
+    paths = [[(0, 0)]] + _edge_paths(m, dict(zip(cell(partner), cell(partner.values()))))
+    points = iter(point((s + 0.5, float(u)) for path in paths for s, u in path))
+    return [list(islice(points, len(path))) for path in paths]

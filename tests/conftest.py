@@ -145,11 +145,17 @@ def oracle_family(t: pc.DominoTiling) -> pc.PathFamily:
     return pc.family_from_paths(paths)
 
 
+def _pointwise(image):
+    """A symmetry of _symmetry, which maps a list of points in one pass,
+    applied to one point at a time."""
+    return lambda p: image([p])[0]
+
+
 def oracle_dual(f: pc.PathFamily) -> pc.PathFamily:
     """dual_family's oracle: the round trip through the half-turned tiling."""
     if f.n == 0:
         return f
-    rot = _symmetry(Convention.HALF_TURN, f.n - 1, cells=True)
+    rot = _pointwise(_symmetry(Convention.HALF_TURN, f.n - 1, cells=True))
     return oracle_family(pc.DominoTiling.from_pairs(
         (rot(a), rot(b)) for a, b in oracle_tiling(f).dominoes))
 
@@ -157,8 +163,8 @@ def oracle_dual(f: pc.PathFamily) -> pc.PathFamily:
 def oracle_convention_paths(t: pc.DominoTiling, conv: Convention) -> list:
     """convention_paths' oracle, for a tiling of an Aztec diamond."""
     m = aztec_order(t)
-    cell = _symmetry(conv, m, cells=True)
-    point = _symmetry(conv, m, cells=False)
+    cell = _pointwise(_symmetry(conv, m, cells=True))
+    point = _pointwise(_symmetry(conv, m, cells=False))
     mapped = pc.DominoTiling.from_pairs((cell(a), cell(b)) for a, b in t.dominoes)
     polylines = [[point((0.5, 0.0))]]
     for path in pc.tiling_to_paths(pc.aztec_region(m), mapped).paths:

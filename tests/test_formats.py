@@ -30,6 +30,10 @@ REGION = pc.Region.from_text
 TILING = pc.DominoTiling.from_text
 DETECT = pathcomb.cli._detect_kind
 
+# 200 distinct lines each: cells (k, 0) and dominoes (k, 0)-(k, 1)
+_GOOD_CELLS = "".join(f"{k} 0\n" for k in range(200))
+_GOOD_DOMINOES = "".join(f"{k} 0 {k} 1\n" for k in range(200))
+
 # (parser, input, message, line, column): one row per message, plus rows
 # that pin which of two errors on different lines is reported (the first)
 MESSAGES = [
@@ -66,6 +70,28 @@ MESSAGES = [
     (DETECT, "\n\n1 2\n", "cannot tell input kind from line '1 2'", 3, None),
     (_render("paths"), "0 0 0 1\n", "style 'paths' needs a family file", None, None),
     (_render("overlay"), "1\nB: | D: 0\n", "style 'overlay' needs a tiling file", None, None),
+    # long inputs, where the whole text is converted in one pass and only a
+    # failing one is read again line by line: the first bad line is named
+    (REGION, _GOOD_CELLS + "7\n", "region line must hold two integers", 201, None),
+    (REGION, _GOOD_CELLS + "7 y\n", "non-integer cell coordinate", 201, None),
+    (REGION, _GOOD_CELLS + "7 y\n1 2 3\n", "non-integer cell coordinate", 201, None),
+    (REGION, _GOOD_CELLS + "1 2 3\n7 y\n", "region line must hold two integers", 201, None),
+    (REGION, _GOOD_CELLS + "1 x y\n", "region line must hold two integers", 201, None),
+    (REGION, _GOOD_CELLS + "7 y\n3 0\n", "non-integer cell coordinate", 201, None),
+    (REGION, _GOOD_CELLS + "3 0\n7 y\n", "cell repeats line 4", 201, None),
+    (REGION, "0 5\n" + _GOOD_CELLS + "\n0 5\n", "cell repeats line 1", 203, None),
+    (TILING, _GOOD_DOMINOES + "7 0 7\n", "tiling line must hold four integers", 201, None),
+    (TILING, _GOOD_DOMINOES + "7 0 7 z\n", "non-integer cell coordinate", 201, None),
+    (TILING, _GOOD_DOMINOES + "7 0 7 z\n0 0 0\n", "non-integer cell coordinate", 201,
+     None),
+    (TILING, _GOOD_DOMINOES + "0 0 0\n7 0 7 z\n", "tiling line must hold four integers",
+     201, None),
+    (TILING, _GOOD_DOMINOES + "a b c\n", "tiling line must hold four integers", 201, None),
+    (TILING, _GOOD_DOMINOES + "x 0 0 1\n3 1 3 0\n", "non-integer cell coordinate", 201,
+     None),
+    (TILING, _GOOD_DOMINOES + "3 1 3 0\nx 0 0 1\n", "domino repeats line 4", 201, None),
+    (TILING, "0 5 0 6\n" + _GOOD_DOMINOES + "\n0 6 0 5\n", "domino repeats line 1", 203,
+     None),
 ]
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import re
 from functools import partial
@@ -20,7 +21,7 @@ from conftest import (
     oracle_tiling,
 )
 from pathcomb.families import require_valid
-from pathcomb.svg import render_dual, render_family
+from pathcomb.svg import render_dual, render_family, render_overlay
 from pathcomb.tilings import EdgePathFamily, _symmetry, is_black
 
 
@@ -208,6 +209,23 @@ class TestFamilyTilingBridge:
         assert len(tiling.cells()) == 2 * 20 * 21
         back = pc.tiling_to_family(tiling)
         assert back.n == 21 and back == f
+
+    @pytest.mark.parametrize("n,seed", [(2, 1), (5, 2), (65, 5)])
+    def test_one_frozenset_build(self, n, seed, monkeypatch):
+        # the pairs come out sorted, so DominoTiling only checks them and
+        # builds no second frozenset of the dominoes
+        f = pc.comb(pc.random_triangle(n, seed))
+        builds = []
+
+        def counted(*args):
+            built = frozenset(*args)
+            builds.append(len(built))
+            return built
+
+        monkeypatch.setattr(pathcomb.tilings, "frozenset", counted, raising=False)
+        t = pc.family_to_tiling(f)
+        assert builds == [(n - 1) * n]
+        assert all(p <= q for p, q in t.dominoes)
 
     def test_rejects_intersecting(self):
         with pytest.raises(pc.NotDisjoint):
@@ -500,19 +518,44 @@ class TestDuality:
 class TestConventions:
     @pytest.mark.parametrize("conv", list(pc.Convention))
     def test_symmetry_table(self, conv):
+        # each symmetry maps a list of points in one pass, keeping their order
         for m in range(7):
             cell = _symmetry(conv, m, cells=True)
             point = _symmetry(conv, m, cells=False)
-            region = pc.aztec_region(m).cells
-            assert {cell(c) for c in region} == region
-            for c in region:
-                assert cell(cell(c)) == c
-                centre = (c[0] + 0.5, c[1] + 0.5)
-                mapped = cell(c)
-                assert point(centre) == (mapped[0] + 0.5, mapped[1] + 0.5)
-                assert point(point(centre)) == centre
-                edge = (c[0] + 0.5, float(c[1]))
-                assert point(point(edge)) == edge
+            region = sorted(pc.aztec_region(m).cells)
+            mapped = cell(region)
+            assert sorted(mapped) == region
+            assert cell(mapped) == region
+            centres = [(i + 0.5, j + 0.5) for i, j in region]
+            assert point(centres) == [(i + 0.5, j + 0.5) for i, j in mapped]
+            assert point(point(centres)) == centres
+            edges = [(i + 0.5, float(j)) for i, j in region]
+            assert point(point(edges)) == edges
+            assert cell([]) == point([]) == []
+
+    @pytest.mark.parametrize("conv", [-1, 4, 7])
+    def test_out_of_range_convention(self, conv):
+        # the symmetry table is indexed through Convention, so a value
+        # outside 0..3 is a ValueError, not another convention or an IndexError
+        t = pc.family_to_tiling(pc.comb(pc.random_triangle(4, 1)))
+        with pytest.raises(ValueError, match=f"{conv} is not a valid Convention"):
+            _symmetry(conv, 3, cells=True)
+        with pytest.raises(ValueError, match=f"{conv} is not a valid Convention"):
+            pc.convention_paths(t, conv)
+        with pytest.raises(ValueError, match=f"{conv} is not a valid Convention"):
+            render_overlay(t, conv)
+
+    def test_zeros_of_one_sign_per_axis(self):
+        # the SVG formats each axis by lattice value, where 0.0 and -0.0 are
+        # one key: so on each axis of one picture every zero has one sign
+        tilings = [t for m in (0, 1, 2) for t in pc.enumerate_tilings(pc.aztec_region(m))]
+        tilings.append(pc.family_to_tiling(pc.comb(pc.random_triangle(30, 8))))
+        for t in tilings:
+            for conv in pc.Convention:
+                points = [p for poly in pc.convention_paths(t, conv) for p in poly]
+                for axis in (0, 1):
+                    signs = {math.copysign(1, p[axis]) for p in points if p[axis] == 0}
+                    assert len(signs) <= 1
 
     def test_four_extractions(self):
         for m in (1, 2):
@@ -560,6 +603,18 @@ class TestSerialization:
         with pytest.raises(pc.ParseError):
             pc.DominoTiling.from_text("a b c d\n")
 
+
+    def test_two_faults_name_the_first_in_set_order(self):
+        # _cover names the first fault in the iteration order of the set of
+        # dominoes, which depends on how from_text builds it: here a set
+        # built straight from the list of dominoes would name (51, -49)
+        lines = pc.family_to_tiling(pc.comb(pc.random_triangle(65, 5))).to_text().splitlines()
+        for k in (768, 1719):
+            a, b, c, d = map(int, lines[k].split())
+            lines[k] = f"{a} {b} {c + 2} {d}"
+        with pytest.raises(pc.NotATiling) as err:
+            pc.tiling_to_family(pc.DominoTiling.from_text("\n".join(lines) + "\n"))
+        assert str(err.value) == "cells (27, 5) and (29, 6) are not adjacent"
 
     def test_repeated_cell_is_a_parse_error(self):
         with pytest.raises(pc.ParseError) as err:
