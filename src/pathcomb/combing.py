@@ -129,12 +129,15 @@ def _spread(chunks: Iterable[int]) -> bytes:
     return b"".join(map(_BITS.__getitem__, chunks))
 
 
-def _pack(row: tuple[int, ...]) -> list[int]:
-    return list(_PACK[row]) if len(row) <= 2 * W else _gather(bytes(row))
+def _pack(rows: Iterable[tuple[int, ...]]) -> list[list[int]]:
+    """The chunks of each row, in a list the kernel updates in place."""
+    return [list(_PACK[row]) if len(row) <= 2 * W else _gather(bytes(row)) for row in rows]
 
 
-def _unpack(x: list[int], length: int) -> tuple[int, ...]:
-    return _UNPACK[length, tuple(x)] if length <= 2 * W else tuple(_spread(x)[:length])
+def _unpack(X: Iterable[list[int]], lengths: Iterable[int]) -> list[tuple[int, ...]]:
+    """The rows of the given lengths that the chunks of X pack; inverse of _pack."""
+    return [_UNPACK[length, tuple(x)] if length <= 2 * W else tuple(_spread(x)[:length])
+            for x, length in zip(X, lengths)]
 
 
 def _check_clear_before(f: PathFamily, i: int, k: int) -> None:
@@ -153,7 +156,8 @@ def _scan(X: Sequence[list[int]], i: int, k: int, d: int, s: int, backward: bool
     lookup per whole chunk, and one masked lookup for the partial chunk
     below column k, flip the record bits of both rows.  Returns d at the
     end of the scan, and raises NotDisjoint when a backward scan drives d
-    below 0, at the record where the paths collide.
+    below 0, at the record where the paths collide.  At k = 0 there is no
+    column to scan, so the basic operations do not call it there.
     """
     x, y = X[i], X[i + 1]
     q, m = k >> 2, (1 << (k & 3)) - 1
@@ -209,7 +213,7 @@ def _disj(X: Sequence[list[int]], D: Sequence[list[int]], i: int, k: int) -> int
     if D[i + 1][k]:
         raise ResidualVerticalSteps(
             f"D[{i + 1}][{k}] = {D[i + 1][k]} must be 0 before the forward operation")
-    d = _scan(X, i, k, 0, 0, backward=False)
+    d = _scan(X, i, k, 0, 0, backward=False) if k else 0
     if D[i][k] < d:
         raise InsufficientVerticalSteps(
             f"need {d} vertical steps in D[{i}][{k}] but only {D[i][k]} present")
@@ -236,7 +240,7 @@ def _clify(h: list[int], X: Sequence[list[int]], D: Sequence[list[int]], i: int,
     D[i][k] += d
     h[i + 1] -= d
     h[i] += d
-    return _scan(X, i, k, d, gap - d, backward=True)
+    return _scan(X, i, k, d, gap - d, backward=True) if k else d
 
 
 def _stage(f: PathFamily, rows: slice, k: int) -> tuple[list, list]:
@@ -250,7 +254,7 @@ def _stage(f: PathFamily, rows: slice, k: int) -> tuple[list, list]:
         i, j, b = next((i, j, b) for i, row in zip(range(f.n)[rows], window)
                        for j, b in enumerate(row) if b not in _BIT_VALUES)
         raise InvalidFamily(f"B[{i}][{j}] = {b!r} is not a bit")
-    X[rows] = map(_pack, window)
+    X[rows] = _pack(window)
     D[rows] = map(list, f.D[rows])
     return X, D
 
@@ -258,7 +262,7 @@ def _stage(f: PathFamily, rows: slice, k: int) -> tuple[list, list]:
 def _staged(f: PathFamily, rows: slice, k: int, X: list, D: list) -> PathFamily:
     """f with the given rows put back from a stage."""
     B = list(f.B)
-    B[rows] = map(add, map(_unpack, X[rows], repeat(k)),
+    B[rows] = map(add, _unpack(X[rows], repeat(k)),
                   map(itemgetter(slice(k, None)), f.B[rows]))
     D[rows] = map(tuple, D[rows])
     return PathFamily(tuple(B), tuple(D))
@@ -353,11 +357,11 @@ def comb(t: BitTriangle, trace_sink: list[CombTrace] | None = None) -> PathFamil
     of D are conserved throughout.
     """
     n = t.n
-    X = [_pack(row) for row in t.bits]
+    X = _pack(t.bits)
     D = [[0] * i + [i - sum(row)] for i, row in enumerate(t.bits)]
-    for k in range(n - 1, -1, -1):
+    for k in range(n - 2, -1, -1):  # no pair of rows meets column n-1
         _sweep(_disj, X, D, k, range(k, n - 1), trace_sink)
-    return PathFamily(tuple(map(_unpack, X, range(n))), tuple(map(tuple, D)))
+    return PathFamily(tuple(_unpack(X, range(n))), tuple(map(tuple, D)))
 
 
 def uncomb(f: PathFamily, trace_sink: list[CombTrace] | None = None) -> BitTriangle:
@@ -377,15 +381,15 @@ def uncomb(f: PathFamily, trace_sink: list[CombTrace] | None = None) -> BitTrian
     """
     require_valid(f)
     n = f.n
-    X = [_pack(row) for row in f.B]
-    D = [list(r) for r in f.D]
+    X = _pack(f.B)
+    D = list(map(list, f.D))
     h = list(range(n))
     clify = partial(_clify, h)
-    for k in range(n):
+    for k in range(n - 1):  # no pair of rows meets column n-1
         _sweep(clify, X, D, k, range(n - 2, k - 1, -1), trace_sink)
         for i in range(k + 1, n):
             h[i] -= f.B[i][k]
-    return BitTriangle(tuple(map(_unpack, X, range(n))))
+    return BitTriangle(tuple(_unpack(X, range(n))))
 
 
 def in_pathfam_nk(f: PathFamily, k: int) -> bool:

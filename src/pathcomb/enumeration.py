@@ -2,12 +2,13 @@
 
 One generator lists the (B, D) rows of every Schröder path of a given row.
 Exhaustive enumeration of disjoint families backtracks over those rows with
-an occupancy set of lattice points, and enumeration of all families (the
-stage sets of combing) takes their product; both build each family straight
-in (B, D).  Also here: the step statistics, and an end-to-end check that
-combing and uncombing realise a bijection.  Everything here is independent
-of the combing code paths it is used to verify: only comb and uncomb come
-from them, as the defaults under test in verify_bijection.
+the occupied lattice points as the bits of one int, and enumeration of all
+families (the stage sets of combing) takes their product; both build each
+family straight in (B, D).  Also here: the step statistics, and an
+end-to-end check that combing and uncombing realise a bijection.
+Everything here is independent of the combing code paths it is used to
+verify: only comb and uncomb come from them, as the defaults under test in
+verify_bijection.
 """
 
 from __future__ import annotations
@@ -62,39 +63,40 @@ def _schroder_rows(i: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         D[i] = i - pre - B[j] - D[j]
 
 
-def _points(i: int, brow: tuple[int, ...], drow: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-    """The lattice points (level, column) that the path of row i visits."""
-    points = []
+def _points(i: int, brow: tuple[int, ...], drow: tuple[int, ...], n: int) -> int:
+    """The lattice points (level, column) that the path of row i visits, as
+    a mask with bit level*n + column set for each; levels and columns of an
+    order-n family lie in 0..n-1, so no two points share a bit."""
+    mask = 0
     level = i
     for j, d in enumerate(drow):
-        points.extend((level - v, j) for v in range(d + 1))
+        for v in range(d + 1):
+            mask |= 1 << (level - v) * n + j
         level -= d + (brow[j] if j < i else 0)
-    return frozenset(points)
+    return mask
 
 
 def enumerate_disjoint(n: int, cap: int = 5) -> set[PathFamily]:
-    """All disjoint order-n families, by backtracking from the top path down
-    with an occupancy set.  Exactly 2^(n(n-1)/2) results."""
+    """All disjoint order-n families, by backtracking from the top path down.
+    The occupied points are the bits of an int (_points), so a row fits
+    when its mask shares no bit with it.  Exactly 2^(n(n-1)/2) results."""
     if n > cap:
         raise CapExceeded(f"order {n} exceeds cap {cap}")
-    options = [[(brow, drow, _points(i, brow, drow)) for brow, drow in _schroder_rows(i)]
+    options = [[(brow, drow, _points(i, brow, drow, n)) for brow, drow in _schroder_rows(i)]
                for i in range(n)]
     out: set[PathFamily] = set()
-    occupied: set[tuple[int, int]] = set()
     B: list[tuple[int, ...]] = [()] * n
     D: list[tuple[int, ...]] = [()] * n
 
-    def place(i: int) -> None:
+    def place(i: int, occupied: int) -> None:
         if i < 0:
             out.add(PathFamily(tuple(B), tuple(D)))
             return
         for B[i], D[i], points in options[i]:
-            if occupied.isdisjoint(points):
-                occupied.update(points)
-                place(i - 1)
-                occupied.difference_update(points)
+            if not occupied & points:
+                place(i - 1, occupied | points)
 
-    place(n - 1)
+    place(n - 1, 0)
     return out
 
 
@@ -140,7 +142,7 @@ def row_counts(f: PathFamily) -> tuple[int, ...]:
 def diagonal_step_count(f: PathFamily) -> int:
     """Total diagonal steps of the family."""
     require_valid(f)
-    return sum(sum(row) for row in f.B)
+    return sum(map(sum, f.B))
 
 
 def joint_distribution(n: int, statistic: Callable[[PathFamily], Hashable],
@@ -190,19 +192,22 @@ def verify_bijection(n: int, cap: int = 5,
         count += 1
         try:
             g = comb_fn(t)
-            if g in image:
+            first = image.setdefault(g, t)  # one hash of g
+            if first is not t:
                 failures.append(f"not injective: {t.to_text()!r} and "
-                                f"{image[g].to_text()!r} comb to the same family")
-            else:
-                image[g] = t
+                                f"{first.to_text()!r} comb to the same family")
             if uncomb_fn(g) != t:
                 failures.append(f"uncomb(comb(t)) != t for t = {t.to_text()!r}")
         except Exception as exc:  # a broken comb_fn may throw; report, not crash
             failures.append(f"round trip raised {exc!r} for t = {t.to_text()!r}")
     disjoint = enumerate_disjoint(n, cap)
-    for extra in set(image) - disjoint:
+    # one set of the image for both differences, built from the hashes the
+    # dict stored; disjoint - image.keys() would hash every family again,
+    # and keys views list the failures in another order
+    reached = set(image)
+    for extra in reached - disjoint:
         failures.append(f"comb image not disjoint: {extra.to_text()!r}")
-    for missing in disjoint - set(image):
+    for missing in disjoint - reached:
         failures.append(f"disjoint family not reached: {missing.to_text()!r}")
     return VerificationReport(n=n, triangles=count, disjoint_families=len(disjoint),
                               failures=tuple(failures))

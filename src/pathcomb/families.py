@@ -14,12 +14,17 @@ A family is "cliff-shaped" when every vertical step sits in the final
 column of its path, so it is determined by a triangular array of n(n-1)/2
 free bits.  It is "disjoint" when the supports of all paths are pairwise
 disjoint.
+
+validate_family accepts a valid family in one pass over (B, D), and only a
+family that fails that pass is checked again, phase by phase, to list its
+violations.  The text readers take each integer field as an optional minus
+sign followed by ASCII digits, and nothing else that int would accept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import add, sub
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -57,13 +62,23 @@ def _fields(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, list[st
             yield ln, fields
 
 
+def _plain_int(field: str) -> int:
+    """The value of a field that is an optional minus sign and ASCII digits.
+    Raises ValueError for every other field, also for those int accepts,
+    such as '+1', '1_0' or digits of other scripts."""
+    digits = field[1:] if field[:1] == "-" else field
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"not a plain integer: {field!r}")
+    return int(field)
+
+
 def _order(text: str) -> tuple[list[str], int]:
     """The lines of a triangle or family file, and the order n on line 1."""
     lines = text.splitlines()
     if not lines or not lines[0].split():
         raise ParseError("missing order header", line=1)
     try:
-        n = int(lines[0])
+        n = _plain_int(lines[0].strip())
     except ValueError:
         raise ParseError(f"bad order header {lines[0]!r}", line=1) from None
     if n < 0:
@@ -98,12 +113,12 @@ class _Memo(dict):
 
 
 def _integers(text: str, width: int) -> list[int] | None:
-    """The integers of text in order, each distinct field through int once,
-    when every nonblank line holds width of them; else None.  Every line
-    break is whitespace, so text.split() lists the fields of all lines."""
+    """The integers of text in order, each distinct field through _plain_int
+    once, when every nonblank line holds width of them; else None.  Every
+    line break is whitespace, so text.split() lists the fields of all lines."""
     if set(map(len, map(str.split, text.splitlines()))) <= {0, width}:
         try:
-            return list(map(_Memo(int).__getitem__, text.split()))
+            return list(map(_Memo(_plain_int).__getitem__, text.split()))
         except ValueError:
             pass
     return None
@@ -132,7 +147,7 @@ def _records(text: str, width: int, wrong_width: str, noun: str,
         if len(fields) != width:
             raise ParseError(wrong_width, line=ln)
         try:
-            record = list(map(int, fields))
+            record = list(map(_plain_int, fields))
         except ValueError:
             raise ParseError("non-integer cell coordinate", line=ln) from None
         (k,) = keys(record)
@@ -262,6 +277,7 @@ class PathFamily:
     def from_text(cls, text: str) -> "PathFamily":
         lines, n = _order(text)
         B, D = [], []
+        value = _Memo(_plain_int).__getitem__  # each distinct field checked once
         for i, ln, line in _rows(lines, 0, n, "family"):
             if "|" not in line:
                 raise ParseError("row must contain '|'", line=ln)
@@ -273,8 +289,8 @@ class PathFamily:
             if not rfields or rfields[0] != "D:":
                 raise ParseError("second half must start with 'D:'", line=ln)
             try:
-                brow = tuple(int(x) for x in lfields[1:])
-                drow = tuple(int(x) for x in rfields[1:])
+                brow = tuple(map(value, lfields[1:]))
+                drow = tuple(map(value, rfields[1:]))
             except ValueError:
                 raise ParseError("non-integer entry", line=ln) from None
             if len(brow) != i or len(drow) != i + 1:
@@ -295,13 +311,43 @@ class Violation:
     message: str
 
 
+def _passes(B: Sequence[Sequence[int]], D: Sequence[Sequence[int]]) -> bool:
+    """True only when validate_family finds nothing in (B, D).  One pass
+    over each row checks its lengths, its entries (B entries 0 or 1, D
+    entries of type int and >= 0) and its slack s, the column index less
+    the levels descended before the column: each D[i][j] <= s for j < i,
+    and D[i][i] == s.  False at the first entry off, and also for an int
+    subclass such as bool, which validate_family's phases then decide."""
+    if len(B) != len(D):
+        return False
+    for i, brow, drow in zip(count(), B, D):
+        if len(brow) != i or len(drow) != i + 1:
+            return False
+        s = 0
+        for b, d in zip(brow, drow):
+            if type(d) is not int or not 0 <= d <= s or b not in (0, 1):
+                return False
+            s += 1 - d - b
+        d = drow[i]
+        if type(d) is not int or d != s:
+            return False
+    return True
+
+
 def validate_family(f: PathFamily) -> list[Violation]:
     """Report every violated invariant of the (B, D) encoding.
 
     Checks triangular shape and entry domains, the descent balance
     sum(B[i]) + sum(D[i]) = i, and the staying-above condition
     sum_{j'<j}(B[i][j'] + D[i][j']) + D[i][j] <= j for all j <= i.
+
+    A family that passes the one-pass check (_passes) is valid.  Any other
+    family goes through the three phases below, shape, then domains, then
+    balance and staying above, and the first phase that finds a violation
+    reports all of its own.
     """
+    if _passes(f.B, f.D):
+        return []
     out: list[Violation] = []
     if len(f.B) != len(f.D):
         out.append(Violation("triangularity", None, None,

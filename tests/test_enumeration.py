@@ -155,6 +155,40 @@ class TestJointDistribution:
                 assert marginal[v] == choose(r, v) * 2 ** (6 - r)
 
 
+# The failures of the two broken harnesses below at order 3, in the order
+# verify_bijection listed them before its image map hashed each family once.
+TRIANGLES_3 = ["3\n0\n0 0\n", "3\n0\n0 1\n", "3\n0\n1 0\n", "3\n0\n1 1\n",
+               "3\n1\n0 0\n", "3\n1\n0 1\n", "3\n1\n1 0\n", "3\n1\n1 1\n"]
+_TWO_DOWN = ("row 1 steps descend 2 levels, expected 1; "
+             "path 1 drops below its anti-diagonal in column 1")
+_NONE_DOWN = "row 1 steps descend 0 levels, expected 1"
+_ROWS_0 = "3\nB: | D: 0\n"
+BROKEN_COMB_FAILURES = (
+    *(f"round trip raised InvalidFamily({message!r}) for t = {t!r}"
+      for message, t in zip([_TWO_DOWN] * 2 + [_NONE_DOWN] * 6, TRIANGLES_3)),
+    *(f"comb image not disjoint: {_ROWS_0 + rows!r}" for rows in [
+        "B: 0 | D: 0 0\nB: 1 1 | D: 0 0 0\n",
+        "B: 0 | D: 0 0\nB: 0 0 | D: 0 0 2\n",
+        "B: 0 | D: 0 0\nB: 0 0 | D: 0 1 1\n",
+        "B: 1 | D: 0 1\nB: 0 1 | D: 0 0 1\n",
+        "B: 0 | D: 0 0\nB: 0 1 | D: 0 1 0\n",
+        "B: 1 | D: 0 1\nB: 0 0 | D: 0 0 2\n",
+        "B: 0 | D: 0 0\nB: 0 1 | D: 0 0 1\n",
+        "B: 0 | D: 0 0\nB: 1 0 | D: 0 0 1\n",
+    ]),
+    *(f"disjoint family not reached: {_ROWS_0 + rows!r}" for rows in [
+        "B: 0 | D: 0 1\nB: 0 0 | D: 0 0 2\n",
+        "B: 1 | D: 0 0\nB: 1 1 | D: 0 0 0\n",
+        "B: 1 | D: 0 0\nB: 1 0 | D: 0 0 1\n",
+        "B: 1 | D: 0 0\nB: 0 0 | D: 0 0 2\n",
+        "B: 1 | D: 0 0\nB: 0 1 | D: 0 1 0\n",
+        "B: 1 | D: 0 0\nB: 0 0 | D: 0 1 1\n",
+        "B: 0 | D: 0 1\nB: 0 1 | D: 0 0 1\n",
+        "B: 1 | D: 0 0\nB: 0 1 | D: 0 0 1\n",
+    ]),
+)
+
+
 class TestVerifyBijection:
     @pytest.mark.parametrize("n", range(5))
     def test_passes(self, n):
@@ -189,6 +223,7 @@ class TestVerifyBijection:
 
         report = pc.verify_bijection(3, comb_fn=skewed_comb)
         assert not report.ok
+        assert report.failures == BROKEN_COMB_FAILURES
 
     def test_detects_broken_uncomb(self):
         def lazy_uncomb(f):
@@ -202,6 +237,8 @@ class TestVerifyBijection:
         report = pc.verify_bijection(3, uncomb_fn=lazy_uncomb)
         assert not report.ok
         assert report.failures
+        assert report.failures == tuple(f"uncomb(comb(t)) != t for t = {t!r}"
+                                        for t in TRIANGLES_3)
 
     def test_cap(self):
         with pytest.raises(pc.CapExceeded):

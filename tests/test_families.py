@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 import pathcomb as pc
-from pathcomb.families import D_STEP, H_STEP, V_STEP
+from pathcomb.families import D_STEP, H_STEP, V_STEP, _passes
 
 from conftest import bit_triangles, path_families
 
@@ -176,6 +176,80 @@ class TestPredicates:
         assert pc.is_cliff_shaped(pc.family_from_bits(pc.BitTriangle(((),))))
 
 
+# Single faults in one valid order-4 family, and the Violation lists that
+# validate_family gave for each before it had a one-pass check (_passes):
+# (id, B, D, [(kind, i, j, message), ...]).
+_B = ((), (0,), (0, 1), (0, 0, 0))
+_D = ((0,), (0, 1), (0, 0, 1), (0, 0, 1, 2))
+
+
+def _entry(rows, i, j, value):
+    row = list(rows[i])
+    row[j] = value
+    return rows[:i] + (tuple(row),) + rows[i + 1:]
+
+
+def _row(rows, i, row):
+    return rows[:i] + (row,) + rows[i + 1:]
+
+
+_BALANCE_3_UP = [("descent-balance", 3, None, "row 3 steps descend 4 levels, expected 3"),
+                 ("schroder", 3, 3, "path 3 drops below its anti-diagonal in column 3")]
+SINGLE_FAULTS = [
+    ("valid", _B, _D, []),
+    ("B=2", _entry(_B, 2, 1, 2), _D, [("domain", 2, 1, "B[2][1] = 2 is not a bit")]),
+    ("B=-1", _entry(_B, 2, 1, -1), _D, [("domain", 2, 1, "B[2][1] = -1 is not a bit")]),
+    ("B=0.5", _entry(_B, 2, 1, 0.5), _D, [("domain", 2, 1, "B[2][1] = 0.5 is not a bit")]),
+    ("B=True", _entry(_B, 2, 1, True), _D, []),
+    ("B=None", _entry(_B, 2, 1, None), _D, [("domain", 2, 1, "B[2][1] = None is not a bit")]),
+    ("B=list", _entry(_B, 2, 1, [1]), _D, [("domain", 2, 1, "B[2][1] = [1] is not a bit")]),
+    ("B-flipped", _entry(_B, 3, 0, 1), _D, _BALANCE_3_UP),
+    ("B=False", _entry(_B, 3, 0, False), _D, []),
+    ("B=1.0", _entry(_B, 2, 1, 1.0), _D, []),
+    ("D+1-interior", _B, _entry(_D, 3, 2, 2), _BALANCE_3_UP),
+    ("D-1-interior", _B, _entry(_D, 3, 2, 0),
+     [("descent-balance", 3, None, "row 3 steps descend 2 levels, expected 3")]),
+    ("D+1-final", _B, _entry(_D, 2, 2, 2),
+     [("descent-balance", 2, None, "row 2 steps descend 3 levels, expected 2"),
+      ("schroder", 2, 2, "path 2 drops below its anti-diagonal in column 2")]),
+    ("D-1-final", _B, _entry(_D, 2, 2, 0),
+     [("descent-balance", 2, None, "row 2 steps descend 1 levels, expected 2")]),
+    ("D+1-column-0", _B, _entry(_D, 1, 0, 1),
+     [("descent-balance", 1, None, "row 1 steps descend 2 levels, expected 1"),
+      ("schroder", 1, 0, "path 1 drops below its anti-diagonal in column 0"),
+      ("schroder", 1, 1, "path 1 drops below its anti-diagonal in column 1")]),
+    ("D-negative-final", _B, _entry(_D, 3, 3, -1),
+     [("domain", 3, 3, "D[3][3] = -1 is not a count")]),
+    ("D-negative-interior", _B, _entry(_D, 3, 2, -1),
+     [("domain", 3, 2, "D[3][2] = -1 is not a count")]),
+    ("D=True", _B, _entry(_D, 2, 2, True), []),
+    ("D=False", _B, _entry(_D, 3, 2, False),
+     [("descent-balance", 3, None, "row 3 steps descend 2 levels, expected 3")]),
+    ("D=1.0-interior", _B, _entry(_D, 3, 2, 1.0),
+     [("domain", 3, 2, "D[3][2] = 1.0 is not a count")]),
+    ("D=2.0", _B, _entry(_D, 3, 3, 2.0), [("domain", 3, 3, "D[3][3] = 2.0 is not a count")]),
+    ("D=0.0", _B, _entry(_D, 0, 0, 0.0), [("domain", 0, 0, "D[0][0] = 0.0 is not a count")]),
+    ("B-row-long", _row(_B, 2, (0, 1, 0)), _D,
+     [("triangularity", 2, None, "B row 2 has length 3, expected 2")]),
+    ("B-row-short", _row(_B, 2, (0,)), _D,
+     [("triangularity", 2, None, "B row 2 has length 1, expected 2")]),
+    ("D-row-short", _B, _row(_D, 3, (0, 0, 1)),
+     [("triangularity", 3, None, "D row 3 has length 3, expected 4")]),
+    ("D-row-long", _B, _row(_D, 1, (0, 1, 0)),
+     [("triangularity", 1, None, "D row 1 has length 3, expected 2")]),
+    ("B-row-list", _row(_B, 3, [0, 0, 0]), _D, []),
+    ("D-row-list", _B, _row(_D, 2, [0, 0, 1]), []),
+    ("B-fewer-rows", _B[:3], _D, [("triangularity", None, None, "B has 3 rows but D has 4")]),
+    ("D-fewer-rows", _B, _D[:3], [("triangularity", None, None, "B has 4 rows but D has 3")]),
+    ("B-extra-row", _B + ((0, 0, 0, 0),), _D,
+     [("triangularity", None, None, "B has 5 rows but D has 4")]),
+    ("B-empty", (), _D[:1], [("triangularity", None, None, "B has 0 rows but D has 1")]),
+    # two faults whose sum keeps row 3's balance and its staying-above sums
+    ("D-negative-balanced", _B, _row(_D, 3, (0, 0, -1, 4)),
+     [("domain", 3, 2, "D[3][2] = -1 is not a count")]),
+]
+
+
 class TestValidateFamily:
     def test_valid(self):
         assert pc.validate_family(pc.family_from_bits(tri([1], [0, 1]))) == []
@@ -198,6 +272,19 @@ class TestValidateFamily:
         for n in range(5):
             for f in disjoint_by_n[n]:
                 assert pc.validate_family(f) == []
+
+    def test_one_pass_accepts_every_valid_family(self, schroder_by_n):
+        for n in range(5):
+            for f in schroder_by_n[n]:
+                assert _passes(f.B, f.D)
+
+    @pytest.mark.parametrize("B, D, expected", [row[1:] for row in SINGLE_FAULTS],
+                             ids=[row[0] for row in SINGLE_FAULTS])
+    def test_single_faults_keep_their_violations(self, B, D, expected):
+        f = pc.PathFamily(B, D)
+        assert pc.validate_family(f) == [pc.Violation(*v) for v in expected]
+        if expected:
+            assert not _passes(B, D)
 
 
 class TestFamilyText:

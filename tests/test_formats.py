@@ -92,6 +92,22 @@ MESSAGES = [
     (TILING, _GOOD_DOMINOES + "3 1 3 0\nx 0 0 1\n", "domino repeats line 4", 201, None),
     (TILING, "0 5 0 6\n" + _GOOD_DOMINOES + "\n0 6 0 5\n", "domino repeats line 1", 203,
      None),
+    # integer fields are an optional minus sign and ASCII digits; other
+    # tokens that int() accepts (a plus sign, underscores, digits of other
+    # scripts) are rejected like any other non-integer field
+    (TRIANGLE, "+3\n0\n0 0\n", "bad order header '+3'", 1, None),
+    (TRIANGLE, "1_0\n", "bad order header '1_0'", 1, None),
+    (FAMILY, "\u0662\n", "bad order header '\u0662'", 1, None),
+    (FAMILY, "1\nB: | D: +0\n", "non-integer entry", 2, None),
+    (FAMILY, "2\nB: | D: 0\nB: 1_0 | D: 0 0\n", "non-integer entry", 3, None),
+    (FAMILY, "2\nB: | D: 0\nB: 1 | D: 0 \u0660\n", "non-integer entry", 3, None),
+    (REGION, "+1 2\n", "non-integer cell coordinate", 1, None),
+    (REGION, "1 \u0662\n", "non-integer cell coordinate", 1, None),
+    (TILING, "0 0 0 1_0\n", "non-integer cell coordinate", 1, None),
+    (REGION, _GOOD_CELLS + "+7 0\n", "non-integer cell coordinate", 201, None),
+    (REGION, "+0 0\n" + _GOOD_CELLS, "non-integer cell coordinate", 1, None),
+    (TILING, _GOOD_DOMINOES + "7 0 7 1_0\n", "non-integer cell coordinate", 201, None),
+    (TILING, _GOOD_DOMINOES + "7 0 7 \uff11\n", "non-integer cell coordinate", 201, None),
 ]
 
 
@@ -105,6 +121,15 @@ def test_parse_error_messages(parse, text, message, line, column):
         loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
     assert str(err.value) == message + loc
     assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_plain_integers_still_parse():
+    # a minus sign, leading zeros and spaces around the order header stay valid
+    assert REGION("-3 07\n-0 1\n") == pc.Region(frozenset({(-3, 7), (0, 1)}))
+    assert TILING("-1 0 -1 1\n") == pc.DominoTiling.from_pairs([((-1, 0), (-1, 1))])
+    assert FAMILY("  2 \nB: | D: 0\nB: 1 | D: 00 0\n") == pc.PathFamily(((), (1,)),
+                                                                        ((0,), (0, 0)))
+    assert TRIANGLE(" 2\t\n1\n") == pc.BitTriangle(((), (1,)))
 
 
 FORMATS = {"triangle": pc.BitTriangle, "family": pc.PathFamily,
