@@ -4,6 +4,7 @@ enumeration, tiling conversion and SVG rendering."""
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections import Counter
@@ -18,7 +19,8 @@ from .enumeration import (
     row_counts,
     verify_bijection,
 )
-from .families import BitTriangle, ParseError, PathFamily, _fields, family_from_bits
+from .families import (BitTriangle, ParseError, PathFamily, _fields, _plain_int,
+                       family_from_bits)
 from .rng import random_triangle
 from .svg import render_dual, render_family, render_overlay, render_tiling
 from .tilings import Convention, DominoTiling, family_to_tiling, tiling_to_family
@@ -161,8 +163,15 @@ def cmd_render(input_path: str, style: str, convention: int, output: str | None)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # integer options take what the file formats take: an optional minus
+    # sign and ASCII digits
+    def integer(text: str) -> int:
+        return _plain_int(text)
+
+    integer.__name__ = "int"  # argparse's message: invalid int value: 'x'
+
     def order(text: str) -> int:
-        n = int(text)
+        n = _plain_int(text)
         if n < 0:
             raise argparse.ArgumentTypeError(f"order must be nonnegative, got {n}")
         return n
@@ -176,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="comb a random triangle deterministically")
     sp.add_argument("--n", type=order, required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=integer, default=0)
     sp.add_argument("--out-family")
     sp.add_argument("--out-triangle")
     sp.add_argument("--svg")
@@ -195,12 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enumerate", help="enumerate disjoint families")
     sp.add_argument("--n", type=order, required=True)
-    sp.add_argument("--cap", type=int, default=5)
+    sp.add_argument("--cap", type=integer, default=5)
     sp.add_argument("--stat", choices=sorted(STATISTICS))
 
     sp = sub.add_parser("verify", help="exhaustively verify the bijection")
     sp.add_argument("--n", type=order, required=True)
-    sp.add_argument("--cap", type=int, default=5)
+    sp.add_argument("--cap", type=integer, default=5)
 
     sp = sub.add_parser("tile", help="convert between family and tiling files")
     sp.add_argument("--input", required=True)
@@ -216,8 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "sample":
             return cmd_sample(args.n, args.seed, args.out_family,

@@ -11,18 +11,20 @@ disjoint one (comb); the reverse sweeps recover the triangle of free bits
 
 All public operations are pure: they return new families and leave their
 arguments untouched.  Each of them runs its basic operations through one
-sweep driver, _sweep, which is also the one place that captures traces for
-the optional trace_sink arguments, so that tests can assert the
-monotonicity and dominance properties of the d-sequences.
+sweep driver, _sweep, which holds one loop per direction with the chunked
+scan written inline, so that a basic operation costs no Python call.  The
+chunk tables come indexed by slack, built once per public call.  _sweep is
+also the one place that captures traces for the optional trace_sink
+arguments, so that tests can assert the monotonicity and dominance
+properties of the d-sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, chain, product, repeat
-from operator import add, itemgetter, xor
-from typing import Callable, Iterable, Sequence
+from operator import xor
+from typing import Iterable, Sequence
 
 from .families import (
     BitTriangle,
@@ -101,6 +103,9 @@ def _table(backward: bool) -> list[tuple[int, int, int]]:
 
 _FORWARD = _table(backward=False)
 _BACKWARD = _table(backward=True)
+# the 2W-bit key's slice of each table for slack 0..W
+_FORWARD_ROWS, _BACKWARD_ROWS = ([table[s << 2 * W:(s + 1) << 2 * W] for s in range(W + 1)]
+                                 for table in (_FORWARD, _BACKWARD))
 _BITS = [bytes(m >> j & 1 for j in range(W)) for m in range(1 << W)]
 # a row of at most 2W bits packs and unpacks with one lookup
 _NIBBLE = {bits: sum(b << j for j, b in enumerate(bits))
@@ -129,9 +134,19 @@ def _spread(chunks: Iterable[int]) -> bytes:
     return b"".join(map(_BITS.__getitem__, chunks))
 
 
-def _pack(rows: Iterable[tuple[int, ...]]) -> list[list[int]]:
-    """The chunks of each row, in a list the kernel updates in place."""
-    return [list(_PACK[row]) if len(row) <= 2 * W else _gather(bytes(row)) for row in rows]
+def _by_slack(rows: list, top: int) -> list:
+    """Chunk tables for the slacks 0..top: entry s is the slice of _FORWARD_ROWS
+    or _BACKWARD_ROWS for min(s, W), so a sweep indexes by slack unclamped.
+    A scan up to column k gains at most one slack per column from its start,
+    0 forward and gap - d backward, where gap <= k since row i holds at most
+    k diagonal steps before column k: so top = k forward and 2k backward."""
+    return rows + rows[W:] * (top - W)
+
+
+def _pack(rows: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The chunks of each row of bits, in a list the sweeps update in place."""
+    return [list(_PACK[tuple(row)]) if len(row) <= 2 * W else _gather(bytes(row))
+            for row in rows]
 
 
 def _unpack(X: Iterable[list[int]], lengths: Iterable[int]) -> list[tuple[int, ...]]:
@@ -149,48 +164,6 @@ def _check_clear_before(f: PathFamily, i: int, k: int) -> None:
                     f"vertical steps before column {k}")
 
 
-def _scan(X: Sequence[list[int]], i: int, k: int, d: int, s: int, backward: bool) -> int:
-    """The chunked kernel: scan columns 0..k-1 of packed rows i, i+1 in place.
-
-    d and s are the control value and slack on entry (see _table).  One
-    lookup per whole chunk, and one masked lookup for the partial chunk
-    below column k, flip the record bits of both rows.  Returns d at the
-    end of the scan, and raises NotDisjoint when a backward scan drives d
-    below 0, at the record where the paths collide.  At k = 0 there is no
-    column to scan, so the basic operations do not call it there.
-    """
-    x, y = X[i], X[i + 1]
-    q, m = k >> 2, (1 << (k & 3)) - 1
-    if backward:
-        table, chunks = _BACKWARD, range(q - 1, -1, -1)
-        if m:  # the partial chunk holds the highest columns, so it comes first
-            r, dd, ds = table[(s if s < 4 else 4) << 8 | (x[q] & m) << 4 | y[q] & m]
-            x[q] ^= r
-            y[q] ^= r
-            d += dd
-            if d < 0:
-                raise _collision(i, q, r, d - dd)
-            s += ds
-    else:
-        table, chunks = _FORWARD, range(q)
-    for c in chunks:
-        # the key is min(s, W) << 2W | x << W | y, written out for W = 4
-        r, dd, ds = table[(s if s < 4 else 4) << 8 | x[c] << 4 | y[c]]
-        if r:
-            x[c] ^= r
-            y[c] ^= r
-            d += dd
-            if d < 0:
-                raise _collision(i, c, r, d - dd)
-        s += ds
-    if m and not backward:
-        r, dd, _ = table[(s if s < 4 else 4) << 8 | (x[q] & m) << 4 | y[q] & m]
-        x[q] ^= r
-        y[q] ^= r
-        d += dd
-    return d
-
-
 def _collision(i: int, c: int, r: int, d: int) -> NotDisjoint:
     """Paths i, i+1 collide at the (d+1)-th record of chunk c, walking its
     record mask r from the high bit down: there a backward scan entering
@@ -205,42 +178,6 @@ def _trace(before: list[int], after: list[int], i: int, k: int, d0: int) -> Comb
     at every flipped column."""
     flips = _spread(map(xor, before, after))[:k]
     return CombTrace(i, k, tuple(accumulate(flips, initial=d0)))
-
-
-def _disj(X: Sequence[list[int]], D: Sequence[list[int]], i: int, k: int) -> int:
-    """Forward operation on rows i, i+1 up to column k, in place.  Returns
-    the control value at column 0, which is 0."""
-    if D[i + 1][k]:
-        raise ResidualVerticalSteps(
-            f"D[{i + 1}][{k}] = {D[i + 1][k]} must be 0 before the forward operation")
-    d = _scan(X, i, k, 0, 0, backward=False) if k else 0
-    if D[i][k] < d:
-        raise InsufficientVerticalSteps(
-            f"need {d} vertical steps in D[{i}][{k}] but only {D[i][k]} present")
-    D[i][k] -= d
-    D[i + 1][k] = d
-    return 0
-
-
-def _clify(h: list[int], X: Sequence[list[int]], D: Sequence[list[int]], i: int, k: int) -> int:
-    """Backward operation on rows i, i+1 up to column k, in place.
-
-    h[i] and h[i+1] must hold the entry levels of the two paths into
-    column k; they are updated to match the result.  Returns the control
-    value at column 0.  Callers bind h with functools.partial, so that both
-    operations take (X, D, i, k).
-    """
-    d = D[i + 1][k]
-    gap = h[i + 1] - h[i] - 1
-    if not 0 <= d <= gap:
-        raise NotDisjoint(
-            f"paths {i},{i + 1} are not disjoint up to column {k}: "
-            f"gap {gap} cannot absorb {d} vertical steps")
-    D[i + 1][k] = 0
-    D[i][k] += d
-    h[i + 1] -= d
-    h[i] += d
-    return _scan(X, i, k, d, gap - d, backward=True) if k else d
 
 
 def _stage(f: PathFamily, rows: slice, k: int) -> tuple[list, list]:
@@ -262,25 +199,98 @@ def _stage(f: PathFamily, rows: slice, k: int) -> tuple[list, list]:
 def _staged(f: PathFamily, rows: slice, k: int, X: list, D: list) -> PathFamily:
     """f with the given rows put back from a stage."""
     B = list(f.B)
-    B[rows] = map(add, _unpack(X[rows], repeat(k)),
-                  map(itemgetter(slice(k, None)), f.B[rows]))
+    B[rows] = [bits + tuple(row[k:])
+               for bits, row in zip(_unpack(X[rows], repeat(k)), f.B[rows])]
     D[rows] = map(tuple, D[rows])
     return PathFamily(tuple(B), tuple(D))
 
 
-def _sweep(op: Callable[..., int], X: Sequence[list[int]], D: Sequence[list[int]], k: int,
-           rows: Iterable[int], trace_sink: list[CombTrace] | None = None) -> None:
-    """Run the basic operation op on the row pairs i, i+1 at column k, for
-    each i in rows in turn.  op works in place and returns the control value
-    at column 0; each trace goes to trace_sink once its operation is done."""
-    if trace_sink is None:
+def _sweep(X: Sequence[list[int]], D: Sequence[list[int]], k: int, rows: Iterable[int],
+           T: list, h: list[int] | None = None,
+           trace_sink: list[CombTrace] | None = None) -> int:
+    """Run a basic operation on the row pairs i, i+1 at column k, for each i
+    in rows in turn, in place on packed B rows X and D rows D.
+
+    With h None it is the forward operation; else the backward one, and h
+    holds the levels at which the paths enter column k, updated to match the
+    result.  T is _by_slack of the direction's rows, up to slack k forward
+    and 2k backward.  Columns 0..k-1 are scanned a chunk at a time (see
+    _table): one lookup per whole chunk, and one masked lookup for the
+    partial chunk below column k, flip the record bits of both rows; the
+    backward scan takes the chunks high to low, so it starts with the
+    partial one.  Returns the control value at column 0 of the last
+    operation.  Each trace goes to trace_sink once its operation is done;
+    a traced sweep runs the untraced one a row at a time.
+    """
+    if trace_sink is not None:
+        d0 = 0
         for i in rows:
-            op(X, D, i, k)
-        return
+            before = X[i][:k // W + 1]
+            d0 = _sweep(X, D, k, (i,), T, h)
+            trace_sink.append(_trace(before, X[i], i, k, d0))
+        return d0
+    # q whole chunks, then a partial one of mask m; keys x << W | y are
+    # written out for W = 4
+    q, m = k >> 2, (1 << (k & 3)) - 1
+    if h is None:
+        chunks = range(q)
+        for i in rows:
+            if D[i + 1][k]:
+                raise ResidualVerticalSteps(
+                    f"D[{i + 1}][{k}] = {D[i + 1][k]} must be 0 before the forward operation")
+            x, y = X[i], X[i + 1]
+            d = s = 0
+            for c in chunks:
+                r, dd, ds = T[s][x[c] << 4 | y[c]]
+                if r:
+                    x[c] ^= r
+                    y[c] ^= r
+                    d += dd
+                s += ds
+            if m:
+                r, dd, _ = T[s][(x[q] & m) << 4 | y[q] & m]
+                x[q] ^= r
+                y[q] ^= r
+                d += dd
+            if D[i][k] < d:
+                raise InsufficientVerticalSteps(
+                    f"need {d} vertical steps in D[{i}][{k}] but only {D[i][k]} present")
+            D[i][k] -= d
+            D[i + 1][k] = d
+        return 0
+    chunks = range(q - 1, -1, -1)
+    d = 0
     for i in rows:
-        before = X[i][:k // W + 1]
-        d0 = op(X, D, i, k)
-        trace_sink.append(_trace(before, X[i], i, k, d0))
+        d = D[i + 1][k]
+        gap = h[i + 1] - h[i] - 1
+        if not 0 <= d <= gap:
+            raise NotDisjoint(
+                f"paths {i},{i + 1} are not disjoint up to column {k}: "
+                f"gap {gap} cannot absorb {d} vertical steps")
+        D[i + 1][k] = 0
+        D[i][k] += d
+        h[i + 1] -= d
+        h[i] += d
+        x, y = X[i], X[i + 1]
+        s = gap - d
+        if m:
+            r, dd, ds = T[s][(x[q] & m) << 4 | y[q] & m]
+            x[q] ^= r
+            y[q] ^= r
+            d += dd
+            if d < 0:
+                raise _collision(i, q, r, d - dd)
+            s += ds
+        for c in chunks:
+            r, dd, ds = T[s][x[c] << 4 | y[c]]
+            if r:
+                x[c] ^= r
+                y[c] ^= r
+                d += dd
+                if d < 0:
+                    raise _collision(i, c, r, d - dd)
+            s += ds
+    return d
 
 
 def _step(f: PathFamily, i: int, k: int, backward: bool) -> tuple[PathFamily, CombTrace]:
@@ -291,8 +301,11 @@ def _step(f: PathFamily, i: int, k: int, backward: bool) -> tuple[PathFamily, Co
     rows = slice(i, i + 2)
     X, D = _stage(f, rows, k)
     traces: list[CombTrace] = []
-    _sweep(partial(_clify, list(entry_levels(f, k))) if backward else _disj,
-           X, D, k, (i,), traces)
+    if backward:
+        _sweep(X, D, k, (i,), _by_slack(_BACKWARD_ROWS, 2 * k), list(entry_levels(f, k)),
+               traces)
+    else:
+        _sweep(X, D, k, (i,), _by_slack(_FORWARD_ROWS, k), None, traces)
     return _staged(f, rows, k, X, D), traces[0]
 
 
@@ -334,7 +347,7 @@ def comb_column(f: PathFamily, k: int,
     if f.D[k][k] != k - sum(f.B[k]):
         raise InvalidFamily(f"row {k}, column {k}: D[{k}][{k}] = {f.D[k][k]} is not "
                             f"{k} - sum(B[{k}]), as a stage input needs")
-    _sweep(_disj, X, D, k, range(k, f.n - 1), trace_sink)
+    _sweep(X, D, k, range(k, f.n - 1), _by_slack(_FORWARD_ROWS, k), None, trace_sink)
     return _staged(f, slice(k, None), k, X, D)
 
 
@@ -344,8 +357,8 @@ def uncomb_column(f: PathFamily, k: int,
     if not 0 <= k < f.n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={f.n}")
     X, D = _stage(f, slice(k, None), k)
-    _sweep(partial(_clify, list(entry_levels(f, k))), X, D, k,
-           range(f.n - 2, k - 1, -1), trace_sink)
+    _sweep(X, D, k, range(f.n - 2, k - 1, -1), _by_slack(_BACKWARD_ROWS, 2 * k),
+           list(entry_levels(f, k)), trace_sink)
     return _staged(f, slice(k, None), k, X, D)
 
 
@@ -359,8 +372,9 @@ def comb(t: BitTriangle, trace_sink: list[CombTrace] | None = None) -> PathFamil
     n = t.n
     X = _pack(t.bits)
     D = [[0] * i + [i - sum(row)] for i, row in enumerate(t.bits)]
+    T = _by_slack(_FORWARD_ROWS, n - 2)
     for k in range(n - 2, -1, -1):  # no pair of rows meets column n-1
-        _sweep(_disj, X, D, k, range(k, n - 1), trace_sink)
+        _sweep(X, D, k, range(k, n - 1), T, None, trace_sink)
     return PathFamily(tuple(_unpack(X, range(n))), tuple(map(tuple, D)))
 
 
@@ -384,9 +398,9 @@ def uncomb(f: PathFamily, trace_sink: list[CombTrace] | None = None) -> BitTrian
     X = _pack(f.B)
     D = list(map(list, f.D))
     h = list(range(n))
-    clify = partial(_clify, h)
+    T = _by_slack(_BACKWARD_ROWS, 2 * (n - 2))
     for k in range(n - 1):  # no pair of rows meets column n-1
-        _sweep(clify, X, D, k, range(n - 2, k - 1, -1), trace_sink)
+        _sweep(X, D, k, range(n - 2, k - 1, -1), T, h, trace_sink)
         for i in range(k + 1, n):
             h[i] -= f.B[i][k]
     return BitTriangle(tuple(_unpack(X, range(n))))

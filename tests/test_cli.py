@@ -216,6 +216,33 @@ class TestDetVerifyEnumerate:
         assert err.endswith("error: argument --n: order must be nonnegative, got -1\n")
 
 
+    @pytest.mark.parametrize("argv,message", [
+        (["det", "--n", "1_0"], "argument --n: invalid order value: '1_0'"),
+        (["det", "--n", "\u0663"], "argument --n: invalid order value: '\u0663'"),
+        (["det", "--n", "+3"], "argument --n: invalid order value: '+3'"),
+        (["sample", "--n", "2", "--seed", "\uff11"],
+         "argument --seed: invalid int value: '\uff11'"),
+        (["enumerate", "--n", "2", "--cap", "+1"], "argument --cap: invalid int value: '+1'"),
+        (["verify", "--n", "2", "--cap", "1_0"], "argument --cap: invalid int value: '1_0'"),
+    ])
+    def test_integer_options_take_plain_integers(self, argv, message, capsys):
+        # the tokens of the file formats' integer fields, and no others
+        with pytest.raises(SystemExit) as exc:
+            pathcomb.cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: pathcomb {argv[0]} ")
+        assert err.endswith(f"pathcomb {argv[0]}: error: {message}\n")
+
+    def test_plain_integers_still_parse(self, capsys):
+        assert pathcomb.cli.main(["det", "--n", "007"]) == 0
+        assert capsys.readouterr().out == "2097152 = 2^21\n"
+        assert pathcomb.cli.main(["sample", "--n", "4", "--seed", "-5"]) == 0
+        t = pc.random_triangle(4, -5)
+        assert capsys.readouterr().out == t.to_text() + pc.comb(t).to_text()
+
+
 class TestTile:
     def test_round_trip(self, tmp_path):
         fam_file = tmp_path / "f.txt"
@@ -415,6 +442,23 @@ def cli_runs(draw):
 
 
 class TestMainContract:
+    def test_parser_built_once(self, monkeypatch, capsys):
+        build, built = pathcomb.cli.build_parser, []
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(pathcomb.cli, "build_parser", counted)
+        pathcomb.cli._parser.cache_clear()
+        for n in (3, 4):
+            assert pathcomb.cli.main(["det", "--n", str(n)]) == 0
+        assert len(built) == 1
+        with pytest.raises(SystemExit):
+            pathcomb.cli.main(["--help"])
+        assert capsys.readouterr().out.endswith(build().format_help())
+        assert len(built) == 1
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(cli_runs())
     def test_exit_status_and_error_line(self, run):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import pathcomb as pc
 from pathcomb import combing
-from pathcomb.combing import CombTrace
+from pathcomb.combing import (CombTrace, InsufficientVerticalSteps, NotDisjoint,
+                              ResidualVerticalSteps)
 
 from conftest import bit_triangles, column_sums, valid_families
 
@@ -487,6 +488,181 @@ class TestComb:
                                    for j in range(3))
 
 
+def error_family(base, k, seed, flips, adds):
+    """An order k+5 family from random_triangle(k+5, seed): the cliff-shaped
+    one, the stage input of column k (columns above k combed), that stage
+    combed at column k, or the combed family; then the B entries at flips
+    toggled and each (row, column, v) of adds added to D."""
+    n = k + 5
+    t = pc.random_triangle(n, seed)
+    f = pc.comb(t) if base == "combed" else pc.family_from_bits(t)
+    if base in ("stage", "staged"):
+        for col in range(n - 1, k - (base == "staged"), -1):
+            f = pc.comb_column(f, col)
+    B, D = lists(f)
+    for r, c in flips:
+        B[r][c] ^= 1
+    for r, c, v in adds:
+        D[r][c] += v
+    return frozen(B, D)
+
+
+# (call, i, base, k, seed, flips, adds, error, message).  disj_step and comb_column reach the
+# two forward checks, clify_step and uncomb_column the gap check and the
+# collision record, in a full chunk and in the partial one.  uncomb reaches
+# the gap check only: on a valid family it never met the collision record,
+# neither over every order-5 family nor in a random search at these columns.
+SWEEP_ERRORS = [
+    ("disj_step", 9, "stage", 8, 8, (), ((10, 8, 1),),
+     ResidualVerticalSteps, "D[10][8] = 1 must be 0 before the forward operation"),
+    ("disj_step", 9, "cliff", 8, 0, (), (),
+     InsufficientVerticalSteps, "need 2 vertical steps in D[9][8] but only 0 present"),
+    ("comb_column", None, "stage", 8, 8, (), ((11, 8, 1),),
+     ResidualVerticalSteps, "D[11][8] = 1 must be 0 before the forward operation"),
+    ("disj_step", 10, "stage", 9, 9, (), ((11, 9, 1),),
+     ResidualVerticalSteps, "D[11][9] = 1 must be 0 before the forward operation"),
+    ("disj_step", 10, "cliff", 9, 0, (), (),
+     InsufficientVerticalSteps, "need 3 vertical steps in D[10][9] but only 0 present"),
+    ("comb_column", None, "stage", 9, 9, (), ((12, 9, 1),),
+     ResidualVerticalSteps, "D[12][9] = 1 must be 0 before the forward operation"),
+    ("disj_step", 11, "stage", 10, 10, (), ((12, 10, 1),),
+     ResidualVerticalSteps, "D[12][10] = 1 must be 0 before the forward operation"),
+    ("disj_step", 11, "cliff", 10, 0, (), (),
+     InsufficientVerticalSteps, "need 1 vertical steps in D[11][10] but only 0 present"),
+    ("comb_column", None, "stage", 10, 10, (), ((13, 10, 1),),
+     ResidualVerticalSteps, "D[13][10] = 1 must be 0 before the forward operation"),
+    ("disj_step", 12, "stage", 11, 11, (), ((13, 11, 1),),
+     ResidualVerticalSteps, "D[13][11] = 1 must be 0 before the forward operation"),
+    ("disj_step", 12, "cliff", 11, 0, (), (),
+     InsufficientVerticalSteps, "need 1 vertical steps in D[12][11] but only 0 present"),
+    ("comb_column", None, "stage", 11, 11, (), ((14, 11, 1),),
+     ResidualVerticalSteps, "D[14][11] = 1 must be 0 before the forward operation"),
+    ("comb_column", None, "stage", 8, 60, ((12, 1),), (),
+     InsufficientVerticalSteps, "need 1 vertical steps in D[11][8] but only 0 present"),
+    ("comb_column", None, "stage", 9, 30, ((10, 5),), (),
+     InsufficientVerticalSteps, "need 1 vertical steps in D[10][9] but only 0 present"),
+    ("comb_column", None, "stage", 10, 57, ((12, 5),), (),
+     InsufficientVerticalSteps, "need 3 vertical steps in D[12][10] but only 2 present"),
+    ("comb_column", None, "stage", 11, 76, ((14, 3),), (),
+     InsufficientVerticalSteps, "need 3 vertical steps in D[13][11] but only 2 present"),
+    ("clify_step", 10, "staged", 8, 70, ((10, 7), (10, 5)), (),
+     NotDisjoint, "paths 10,11 are not disjoint up to column 8: gap 1 cannot absorb 2 vertical steps"),
+    ("clify_step", 9, "staged", 9, 59, ((10, 3),), (),
+     NotDisjoint, "paths 9,10 are not disjoint up to column 9: gap 1 cannot absorb 2 vertical steps"),
+    ("clify_step", 11, "staged", 10, 40, ((11, 7),), (),
+     NotDisjoint, "paths 11,12 are not disjoint up to column 10: gap 1 cannot absorb 2 vertical steps"),
+    ("clify_step", 11, "staged", 11, 62, ((11, 5),), (),
+     NotDisjoint, "paths 11,12 are not disjoint up to column 11: gap 1 cannot absorb 2 vertical steps"),
+    ("clify_step", 10, "staged", 8, 65, ((11, 0),), (),
+     NotDisjoint, "paths 10,11 collide in column 7"),
+    ("clify_step", 10, "staged", 9, 84, ((10, 0),), (),
+     NotDisjoint, "paths 10,11 collide in column 8"),
+    ("clify_step", 13, "staged", 10, 74, ((14, 1),), (),
+     NotDisjoint, "paths 13,14 collide in column 9"),
+    ("clify_step", 14, "staged", 11, 48, ((14, 4), (15, 3)), (),
+     NotDisjoint, "paths 14,15 collide in column 10"),
+    ("uncomb_column", None, "staged", 8, 46, ((9, 4),), (),
+     NotDisjoint, "paths 9,10 are not disjoint up to column 8: gap 0 cannot absorb 1 vertical steps"),
+    ("uncomb_column", None, "staged", 9, 74, ((9, 2), (9, 4)), (),
+     NotDisjoint, "paths 9,10 are not disjoint up to column 9: gap 4 cannot absorb 5 vertical steps"),
+    ("uncomb_column", None, "staged", 10, 73, ((12, 6),), (),
+     NotDisjoint, "paths 11,12 are not disjoint up to column 10: gap 4 cannot absorb 5 vertical steps"),
+    ("uncomb_column", None, "staged", 11, 20, ((11, 10),), (),
+     NotDisjoint, "paths 11,12 are not disjoint up to column 11: gap 3 cannot absorb 4 vertical steps"),
+    ("uncomb_column", None, "staged", 8, 23, ((12, 0),), (),
+     NotDisjoint, "paths 11,12 collide in column 3"),
+    ("uncomb_column", None, "staged", 9, 86, ((13, 1), (11, 1)), (),
+     NotDisjoint, "paths 12,13 collide in column 5"),
+    ("uncomb_column", None, "staged", 10, 75, ((11, 0), (14, 2)), (),
+     NotDisjoint, "paths 13,14 collide in column 5"),
+    ("uncomb_column", None, "staged", 11, 93, ((14, 2),), (),
+     NotDisjoint, "paths 13,14 collide in column 3"),
+    ("uncomb_column", None, "staged", 9, 26, ((12, 6), (13, 4)), (),
+     NotDisjoint, "paths 12,13 collide in column 8"),
+    ("uncomb_column", None, "staged", 10, 87, ((13, 4),), (),
+     NotDisjoint, "paths 12,13 collide in column 9"),
+    ("uncomb_column", None, "staged", 11, 55, ((14, 1),), (),
+     NotDisjoint, "paths 14,15 collide in column 10"),
+    ("uncomb", None, "combed", 8, 3, (), ((10, 9, -1), (10, 8, 1)),
+     NotDisjoint, "paths 9,10 are not disjoint up to column 8: gap 1 cannot absorb 2 vertical steps"),
+    ("uncomb", None, "combed", 9, 7, (), ((10, 10, -1), (10, 9, 1)),
+     NotDisjoint, "paths 9,10 are not disjoint up to column 9: gap 3 cannot absorb 4 vertical steps"),
+    ("uncomb", None, "combed", 10, 23, (), ((11, 11, -1), (11, 10, 1)),
+     NotDisjoint, "paths 10,11 are not disjoint up to column 10: gap 3 cannot absorb 4 vertical steps"),
+    ("uncomb", None, "combed", 11, 17, (), ((12, 12, -1), (12, 11, 1)),
+     NotDisjoint, "paths 11,12 are not disjoint up to column 11: gap 6 cannot absorb 7 vertical steps"),
+]
+
+
+class TestSweepErrors:
+    """The checks of the sweep loops at columns k >= 8, in every residue of
+    k mod 4, with and without a trace sink."""
+
+    @staticmethod
+    def run(call, f, i, k, sink):
+        if call in ("disj_step", "clify_step"):
+            return getattr(pc, call)(f, i, k)
+        if call == "uncomb":
+            return pc.uncomb(f, sink)
+        return getattr(pc, call)(f, k, sink)
+
+    @staticmethod
+    def reference(call, f, k):
+        """The traces the reference sweep makes before it fails."""
+        B, D = lists(f)
+        sink = []
+        with pytest.raises(pc.PreconditionViolation):
+            if call == "comb_column":
+                ref_comb_column(B, D, k, sink)
+            elif call == "uncomb_column":
+                ref_uncomb_column(B, D, list(pc.entry_levels(f, k)), k, sink)
+            else:
+                ref_uncomb(f, sink)
+        return sink
+
+    @pytest.mark.parametrize("call,i,base,k,seed,flips,adds,error,message", SWEEP_ERRORS)
+    def test_message(self, call, i, base, k, seed, flips, adds, error, message):
+        f = error_family(base, k, seed, flips, adds)
+        if call == "uncomb":
+            assert pc.validate_family(f) == []
+        for sink in (None, []):
+            with pytest.raises(error) as exc:
+                self.run(call, f, i, k, sink)
+            assert str(exc.value) == message
+        if call not in ("disj_step", "clify_step"):
+            assert sink == self.reference(call, f, k)
+
+
+class TestListRows:
+    """B rows given as lists, which validate_family accepts: one of at most
+    8 bits, which packs by a table lookup, and one longer."""
+
+    @staticmethod
+    def listed(f, rows=(3, 12)):
+        B = list(f.B)
+        for r in rows:
+            B[r] = list(B[r])
+        return pc.PathFamily(tuple(B), f.D)
+
+    def test_uncomb(self):
+        t = pc.random_triangle(14, 6)
+        f = self.listed(pc.comb(t))
+        assert pc.validate_family(f) == []
+        assert pc.uncomb(f) == t
+
+    def test_stages(self):
+        f = error_family("stage", 2, 6, (), ())  # order 7: rows 3..6 hold at most 6 bits
+        g = pc.comb_column(f, 2)
+        assert pc.comb_column(self.listed(f, (3, 6)), 2) == g
+        assert pc.uncomb_column(self.listed(g, (3, 6)), 2) == f
+        f = error_family("stage", 9, 6, (), ())  # order 14: row 12 holds 12 bits
+        g = pc.comb_column(f, 9)
+        assert pc.comb_column(self.listed(f, (12,)), 9) == g
+        assert pc.uncomb_column(self.listed(g, (12,)), 9) == f
+        assert pc.disj_step(self.listed(f, (9, 10)), 9, 9) == pc.disj_step(f, 9, 9)
+        assert pc.clify_step(self.listed(g, (12, 13)), 12, 9) == pc.clify_step(g, 12, 9)
+
+
 class TestUncomb:
     def test_all_diagonal(self):
         t = pc.BitTriangle.from_rows([[1] * i for i in range(4)])
@@ -583,6 +759,18 @@ class TraceDigest:
         self.count += 1
 
 
+class SlackProbe(list):
+    """A list of chunk tables by slack that records the slacks it is read at."""
+
+    def __init__(self, tables, top):
+        super().__init__(tables)
+        self.top, self.seen = top, set()
+
+    def __getitem__(self, s):
+        self.seen.add(s)
+        return super().__getitem__(s)
+
+
 class TestKernel:
     """The chunked kernel against the reference scan above."""
 
@@ -622,6 +810,34 @@ class TestKernel:
                 for y in range(1 << W):
                     key = min(s0, W) << 2 * W | x << W | y
                     assert table[key] == self.walk(backward, s0, x, y), (s0, x, y)
+
+    def test_slack_bound(self, monkeypatch):
+        # forward the slack of a scan up to column k stays at most k, backward
+        # at most gap + k <= 2k; each public call builds its list that far
+        probes = []
+
+        def by_slack(rows, top):
+            probes.append(SlackProbe(build(rows, top), top))
+            return probes[-1]
+
+        build = combing._by_slack
+        monkeypatch.setattr(combing, "_by_slack", by_slack)
+        for k in range(13):
+            # row k all ones and row k+1 all zeros: forward the slack gains one
+            # per column; backward the pair enters column k with gap k
+            t = pc.BitTriangle(tuple((int(i == k),) * i for i in range(k + 2)))
+            f = pc.family_from_bits(t)
+            assert outcome(pc.disj_step, f, k, k) == outcome(ref_disj_step, f, k, k)
+            assert outcome(pc.clify_step, f, k, k) == outcome(ref_clify_step, f, k, k)
+            forward, backward = probes[-2:]
+            assert len(forward) >= forward.top + 1 == k + 1
+            assert len(backward) >= backward.top + 1 == 2 * k + 1
+            assert max(forward.seen, default=0) == max(0, (k - 1) // combing.W * combing.W)
+            assert max(backward.seen, default=0) == k
+        for t in (pc.random_triangle(40, 7), pc.BitTriangle(tuple((1,) * i for i in range(40))),
+                  pc.BitTriangle(tuple((0,) * i for i in range(40)))):
+            assert pc.uncomb(pc.comb(t)) == t
+        assert all(len(p) >= p.top + 1 > max(p.seen, default=0) for p in probes)
 
     def test_steps_match_reference_exhaustive(self, schroder_by_n):
         for n in range(2, 6):
