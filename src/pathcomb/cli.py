@@ -1,5 +1,15 @@
 """Command line surface: sampling, combing, verification, determinants,
-enumeration, tiling conversion and SVG rendering."""
+enumeration, tiling conversion and SVG rendering.
+
+Each command imports the modules it runs when it runs, so a process pays
+start-up only for its own command: ``det`` loads ``delannoy`` alone, and
+``sample`` loads ``rng``, ``families`` and ``combing`` but no ``tilings``
+or ``svg``.  Importing this module loads only the integer-field rule of
+``fields``, which the parser needs.  Names that callers read from this
+module, such as ``comb`` and ``PathFamily``, are served by ``__getattr__``
+(PEP 562): each read goes to the defining module, so it follows a patch
+there and caches nothing.
+"""
 
 from __future__ import annotations
 
@@ -8,29 +18,42 @@ import functools
 import os
 import sys
 from collections import Counter
+from importlib import import_module
 
-from .combing import PreconditionViolation, comb, comb_column, uncomb
-from .delannoy import verify_reduction
-from .enumeration import (
-    column_counts,
-    diagonal_step_count,
-    enumerate_disjoint,
-    intercolumn_counts,
-    row_counts,
-    verify_bijection,
-)
-from .families import (BitTriangle, ParseError, PathFamily, _fields, _plain_int,
-                       family_from_bits)
-from .rng import random_triangle
-from .svg import render_dual, render_family, render_overlay, render_tiling
-from .tilings import Convention, DominoTiling, family_to_tiling, tiling_to_family
+from . import fields
 
-STATISTICS = {
-    "columns": column_counts,
-    "intercolumns": intercolumn_counts,
-    "rows": row_counts,
-    "diagonals": diagonal_step_count,
+# enumerate --stat NAME runs enumeration.<function>
+_STATISTIC_FUNCTIONS = {
+    "columns": "column_counts",
+    "intercolumns": "intercolumn_counts",
+    "rows": "row_counts",
+    "diagonals": "diagonal_step_count",
 }
+# the names __getattr__ serves, and the module that defines each
+_DEFINED_IN = {
+    "PreconditionViolation": "combing", "comb": "combing", "comb_column": "combing",
+    "uncomb": "combing",
+    "verify_reduction": "delannoy",
+    "column_counts": "enumeration", "diagonal_step_count": "enumeration",
+    "enumerate_disjoint": "enumeration", "intercolumn_counts": "enumeration",
+    "row_counts": "enumeration", "verify_bijection": "enumeration",
+    "BitTriangle": "families", "ParseError": "families", "PathFamily": "families",
+    "_fields": "families", "family_from_bits": "families",
+    "_plain_int": "fields",
+    "random_triangle": "rng",
+    "render_dual": "svg", "render_family": "svg", "render_overlay": "svg",
+    "render_tiling": "svg",
+    "Convention": "tilings", "DominoTiling": "tilings", "family_to_tiling": "tilings",
+    "tiling_to_family": "tilings",
+}
+
+
+def __getattr__(name: str) -> object:
+    if name == "STATISTICS":
+        return {stat: __getattr__(fn) for stat, fn in _STATISTIC_FUNCTIONS.items()}
+    if name not in _DEFINED_IN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__package__}.{_DEFINED_IN[name]}"), name)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -48,6 +71,9 @@ def _read(path: str) -> str:
 
 def cmd_sample(n: int, seed: int, out_family: str | None = None,
                out_triangle: str | None = None, svg_path: str | None = None) -> int:
+    from .combing import comb
+    from .rng import random_triangle
+
     t = random_triangle(n, seed)
     f = comb(t)
     if out_triangle:
@@ -58,13 +84,20 @@ def cmd_sample(n: int, seed: int, out_family: str | None = None,
         sys.stdout.write(t.to_text())
         sys.stdout.write(f.to_text())
     if svg_path:
+        from .svg import render_family
+
         _emit(render_family(f), svg_path)
     return 0
 
 
 def cmd_comb(input_path: str, output: str | None, stages: str | None = None) -> int:
+    from .combing import comb, comb_column
+    from .families import BitTriangle, family_from_bits
+
     t = BitTriangle.from_text(_read(input_path))
     if stages:
+        from .svg import render_family
+
         os.makedirs(stages, exist_ok=True)
         f = family_from_bits(t)
         for k in range(t.n - 1, -1, -1):
@@ -77,18 +110,23 @@ def cmd_comb(input_path: str, output: str | None, stages: str | None = None) -> 
 
 
 def cmd_uncomb(input_path: str, output: str | None) -> int:
+    from .combing import uncomb
+    from .families import PathFamily
+
     f = PathFamily.from_text(_read(input_path))
     _emit(uncomb(f).to_text(), output)
     return 0
 
 
 def cmd_det(n: int) -> int:
+    from .delannoy import verify_reduction
+
     # passing at n certifies det A_m = 2^(m-1) det A_{m-1} for every m <= n
     if n > 0 and not verify_reduction(n):
         print("unitriangular reduction identity failed", file=sys.stderr)
         return 1
     # str of an int stops at the interpreter's digit limit, Decimal prints
-    # every digit; imported here so that no other command loads it
+    # every digit
     from decimal import Decimal
 
     exponent = n * (n - 1) // 2
@@ -97,10 +135,13 @@ def cmd_det(n: int) -> int:
 
 
 def cmd_enumerate(n: int, cap: int, stat: str | None) -> int:
-    families = enumerate_disjoint(n, cap)
+    from . import enumeration
+
+    families = enumeration.enumerate_disjoint(n, cap)
     print(f"{len(families)} disjoint families of order {n}")
     if stat:
-        hist = Counter(STATISTICS[stat](f) for f in families)
+        statistic = getattr(enumeration, _STATISTIC_FUNCTIONS[stat])
+        hist = Counter(statistic(f) for f in families)
 
         def key_text(k):
             return " ".join(str(x) for x in k) if isinstance(k, tuple) else str(k)
@@ -111,6 +152,8 @@ def cmd_enumerate(n: int, cap: int, stat: str | None) -> int:
 
 
 def cmd_verify(n: int, cap: int) -> int:
+    from .enumeration import verify_bijection
+
     report = verify_bijection(n, cap)
     print(f"triangles combed: {report.triangles}")
     if report.ok:
@@ -125,6 +168,9 @@ def cmd_verify(n: int, cap: int) -> int:
 
 
 def cmd_tile(input_path: str, direction: str, output: str | None) -> int:
+    from .families import PathFamily
+    from .tilings import DominoTiling, family_to_tiling, tiling_to_family
+
     text = _read(input_path)
     if direction == "to-tiling":
         _emit(family_to_tiling(PathFamily.from_text(text)).to_text(), output)
@@ -134,17 +180,23 @@ def cmd_tile(input_path: str, direction: str, output: str | None) -> int:
 
 
 def _detect_kind(text: str) -> str:
+    from .families import ParseError, _fields
+
     lines = text.splitlines()
-    for ln, fields in _fields(lines):
-        if len(fields) == 1:
+    for ln, tokens in _fields(lines):
+        if len(tokens) == 1:
             return "family"
-        if len(fields) == 4:
+        if len(tokens) == 4:
             return "tiling"
         raise ParseError(f"cannot tell input kind from line {lines[ln - 1]!r}", line=ln)
     return "tiling"  # empty file: the order-0 tiling
 
 
 def cmd_render(input_path: str, style: str, convention: int, output: str | None) -> int:
+    from .families import ParseError, PathFamily
+    from .svg import render_dual, render_family, render_overlay, render_tiling
+    from .tilings import Convention, DominoTiling
+
     text = _read(input_path)
     kind = _detect_kind(text)
     if style in ("paths", "dual"):
@@ -166,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     # integer options take what the file formats take: an optional minus
     # sign and ASCII digits
     def integer(text: str) -> int:
-        return _plain_int(text)
+        return fields._plain_int(text)
 
     integer.__name__ = "int"  # argparse's message: invalid int value: 'x'
 
     def order(text: str) -> int:
-        n = _plain_int(text)
+        n = fields._plain_int(text)
         if n < 0:
             raise argparse.ArgumentTypeError(f"order must be nonnegative, got {n}")
         return n
@@ -205,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", help="enumerate disjoint families")
     sp.add_argument("--n", type=order, required=True)
     sp.add_argument("--cap", type=integer, default=5)
-    sp.add_argument("--stat", choices=sorted(STATISTICS))
+    sp.add_argument("--stat", choices=sorted(_STATISTIC_FUNCTIONS))
 
     sp = sub.add_parser("verify", help="exhaustively verify the bijection")
     sp.add_argument("--n", type=order, required=True)
@@ -231,6 +283,13 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _precondition_violation() -> tuple[type[Exception], ...]:
+    """combing.PreconditionViolation, which main reports like ValueError,
+    once combing is loaded; before that, nothing can have raised it."""
+    combing = sys.modules.get(f"{__package__}.combing")
+    return () if combing is None else (combing.PreconditionViolation,)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -252,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "render":
             return cmd_render(args.input, args.style, args.convention, args.output)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ValueError, PreconditionViolation, OSError) as exc:
+    except (ValueError, OSError, *_precondition_violation()) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -28,6 +28,8 @@ from itertools import accumulate, count
 from operator import add, sub
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
+from .fields import _plain_int
+
 H_STEP = (0, 1)
 D_STEP = (-1, 1)
 V_STEP = (-1, 0)
@@ -60,16 +62,6 @@ def _fields(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, list[st
         fields = line.split()
         if fields:
             yield ln, fields
-
-
-def _plain_int(field: str) -> int:
-    """The value of a field that is an optional minus sign and ASCII digits.
-    Raises ValueError for every other field, also for those int accepts,
-    such as '+1', '1_0' or digits of other scripts."""
-    digits = field[1:] if field[:1] == "-" else field
-    if not (digits.isascii() and digits.isdecimal()):
-        raise ValueError(f"not a plain integer: {field!r}")
-    return int(field)
 
 
 def _order(text: str) -> tuple[list[str], int]:
@@ -163,11 +155,16 @@ class BitTriangle:
     bits: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        # a bit is exactly the int 0 or 1: True and 1.0 equal 1 but are
+        # written differently.  The identity tests pass the interpreter's
+        # shared 0 and 1, which nearly every bit is, faster than the
+        # equality test they skip; any other object takes the exact test.
+        zero, one = 0, 1
         for i, row in enumerate(self.bits):
             if not isinstance(row, tuple) or len(row) != i:
                 raise ValueError(f"triangle row {i} must be a tuple of length {i}")
             for b in row:
-                if b not in (0, 1):
+                if b is not zero and b is not one and (type(b) is not int or b not in (0, 1)):
                     raise ValueError(f"triangle entries must be bits, got {b!r} in row {i}")
 
     @property

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 
@@ -23,6 +25,19 @@ class TestBitTriangle:
             pc.BitTriangle(((0,),))
         with pytest.raises(ValueError):
             pc.BitTriangle.from_rows([[], [2]])
+
+    @pytest.mark.parametrize("bit", [True, False, 1.0, 0.0, 2, -1, "1", None])
+    def test_bits_are_exactly_int_0_or_1(self, bit):
+        # True and 1.0 equal 1, but to_text would write them as True and 1.0
+        with pytest.raises(ValueError,
+                           match=re.escape(f"triangle entries must be bits, got {bit!r} in row 2")):
+            pc.BitTriangle(((), (0,), (1, bit)))
+
+    def test_from_rows_converts_to_int(self):
+        t = pc.BitTriangle.from_rows([(), (True,), (1.0, 0)])
+        assert t.bits == ((), (1,), (1, 0))
+        assert {type(b) for row in t.bits for b in row} == {int}
+        assert pc.comb(t).to_text() == pc.comb(tri([1], [1, 0])).to_text()
 
     def test_text_round_trip_examples(self):
         t = tri([0], [1, 0])

@@ -332,6 +332,44 @@ class TestFamilyTilingBridge:
                     pc.convention_paths(moved, conv)
 
 
+def vertical_dominoes(t: pc.DominoTiling) -> int:
+    """The dominoes whose two cells (i, j) share their column j."""
+    return sum(a[1] == b[1] for a, b in t.dominoes)
+
+
+def zero_bits(t: pc.BitTriangle) -> int:
+    return sum(row.count(0) for row in t.bits)
+
+
+class TestVerticalDominoes:
+    """Combing carries the vertical-domino count of the Elkies-Kuperberg-
+    Larsen-Propp weight pointwise: family_to_tiling(comb(t)) holds two
+    vertical dominoes per zero bit of t.  The count reads only the
+    dominoes, so a bridge or a comb that is wrong but still invertible,
+    which the round trips pass, fails it."""
+
+    def test_every_triangle_up_to_order_5(self, triangles_by_n):
+        mismatches = [t for n in range(1, 6) for t in triangles_by_n[n]
+                      if vertical_dominoes(pc.family_to_tiling(pc.comb(t))) != 2 * zero_bits(t)]
+        assert sum(len(triangles_by_n[n]) for n in range(1, 6)) == 1099
+        assert mismatches == []
+
+    @pytest.mark.parametrize("n,seed", [(50, 13), (200, 14)])
+    def test_seeded_large_orders(self, n, seed):
+        t = pc.random_triangle(n, seed)
+        assert vertical_dominoes(pc.family_to_tiling(pc.comb(t))) == 2 * zero_bits(t)
+
+    def test_a_transposed_tiling_fails(self):
+        # swapping the two coordinates of every cell is its own inverse, so a
+        # bridge followed by it passes every round trip; it trades vertical
+        # dominoes for horizontal ones
+        t = pc.random_triangle(30, 15)
+        tiling = pc.family_to_tiling(pc.comb(t))
+        swapped = pc.DominoTiling.from_pairs(((a[1], a[0]), (b[1], b[0]))
+                                             for a, b in tiling.dominoes)
+        assert vertical_dominoes(swapped) != 2 * zero_bits(t)
+
+
 class TestBridgeAgainstOracles:
     """The Aztec bridge against the general-region API it no longer calls
     (the oracles in conftest.py).  The orders 50, 100 and 200 are covered by
