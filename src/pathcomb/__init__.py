@@ -15,23 +15,22 @@ from .delannoy import delannoy
 
 # each exported name, listed under the submodule that defines it
 _SOURCES = {
-    "combing": ("CombTrace", "InsufficientVerticalSteps", "NotDisjoint",
-                "PreconditionViolation", "ResidualVerticalSteps", "clify_step", "comb",
-                "comb_column", "disj_step", "in_pathfam_nk", "uncomb", "uncomb_column"),
+    "combing": ("CombTrace", "InsufficientVerticalSteps", "ResidualVerticalSteps",
+                "clify_step", "comb", "comb_column", "disj_step", "uncomb", "uncomb_column"),
     "delannoy": ("delannoy", "delannoy_matrix", "det_exact", "verify_reduction"),
     "enumeration": ("CapExceeded", "all_bit_triangles", "column_counts",
                     "diagonal_step_count", "enumerate_disjoint", "enumerate_schroder",
                     "intercolumn_counts", "joint_distribution", "row_counts",
                     "verify_bijection"),
     "families": ("BitTriangle", "ExplicitPath", "InvalidFamily", "MalformedPath",
-                 "ParseError", "PathFamily", "Violation", "entry_levels", "explicit_paths",
-                 "family_from_bits", "family_from_paths", "is_cliff_shaped", "is_disjoint",
-                 "validate_family"),
+                 "NotDisjoint", "ParseError", "PathFamily", "PreconditionViolation",
+                 "Violation", "entry_levels", "explicit_paths", "family_from_bits",
+                 "family_from_paths", "is_cliff_shaped", "is_disjoint", "validate_family"),
     "rng": ("SplitMix64", "random_triangle"),
     "tilings": ("Convention", "DominoTiling", "EdgePathFamily", "EdgeSets", "NotATiling",
                 "Region", "aztec_region", "convention_paths", "dual_family",
-                "enumerate_tilings", "family_to_tiling", "paths_to_tiling", "region_edges",
-                "tiling_to_family", "tiling_to_paths"),
+                "family_to_tiling", "paths_to_tiling", "region_edges", "tiling_to_family",
+                "tiling_to_paths"),
 }
 _SOURCE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 # submodules, reachable as attributes before anything imports them

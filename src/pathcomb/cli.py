@@ -31,14 +31,14 @@ _STATISTIC_FUNCTIONS = {
 }
 # the names __getattr__ serves, and the module that defines each
 _DEFINED_IN = {
-    "PreconditionViolation": "combing", "comb": "combing", "comb_column": "combing",
-    "uncomb": "combing",
+    "comb": "combing", "comb_column": "combing", "uncomb": "combing",
     "verify_reduction": "delannoy",
     "column_counts": "enumeration", "diagonal_step_count": "enumeration",
     "enumerate_disjoint": "enumeration", "intercolumn_counts": "enumeration",
     "row_counts": "enumeration", "verify_bijection": "enumeration",
     "BitTriangle": "families", "ParseError": "families", "PathFamily": "families",
-    "_fields": "families", "family_from_bits": "families",
+    "PreconditionViolation": "families", "_fields": "families",
+    "family_from_bits": "families",
     "_plain_int": "fields",
     "random_triangle": "rng",
     "render_dual": "svg", "render_family": "svg", "render_overlay": "svg",
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--style", choices=("paths", "tiling", "overlay", "dual"),
                     default="paths")
-    sp.add_argument("--convention", type=int, choices=(0, 1, 2, 3), default=0)
+    sp.add_argument("--convention", type=integer, choices=(0, 1, 2, 3), default=0)
     sp.add_argument("--output")
     return p
 
@@ -284,10 +284,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _precondition_violation() -> tuple[type[Exception], ...]:
-    """combing.PreconditionViolation, which main reports like ValueError,
-    once combing is loaded; before that, nothing can have raised it."""
-    combing = sys.modules.get(f"{__package__}.combing")
-    return () if combing is None else (combing.PreconditionViolation,)
+    """families.PreconditionViolation, which main reports like ValueError,
+    once families is loaded; before that, nothing can have raised it."""
+    families = sys.modules.get(f"{__package__}.families")
+    return () if families is None else (families.PreconditionViolation,)
 
 
 def main(argv: list[str] | None = None) -> int:

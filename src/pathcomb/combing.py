@@ -17,6 +17,10 @@ chunk tables come indexed by slack, built once per public call.  _sweep is
 also the one place that captures traces for the optional trace_sink
 arguments, so that tests can assert the monotonicity and dominance
 properties of the d-sequences.
+
+InsufficientVerticalSteps and ResidualVerticalSteps are defined here.
+NotDisjoint and their base PreconditionViolation come from families, so the
+tiling layer raises the same NotDisjoint without loading this module.
 """
 
 from __future__ import annotations
@@ -29,15 +33,12 @@ from typing import Iterable, Sequence
 from .families import (
     BitTriangle,
     InvalidFamily,
+    NotDisjoint,
     PathFamily,
+    PreconditionViolation,
     entry_levels,
-    explicit_paths,
     require_valid,
 )
-
-
-class PreconditionViolation(Exception):
-    """A basic operation was invoked outside its legal domain."""
 
 
 class InsufficientVerticalSteps(PreconditionViolation):
@@ -46,10 +47,6 @@ class InsufficientVerticalSteps(PreconditionViolation):
 
 class ResidualVerticalSteps(PreconditionViolation):
     """Vertical steps present where the operation requires none."""
-
-
-class NotDisjoint(PreconditionViolation):
-    """The operation requires disjoint paths and the input paths collide."""
 
 
 @dataclass(frozen=True)
@@ -404,44 +401,3 @@ def uncomb(f: PathFamily, trace_sink: list[CombTrace] | None = None) -> BitTrian
         for i in range(k + 1, n):
             h[i] -= f.B[i][k]
     return BitTriangle(tuple(_unpack(X, range(n))))
-
-
-def in_pathfam_nk(f: PathFamily, k: int) -> bool:
-    """Membership in the k-th intermediate stage of combing.
-
-    True when no path has vertical steps in a non-final column before
-    column k and the supports of P_k, ..., P_{n-1} are pairwise disjoint.
-    Stage n is exactly the cliff-shaped families, stage 0 the disjoint
-    ones.
-    """
-    if not 0 <= k <= f.n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={f.n}")
-    for i in range(f.n):
-        for j in range(min(k, i)):
-            if f.D[i][j]:
-                return False
-    paths = explicit_paths(f)
-    seen: set[tuple[int, int]] = set()
-    for i in range(k, f.n):
-        for pt in paths[i].points():
-            if pt in seen:
-                return False
-            seen.add(pt)
-    return True
-
-
-__all__ = [
-    "CombTrace",
-    "InsufficientVerticalSteps",
-    "NotDisjoint",
-    "PreconditionViolation",
-    "ResidualVerticalSteps",
-    "clify_step",
-    "comb",
-    "comb_column",
-    "disj_step",
-    "entry_levels",
-    "in_pathfam_nk",
-    "uncomb",
-    "uncomb_column",
-]

@@ -24,6 +24,8 @@ def delannoy(i: int, j: int) -> int:
 def delannoy_matrix(n: int) -> Matrix:
     """The upper-left n x n block of the Delannoy table, each row built
     from the one above by the recurrence."""
+    if n < 0:
+        raise ValueError("order must be nonnegative")
     rows: list[tuple[int, ...]] = []
     row = (1,) * n
     for _ in range(n):

@@ -28,9 +28,9 @@ class CapExceeded(ValueError):
 
 def all_bit_triangles(n: int) -> Iterator[BitTriangle]:
     """All 2^(n(n-1)/2) bit triangles of order n, row-major bit order."""
-    row_choices = [list(product((0, 1), repeat=i)) for i in range(n)]
-    for rows in product(*row_choices):
-        yield BitTriangle(rows)
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    return map(BitTriangle, product(*[list(product((0, 1), repeat=i)) for i in range(n)]))
 
 
 def _schroder_rows(i: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -80,6 +80,8 @@ def enumerate_disjoint(n: int, cap: int = 5) -> set[PathFamily]:
     """All disjoint order-n families, by backtracking from the top path down.
     The occupied points are the bits of an int (_points), so a row fits
     when its mask shares no bit with it.  Exactly 2^(n(n-1)/2) results."""
+    if n < 0:
+        raise ValueError("order must be nonnegative")
     if n > cap:
         raise CapExceeded(f"order {n} exceeds cap {cap}")
     options = [[(brow, drow, _points(i, brow, drow, n)) for brow, drow in _schroder_rows(i)]
@@ -103,6 +105,8 @@ def enumerate_disjoint(n: int, cap: int = 5) -> set[PathFamily]:
 def enumerate_schroder(n: int, cap: int = 5) -> set[PathFamily]:
     """All valid order-n families, intersecting or not (the combing domain
     before any disjointness is imposed)."""
+    if n < 0:
+        raise ValueError("order must be nonnegative")
     if n > cap:
         raise CapExceeded(f"order {n} exceeds cap {cap}")
     rows = [list(_schroder_rows(i)) for i in range(n)]

@@ -19,6 +19,12 @@ validate_family accepts a valid family in one pass over (B, D), and only a
 family that fails that pass is checked again, phase by phase, to list its
 violations.  The text readers take each integer field as an optional minus
 sign followed by ASCII digits, and nothing else that int would accept.
+
+NotDisjoint, under PreconditionViolation, is defined beside is_disjoint:
+the combing kernel and the tiling layer both raise it, and neither loads
+the other for that.  ExplicitPath, explicit_paths and family_from_paths
+rebuild paths step by step; no library code calls them, and the tests
+check the point walk against them.
 """
 
 from __future__ import annotations
@@ -457,6 +463,14 @@ def _path_points(i: int, brow: Sequence[int], drow: Sequence[int]) -> list[tuple
     down to e_j - D[i][j] there."""
     return [(lev, j) for j, e in enumerate(accumulate(map(add, brow, drow), sub, initial=i))
             for lev in range(e, e - drow[j] - 1, -1)]
+
+
+class PreconditionViolation(Exception):
+    """A basic operation was invoked outside its legal domain."""
+
+
+class NotDisjoint(PreconditionViolation):
+    """The operation requires disjoint paths and the input paths collide."""
 
 
 def is_disjoint(f: PathFamily) -> bool:

@@ -82,5 +82,7 @@ def _bits(seed: int, count: int) -> bytes:
 
 def random_triangle(n: int, seed: int) -> BitTriangle:
     """A uniformly random order-n bit triangle, determined by the seed."""
+    if n < 0:
+        raise ValueError("order must be nonnegative")
     bits = _bits(seed, n * (n - 1) // 2)
     return BitTriangle(tuple(tuple(bits[i * (i - 1) // 2:i * (i + 1) // 2]) for i in range(n)))

@@ -33,6 +33,9 @@ through the half-turn straight into the dual's chains.  _symmetry, the one
 table of the four symmetries, maps a whole list of cells or points in one
 pass.  DominoTiling.from_text and Region.from_text read through the one
 parser skeleton families._records.
+
+The module imports from families alone, NotDisjoint included, so loading it
+loads neither the combing kernel nor the enumeration oracles.
 """
 
 from __future__ import annotations
@@ -44,9 +47,14 @@ from itertools import islice, repeat, starmap
 from operator import gt
 from typing import Callable, Iterable, Sequence
 
-from .combing import NotDisjoint
-from .enumeration import CapExceeded
-from .families import InvalidFamily, PathFamily, _path_points, _records, require_valid
+from .families import (
+    InvalidFamily,
+    NotDisjoint,
+    PathFamily,
+    _path_points,
+    _records,
+    require_valid,
+)
 
 Cell = tuple[int, int]
 
@@ -275,39 +283,6 @@ def aztec_region(order: int) -> Region:
         half = i if i <= order else 2 * order - i + 1
         cells.extend(zip(repeat(i), range(-half, half)))
     return Region(frozenset(cells))
-
-
-def enumerate_tilings(s: Region, cap: int = 40) -> set[DominoTiling]:
-    """All domino tilings of s, by backtracking on the first uncovered cell."""
-    if len(s.cells) > cap:
-        raise CapExceeded(f"{len(s.cells)} cells exceed cap {cap}")
-    cells = sorted(s.cells)
-    cellset = s.cells
-    out: set[DominoTiling] = set()
-    covered: set[Cell] = set()
-    pairs: list[tuple[Cell, Cell]] = []
-
-    def rec(start: int) -> None:
-        idx = start
-        while idx < len(cells) and cells[idx] in covered:
-            idx += 1
-        if idx == len(cells):
-            out.add(DominoTiling(frozenset(pairs)))
-            return
-        c = cells[idx]
-        covered.add(c)
-        for di, dj in ((0, 1), (1, 0)):
-            nb = (c[0] + di, c[1] + dj)
-            if nb in cellset and nb not in covered:
-                covered.add(nb)
-                pairs.append((c, nb))
-                rec(idx + 1)
-                pairs.pop()
-                covered.remove(nb)
-        covered.remove(c)
-
-    rec(0)
-    return out
 
 
 def _partners(f: PathFamily) -> dict[Cell, Cell]:

@@ -1,0 +1,72 @@
+"""Reference checkers that the tests compare the library against and that no
+library code calls.
+
+They stay as simple as their definitions: in_pathfam_nk decides a stage of
+combing by walking explicit paths point by point, and enumerate_tilings
+lists every domino tiling of a region by backtracking.  Keeping them here,
+outside the package, means the fast code they check cannot come to share
+a helper with them.
+"""
+
+from __future__ import annotations
+
+from pathcomb.enumeration import CapExceeded
+from pathcomb.families import PathFamily, explicit_paths
+from pathcomb.tilings import Cell, DominoTiling, Region
+
+
+def in_pathfam_nk(f: PathFamily, k: int) -> bool:
+    """Membership in the k-th intermediate stage of combing.
+
+    True when no path has vertical steps in a non-final column before
+    column k and the supports of P_k, ..., P_{n-1} are pairwise disjoint.
+    Stage n is exactly the cliff-shaped families, stage 0 the disjoint
+    ones.
+    """
+    if not 0 <= k <= f.n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={f.n}")
+    for i in range(f.n):
+        for j in range(min(k, i)):
+            if f.D[i][j]:
+                return False
+    paths = explicit_paths(f)
+    seen: set[tuple[int, int]] = set()
+    for i in range(k, f.n):
+        for pt in paths[i].points():
+            if pt in seen:
+                return False
+            seen.add(pt)
+    return True
+
+
+def enumerate_tilings(s: Region, cap: int = 40) -> set[DominoTiling]:
+    """All domino tilings of s, by backtracking on the first uncovered cell."""
+    if len(s.cells) > cap:
+        raise CapExceeded(f"{len(s.cells)} cells exceed cap {cap}")
+    cells = sorted(s.cells)
+    cellset = s.cells
+    out: set[DominoTiling] = set()
+    covered: set[Cell] = set()
+    pairs: list[tuple[Cell, Cell]] = []
+
+    def rec(start: int) -> None:
+        idx = start
+        while idx < len(cells) and cells[idx] in covered:
+            idx += 1
+        if idx == len(cells):
+            out.add(DominoTiling(frozenset(pairs)))
+            return
+        c = cells[idx]
+        covered.add(c)
+        for di, dj in ((0, 1), (1, 0)):
+            nb = (c[0] + di, c[1] + dj)
+            if nb in cellset and nb not in covered:
+                covered.add(nb)
+                pairs.append((c, nb))
+                rec(idx + 1)
+                pairs.pop()
+                covered.remove(nb)
+        covered.remove(c)
+
+    rec(0)
+    return out

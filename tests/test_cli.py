@@ -20,6 +20,7 @@ import pathcomb as pc
 import pathcomb.cli
 import pathcomb.families
 import pathcomb.svg
+import oracles
 from conftest import format_texts
 from pathcomb.svg import render_dual, render_family, render_overlay, render_tiling
 
@@ -42,6 +43,9 @@ def tri(*rows):
 DELANNOY = importlib.import_module("pathcomb.delannoy")
 ORDER_COMMANDS = ("sample", "det", "enumerate", "verify")
 FILE_COMMANDS = ("comb", "uncomb", "tile", "render")
+# the one line a colliding family given to tile or render --style dual gives;
+# each runs in a fresh interpreter, where only the tiling modules are loaded
+NOT_DISJOINT = "error: NotDisjoint: only disjoint families correspond to tilings\n"
 
 
 class TestSample:
@@ -101,8 +105,9 @@ class TestCombUncomb:
         fam_file = tmp_path / "f.txt"
         fam_file.write_text(pc.family_from_bits(tri([0], [1, 0])).to_text())
         r = run_cli("uncomb", "--input", str(fam_file))
-        assert r.returncode != 0
-        assert "NotDisjoint" in r.stderr
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: NotDisjoint: ")
+        assert r.stderr.count("\n") == 1
 
     def test_uncomb_rejects_invalid(self, tmp_path):
         fam_file = tmp_path / "f.txt"
@@ -224,6 +229,12 @@ class TestDetVerifyEnumerate:
          "argument --seed: invalid int value: '\uff11'"),
         (["enumerate", "--n", "2", "--cap", "+1"], "argument --cap: invalid int value: '+1'"),
         (["verify", "--n", "2", "--cap", "1_0"], "argument --cap: invalid int value: '1_0'"),
+        (["render", "--input", "t.txt", "--convention", "+1"],
+         "argument --convention: invalid int value: '+1'"),
+        (["render", "--input", "t.txt", "--convention", "\u0661"],
+         "argument --convention: invalid int value: '\u0661'"),
+        (["render", "--input", "t.txt", "--convention", " 1"],
+         "argument --convention: invalid int value: ' 1'"),
     ])
     def test_integer_options_take_plain_integers(self, argv, message, capsys):
         # the tokens of the file formats' integer fields, and no others
@@ -260,7 +271,7 @@ class TestTile:
         fam_file.write_text(pc.family_from_bits(tri([0], [1, 0])).to_text())
         r = run_cli("tile", "--input", str(fam_file), "--direction", "to-tiling")
         assert r.returncode == 1
-        assert "NotDisjoint" in r.stderr
+        assert r.stderr == NOT_DISJOINT
 
     def test_repeated_domino_is_a_parse_error(self, tmp_path):
         til_file = tmp_path / "t.txt"
@@ -284,14 +295,14 @@ class TestRender:
 
     def test_overlay_counts(self):
         # an order-2 diamond has 12 cells, so 6 dominoes, and carries 3 paths
-        t = sorted(pc.enumerate_tilings(pc.aztec_region(2)),
+        t = sorted(oracles.enumerate_tilings(pc.aztec_region(2)),
                    key=lambda x: x.to_text())[0]
         doc = render_overlay(t)
         assert count_tags(doc, "rect") == len(t.dominoes) == 6
         assert count_tags(doc, "path") == 3
 
     def test_tiling_rect_count(self):
-        t = next(iter(pc.enumerate_tilings(pc.aztec_region(1))))
+        t = next(iter(oracles.enumerate_tilings(pc.aztec_region(1))))
         assert count_tags(render_tiling(t), "rect") == 2
 
     def test_dual_path_count(self):
@@ -372,6 +383,14 @@ class TestRender:
         r = run_cli("render", "--input", str(fam_file), "--style", "dual")
         assert r.returncode == 0
         assert count_tags(r.stdout, "path") == 8
+
+    def test_cli_render_dual_rejects_intersecting(self, tmp_path):
+        fam_file = tmp_path / "f.txt"
+        fam_file.write_text(pc.family_from_bits(tri([0], [1, 0])).to_text())
+        r = run_cli("render", "--input", str(fam_file), "--style", "dual")
+        assert r.returncode == 1
+        assert r.stderr == NOT_DISJOINT
+        assert r.stdout == ""
 
     def test_cli_render_tiling_rejects_non_tiling(self, tmp_path):
         til_file = tmp_path / "t.txt"

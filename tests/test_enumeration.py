@@ -15,6 +15,22 @@ def tri(*rows):
     return pc.BitTriangle.from_rows([(), *rows])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: pc.random_triangle(-3, 0),
+    lambda: pc.all_bit_triangles(-2),
+    lambda: pc.enumerate_disjoint(-2),
+    lambda: pc.enumerate_schroder(-2),
+    lambda: pc.verify_bijection(-2),
+    lambda: pc.delannoy_matrix(-2),
+], ids=["random_triangle", "all_bit_triangles", "enumerate_disjoint", "enumerate_schroder",
+        "verify_bijection", "delannoy_matrix"])
+def test_negative_order_is_rejected(call):
+    # not an order-0 result: a negative order is an error at the call
+    with pytest.raises(ValueError, match="^order must be nonnegative$") as raised:
+        call()
+    assert type(raised.value) is ValueError
+
+
 class TestSchroderRows:
     def test_counts_are_large_schroder_numbers(self):
         for i, count in enumerate([1, 2, 6, 22, 90, 394, 1806, 8558]):

@@ -17,36 +17,35 @@ import pathcomb.cli
 # pathcomb's exports by defining submodule, in the order the package has
 # always listed them
 EXPORTED_FROM = {
-    "combing": ["CombTrace", "InsufficientVerticalSteps", "NotDisjoint",
-                "PreconditionViolation", "ResidualVerticalSteps", "clify_step", "comb",
-                "comb_column", "disj_step", "in_pathfam_nk", "uncomb", "uncomb_column"],
+    "combing": ["CombTrace", "InsufficientVerticalSteps", "ResidualVerticalSteps",
+                "clify_step", "comb", "comb_column", "disj_step", "uncomb", "uncomb_column"],
     "delannoy": ["delannoy", "delannoy_matrix", "det_exact", "verify_reduction"],
     "enumeration": ["CapExceeded", "all_bit_triangles", "column_counts",
                     "diagonal_step_count", "enumerate_disjoint", "enumerate_schroder",
                     "intercolumn_counts", "joint_distribution", "row_counts",
                     "verify_bijection"],
     "families": ["BitTriangle", "ExplicitPath", "InvalidFamily", "MalformedPath",
-                 "ParseError", "PathFamily", "Violation", "entry_levels", "explicit_paths",
-                 "family_from_bits", "family_from_paths", "is_cliff_shaped", "is_disjoint",
-                 "validate_family"],
+                 "NotDisjoint", "ParseError", "PathFamily", "PreconditionViolation",
+                 "Violation", "entry_levels", "explicit_paths", "family_from_bits",
+                 "family_from_paths", "is_cliff_shaped", "is_disjoint", "validate_family"],
     "rng": ["SplitMix64", "random_triangle"],
     "tilings": ["Convention", "DominoTiling", "EdgePathFamily", "EdgeSets", "NotATiling",
                 "Region", "aztec_region", "convention_paths", "dual_family",
-                "enumerate_tilings", "family_to_tiling", "paths_to_tiling", "region_edges",
-                "tiling_to_family", "tiling_to_paths"],
+                "family_to_tiling", "paths_to_tiling", "region_edges", "tiling_to_family",
+                "tiling_to_paths"],
 }
 EXPORTS = [name for names in EXPORTED_FROM.values() for name in names]
 
 # the names pathcomb.cli serves from the modules that define them: those it
 # bound when it imported every module at its top
 CLI_NAMES = {
-    "PreconditionViolation": "combing", "comb": "combing", "comb_column": "combing",
-    "uncomb": "combing", "verify_reduction": "delannoy",
+    "comb": "combing", "comb_column": "combing", "uncomb": "combing",
+    "verify_reduction": "delannoy",
     "column_counts": "enumeration", "diagonal_step_count": "enumeration",
     "enumerate_disjoint": "enumeration", "intercolumn_counts": "enumeration",
     "row_counts": "enumeration", "verify_bijection": "enumeration",
     "BitTriangle": "families", "ParseError": "families", "PathFamily": "families",
-    "_fields": "families", "family_from_bits": "families", "_plain_int": "fields",
+    "PreconditionViolation": "families", "_fields": "families", "family_from_bits": "families", "_plain_int": "fields",
     "random_triangle": "rng",
     "render_dual": "svg", "render_family": "svg", "render_overlay": "svg",
     "render_tiling": "svg",
@@ -56,9 +55,11 @@ CLI_NAMES = {
 
 BASE = {"pathcomb", "pathcomb.delannoy"}
 CLI = BASE | {"pathcomb.cli", "pathcomb.fields"}
-COMBING = CLI | {"pathcomb.families", "pathcomb.combing"}
+FAMILIES = CLI | {"pathcomb.families"}
+COMBING = FAMILIES | {"pathcomb.combing"}
 ENUMERATION = COMBING | {"pathcomb.enumeration"}
-TILINGS = ENUMERATION | {"pathcomb.tilings"}
+# the tiling layer depends on families alone
+TILINGS = FAMILIES | {"pathcomb.tilings"}
 SVG = TILINGS | {"pathcomb.svg"}
 
 # (statement or argv, pathcomb modules loaded after it, dataclasses loaded)
@@ -67,6 +68,9 @@ LOADS = [
     ("import pathcomb.cli", CLI, False),
     (["det", "--n", "5"], CLI, False),
     (["sample", "--n", "4", "--seed", "1"], COMBING | {"pathcomb.rng"}, True),
+    (["sample", "--n", "4", "--seed", "1", "--svg", "out"], COMBING | SVG | {"pathcomb.rng"},
+     True),
+    (["comb", "--input", "triangle.txt", "--stages", "stages"], COMBING | SVG, True),
     (["uncomb", "--input", "family.txt", "--output", "out"], COMBING, True),
     (["verify", "--n", "3"], ENUMERATION, True),
     (["enumerate", "--n", "3", "--stat", "rows"], ENUMERATION, True),
@@ -104,6 +108,7 @@ def probe(code: str, cwd) -> tuple[set[str], bool]:
 def test_each_command_loads_only_its_modules(run, modules, dataclasses, tmp_path):
     f = pathcomb.comb(pathcomb.random_triangle(4, 2))
     (tmp_path / "family.txt").write_text(f.to_text())
+    (tmp_path / "triangle.txt").write_text(pathcomb.random_triangle(4, 2).to_text())
     (tmp_path / "tiling.txt").write_text(pathcomb.family_to_tiling(f).to_text())
     if not isinstance(run, str):
         run = f"from pathcomb.cli import main\nassert main({run!r}) == 0"
@@ -129,6 +134,11 @@ class TestPublicSurface:
 
     def test_dir_lists_every_export(self):
         assert set(EXPORTS) <= set(dir(pathcomb))
+
+    def test_not_disjoint_is_one_class(self):
+        from pathcomb import combing, families
+
+        assert pathcomb.NotDisjoint is combing.NotDisjoint is families.NotDisjoint
 
     def test_delannoy_stays_the_function(self, tmp_path):
         code = ("import pathcomb\nbefore = pathcomb.delannoy\nimport pathcomb.delannoy\n"

@@ -109,3 +109,17 @@ def test_svg_draws_straight_from_the_encoding():
     used = {getattr(node, "id", None) or getattr(node, "attr", None)
             or getattr(node, "name", None) for node in ast.walk(tree)}
     assert used & {"explicit_paths", "ExplicitPath", "family_from_paths"} == set()
+
+
+def test_layering():
+    # the tiling layer rests on families alone, and the combing kernel reads
+    # no explicit paths: the oracles that do live in tests/oracles.py
+    def package_imports(path):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        return {(node.module, alias.name) for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+
+    assert {module for module, _ in package_imports(TILINGS)} == {"families"}
+    assert {name for _, name in package_imports(COMBING)} & {
+        "explicit_paths", "ExplicitPath", "family_from_paths"} == set()
