@@ -7,16 +7,22 @@ backward operation reconstructs the original pair from the disjoint one,
 reading the transfer count off D[i+1][k].  Sweeping the forward operation
 over i = k..n-2 for k = n-1 down to 0 turns any cliff-shaped family into a
 disjoint one (comb); the reverse sweeps recover the triangle of free bits
-(uncomb).  Both directions are bijections stage by stage.
+(uncomb).  Both directions are bijections stage by stage, on the domain
+of stage k: the rows that stage touches hold no vertical step before
+column k.
 
 All public operations are pure: they return new families and leave their
 arguments untouched.  Each of them runs its basic operations through one
 sweep driver, _sweep, which holds one loop per direction with the chunked
 scan written inline, so that a basic operation costs no Python call.  The
-chunk tables come indexed by slack, built once per public call.  _sweep is
-also the one place that captures traces for the optional trace_sink
-arguments, so that tests can assert the monotonicity and dominance
-properties of the d-sequences.
+chunk tables come indexed by slack, built once per public call by _tables.
+The two column stages and the two single steps reach _sweep through one
+runner, _stage_sweep, which checks the stage domain for its window of rows,
+packs the window and rebuilds the family; comb and uncomb pack the whole
+triangle once and sweep every column in place.  _sweep is also the one
+place that captures traces for the optional trace_sink arguments, so that
+tests can assert the monotonicity and dominance properties of the
+d-sequences.
 
 InsufficientVerticalSteps and ResidualVerticalSteps are defined here.
 NotDisjoint and their base PreconditionViolation come from families, so the
@@ -140,6 +146,11 @@ def _by_slack(rows: list, top: int) -> list:
     return rows + rows[W:] * (top - W)
 
 
+def _tables(backward: bool, k: int) -> list:
+    """The chunk tables a sweep up to column k indexes by slack."""
+    return _by_slack(_BACKWARD_ROWS, 2 * k) if backward else _by_slack(_FORWARD_ROWS, k)
+
+
 def _pack(rows: Iterable[Sequence[int]]) -> list[list[int]]:
     """The chunks of each row of bits, in a list the sweeps update in place."""
     return [list(_PACK[tuple(row)]) if len(row) <= 2 * W else _gather(bytes(row))
@@ -150,15 +161,6 @@ def _unpack(X: Iterable[list[int]], lengths: Iterable[int]) -> list[tuple[int, .
     """The rows of the given lengths that the chunks of X pack; inverse of _pack."""
     return [_UNPACK[length, tuple(x)] if length <= 2 * W else tuple(_spread(x)[:length])
             for x, length in zip(X, lengths)]
-
-
-def _check_clear_before(f: PathFamily, i: int, k: int) -> None:
-    for row in (i, i + 1):
-        for j in range(k):
-            if f.D[row][j]:
-                raise ResidualVerticalSteps(
-                    f"D[{row}][{j}] = {f.D[row][j]} but rows {i},{i + 1} may hold no "
-                    f"vertical steps before column {k}")
 
 
 def _collision(i: int, c: int, r: int, d: int) -> NotDisjoint:
@@ -177,31 +179,6 @@ def _trace(before: list[int], after: list[int], i: int, k: int, d0: int) -> Comb
     return CombTrace(i, k, tuple(accumulate(flips, initial=d0)))
 
 
-def _stage(f: PathFamily, rows: slice, k: int) -> tuple[list, list]:
-    """The part of f that basic operations up to column k on the given rows
-    read or write: columns < k of those B rows, packed, and those D rows as
-    lists.  The other rows stay as they are.  Raises InvalidFamily when an
-    entry to be packed is not a bit."""
-    X, D = list(f.B), list(f.D)
-    window = [row[:k] for row in f.B[rows]]
-    if not _BIT_VALUES.issuperset(chain.from_iterable(window)):
-        i, j, b = next((i, j, b) for i, row in zip(range(f.n)[rows], window)
-                       for j, b in enumerate(row) if b not in _BIT_VALUES)
-        raise InvalidFamily(f"B[{i}][{j}] = {b!r} is not a bit")
-    X[rows] = _pack(window)
-    D[rows] = map(list, f.D[rows])
-    return X, D
-
-
-def _staged(f: PathFamily, rows: slice, k: int, X: list, D: list) -> PathFamily:
-    """f with the given rows put back from a stage."""
-    B = list(f.B)
-    B[rows] = [bits + tuple(row[k:])
-               for bits, row in zip(_unpack(X[rows], repeat(k)), f.B[rows])]
-    D[rows] = map(tuple, D[rows])
-    return PathFamily(tuple(B), tuple(D))
-
-
 def _sweep(X: Sequence[list[int]], D: Sequence[list[int]], k: int, rows: Iterable[int],
            T: list, h: list[int] | None = None,
            trace_sink: list[CombTrace] | None = None) -> int:
@@ -210,12 +187,11 @@ def _sweep(X: Sequence[list[int]], D: Sequence[list[int]], k: int, rows: Iterabl
 
     With h None it is the forward operation; else the backward one, and h
     holds the levels at which the paths enter column k, updated to match the
-    result.  T is _by_slack of the direction's rows, up to slack k forward
-    and 2k backward.  Columns 0..k-1 are scanned a chunk at a time (see
-    _table): one lookup per whole chunk, and one masked lookup for the
-    partial chunk below column k, flip the record bits of both rows; the
-    backward scan takes the chunks high to low, so it starts with the
-    partial one.  Returns the control value at column 0 of the last
+    result.  T is _tables of the direction at column k or above.  Columns
+    0..k-1 are scanned a chunk at a time (see _table): one lookup per whole
+    chunk, and one masked lookup for the partial chunk below column k, flip
+    the record bits of both rows; the backward scan takes the chunks high to
+    low, so it starts with the partial one.  Returns the control value at column 0 of the last
     operation.  Each trace goes to trace_sink once its operation is done;
     a traced sweep runs the untraced one a row at a time.
     """
@@ -261,6 +237,8 @@ def _sweep(X: Sequence[list[int]], D: Sequence[list[int]], k: int, rows: Iterabl
         d = D[i + 1][k]
         gap = h[i + 1] - h[i] - 1
         if not 0 <= d <= gap:
+            if gap < 0:
+                raise NotDisjoint(f"paths {i},{i + 1} meet at or before column {k}")
             raise NotDisjoint(
                 f"paths {i},{i + 1} are not disjoint up to column {k}: "
                 f"gap {gap} cannot absorb {d} vertical steps")
@@ -290,29 +268,67 @@ def _sweep(X: Sequence[list[int]], D: Sequence[list[int]], k: int, rows: Iterabl
     return d
 
 
+def _stage_sweep(f: PathFamily, first: int, rows: Sequence[int], k: int, backward: bool,
+                 trace_sink: list[CombTrace] | None) -> PathFamily:
+    """f after the basic operations at column k on the row pairs i, i+1 for
+    each i in rows in turn, which stay in the window of rows first to
+    first + len(rows).
+
+    Checks the stage domain before any operation runs: ResidualVerticalSteps
+    when a window row holds a vertical step before column k, InvalidFamily
+    when a B entry of the window before column k is not a bit, and, forward
+    with row k in the window, InvalidFamily when D[k][k] is not
+    k - sum(B[k]).  The backward direction reads the gaps off entry_levels,
+    exact on that domain.  Then _sweep runs, with its own checks, on the
+    packed window; the rows outside it stay as they are.
+    """
+    window = range(first, first + len(rows) + 1)
+    for r in window:
+        for j, v in enumerate(f.D[r][:k]):
+            if v:
+                raise ResidualVerticalSteps(
+                    f"D[{r}][{j}] = {v} but rows {first}..{window[-1]} may hold no "
+                    f"vertical steps before column {k}")
+    span = slice(first, window.stop)
+    bits = [row[:k] for row in f.B[span]]
+    if not _BIT_VALUES.issuperset(chain.from_iterable(bits)):
+        i, j, b = next((i, j, b) for i, row in zip(window, bits)
+                       for j, b in enumerate(row) if b not in _BIT_VALUES)
+        raise InvalidFamily(f"B[{i}][{j}] = {b!r} is not a bit")
+    if not backward and k in window and f.D[k][k] != k - sum(f.B[k]):
+        raise InvalidFamily(f"row {k}, column {k}: D[{k}][{k}] = {f.D[k][k]} is not "
+                            f"{k} - sum(B[{k}]), as a stage input needs")
+    X, D = list(f.B), list(f.D)
+    X[span] = _pack(bits)
+    D[span] = map(list, f.D[span])
+    _sweep(X, D, k, rows, _tables(backward, k),
+           list(entry_levels(f, k)) if backward else None, trace_sink)
+    B = list(f.B)
+    B[span] = [done + tuple(row[k:]) for done, row in zip(_unpack(X[span], repeat(k)), f.B[span])]
+    D[span] = map(tuple, D[span])
+    return PathFamily(tuple(B), tuple(D))
+
+
 def _step(f: PathFamily, i: int, k: int, backward: bool) -> tuple[PathFamily, CombTrace]:
     """One basic operation on rows i, i+1 of f up to column k, and its trace."""
     if not 0 <= k <= i < f.n - 1:
         raise ValueError(f"need 0 <= k <= i < n-1, got i={i}, k={k}, n={f.n}")
-    _check_clear_before(f, i, k)
-    rows = slice(i, i + 2)
-    X, D = _stage(f, rows, k)
     traces: list[CombTrace] = []
-    if backward:
-        _sweep(X, D, k, (i,), _by_slack(_BACKWARD_ROWS, 2 * k), list(entry_levels(f, k)),
-               traces)
-    else:
-        _sweep(X, D, k, (i,), _by_slack(_FORWARD_ROWS, k), None, traces)
-    return _staged(f, rows, k, X, D), traces[0]
+    return _stage_sweep(f, i, (i,), k, backward, traces), traces[0]
 
 
 def disj_step(f: PathFamily, i: int, k: int) -> tuple[PathFamily, CombTrace]:
     """Make paths P_i, P_{i+1} disjoint up to column k inclusive.
 
-    Requires 0 <= k <= i < n-1, no vertical steps in either row before
-    column k, D[i+1][k] = 0, and enough vertical steps in D[i][k] to cover
-    the transfer.  Step directions are interchanged exactly where the
+    Its domain: 0 <= k <= i < n-1, and rows i, i+1 hold no vertical step
+    before column k.  Step directions are interchanged exactly where the
     d-sequence increases; d_k vertical steps move from row i to row i+1.
+    Raises, in this order: ValueError for i or k out of range;
+    ResidualVerticalSteps for a vertical step of row i or i+1 before
+    column k; InvalidFamily for a B entry of those rows before column k
+    that is not a bit, and, when i = k, for D[k][k] other than
+    k - sum(B[k]); ResidualVerticalSteps when D[i+1][k] is not 0; and
+    InsufficientVerticalSteps when D[i][k] cannot cover the transfer.
     """
     return _step(f, i, k, backward=False)
 
@@ -320,11 +336,17 @@ def disj_step(f: PathFamily, i: int, k: int) -> tuple[PathFamily, CombTrace]:
 def clify_step(f: PathFamily, i: int, k: int) -> tuple[PathFamily, CombTrace]:
     """Exact inverse of disj_step on its image.
 
-    All D[i+1][k] vertical steps move back to row i and the interchanged
-    step directions are restored scanning from column k-1 down to 0.  The
-    gap between the two paths is read off their entry levels into column k,
-    which entry_levels gives exactly because rows i and i+1 hold no vertical
-    steps before column k.
+    Its domain is disj_step's.  All D[i+1][k] vertical steps move back to
+    row i and the interchanged step directions are restored scanning from
+    column k-1 down to 0.  The gap between the two paths is read off their
+    entry levels into column k, which entry_levels gives exactly because
+    rows i and i+1 hold no vertical steps before column k.  Raises, in
+    this order: ValueError for i or k out of range; ResidualVerticalSteps
+    for a vertical step of row i or i+1 before column k; InvalidFamily for
+    a B entry of those rows before column k that is not a bit; NotDisjoint
+    when the paths meet at or before column k, or when their gap cannot
+    absorb D[i+1][k]; and NotDisjoint naming the column where they collide
+    in the scan.
     """
     return _step(f, i, k, backward=True)
 
@@ -333,30 +355,37 @@ def comb_column(f: PathFamily, k: int,
                 trace_sink: list[CombTrace] | None = None) -> PathFamily:
     """One combing stage: distribute the vertical steps of column k.
 
-    Expects a family whose paths P_{k+1}, ..., P_{n-1} are already disjoint
-    and which has no vertical steps in non-final columns before k+1; the
-    result has P_k, ..., P_{n-1} disjoint.  Identity on the paths for
-    k = n-1 and k = 0.
+    Its domain: rows k, ..., n-1 hold no vertical step before column k.
+    Given paths P_{k+1}, ..., P_{n-1} already disjoint, as comb_column at
+    k+1 leaves them, the result has P_k, ..., P_{n-1} disjoint.  Identity
+    on the paths for k = n-1 and k = 0.  Raises, in this order: ValueError
+    for k out of range; ResidualVerticalSteps for a vertical step of rows
+    k..n-1 before column k; InvalidFamily for a B entry of those rows
+    before column k that is not a bit, then for D[k][k] other than
+    k - sum(B[k]); then, for each pair i, i+1 from i = k up,
+    ResidualVerticalSteps when D[i+1][k] is not 0 and
+    InsufficientVerticalSteps when D[i][k] cannot cover the transfer.
     """
     if not 0 <= k < f.n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={f.n}")
-    X, D = _stage(f, slice(k, None), k)
-    if f.D[k][k] != k - sum(f.B[k]):
-        raise InvalidFamily(f"row {k}, column {k}: D[{k}][{k}] = {f.D[k][k]} is not "
-                            f"{k} - sum(B[{k}]), as a stage input needs")
-    _sweep(X, D, k, range(k, f.n - 1), _by_slack(_FORWARD_ROWS, k), None, trace_sink)
-    return _staged(f, slice(k, None), k, X, D)
+    return _stage_sweep(f, k, range(k, f.n - 1), k, False, trace_sink)
 
 
 def uncomb_column(f: PathFamily, k: int,
                   trace_sink: list[CombTrace] | None = None) -> PathFamily:
-    """Inverse of comb_column at k: collect column k's vertical steps in P_k."""
+    """Inverse of comb_column at k: collect column k's vertical steps in P_k.
+
+    Its domain is comb_column's.  Raises, in this order: ValueError for k
+    out of range; ResidualVerticalSteps for a vertical step of rows
+    k..n-1 before column k; InvalidFamily for a B entry of those rows
+    before column k that is not a bit; then, for each pair i, i+1 from
+    i = n-2 down, NotDisjoint when the paths meet at or before column k
+    or their gap cannot absorb D[i+1][k], and NotDisjoint naming the
+    column where they collide in the scan.
+    """
     if not 0 <= k < f.n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={f.n}")
-    X, D = _stage(f, slice(k, None), k)
-    _sweep(X, D, k, range(f.n - 2, k - 1, -1), _by_slack(_BACKWARD_ROWS, 2 * k),
-           list(entry_levels(f, k)), trace_sink)
-    return _staged(f, slice(k, None), k, X, D)
+    return _stage_sweep(f, k, range(f.n - 2, k - 1, -1), k, True, trace_sink)
 
 
 def comb(t: BitTriangle, trace_sink: list[CombTrace] | None = None) -> PathFamily:
@@ -369,7 +398,7 @@ def comb(t: BitTriangle, trace_sink: list[CombTrace] | None = None) -> PathFamil
     n = t.n
     X = _pack(t.bits)
     D = [[0] * i + [i - sum(row)] for i, row in enumerate(t.bits)]
-    T = _by_slack(_FORWARD_ROWS, n - 2)
+    T = _tables(False, n - 2)
     for k in range(n - 2, -1, -1):  # no pair of rows meets column n-1
         _sweep(X, D, k, range(k, n - 1), T, None, trace_sink)
     return PathFamily(tuple(_unpack(X, range(n))), tuple(map(tuple, D)))
@@ -395,7 +424,7 @@ def uncomb(f: PathFamily, trace_sink: list[CombTrace] | None = None) -> BitTrian
     X = _pack(f.B)
     D = list(map(list, f.D))
     h = list(range(n))
-    T = _by_slack(_BACKWARD_ROWS, 2 * (n - 2))
+    T = _tables(True, n - 2)
     for k in range(n - 1):  # no pair of rows meets column n-1
         _sweep(X, D, k, range(n - 2, k - 1, -1), T, h, trace_sink)
         for i in range(k + 1, n):

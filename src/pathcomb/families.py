@@ -494,7 +494,8 @@ def is_disjoint(f: PathFamily) -> bool:
 def entry_levels(f: PathFamily, k: int) -> tuple[int, ...]:
     """Level at which each path enters column k: i - sum(B[i][:k]).
 
-    Meaningful for paths without vertical steps before column k; rows that
+    Exact for paths without vertical steps before column k, the domain the
+    combing stages and single steps check before they read it; rows that
     end before column k get the level past their last step.
     """
     return tuple(i - sum(f.B[i][:k]) for i in range(f.n))

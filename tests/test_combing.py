@@ -74,7 +74,7 @@ def ref_check_clear_before(f, i, k):
         for j in range(k):
             if f.D[row][j]:
                 raise pc.ResidualVerticalSteps(
-                    f"D[{row}][{j}] = {f.D[row][j]} but rows {i},{i + 1} may hold no "
+                    f"D[{row}][{j}] = {f.D[row][j]} but rows {i}..{i + 1} may hold no "
                     f"vertical steps before column {k}")
 
 
@@ -107,6 +107,8 @@ def ref_clify(B, D, h, i, k):
     d = D[i + 1][k]
     cur = h[i + 1] - h[i] - 1
     if not 0 <= d <= cur:
+        if cur < 0:
+            raise pc.NotDisjoint(f"paths {i},{i + 1} meet at or before column {k}")
         raise pc.NotDisjoint(
             f"paths {i},{i + 1} are not disjoint up to column {k}: "
             f"gap {cur} cannot absorb {d} vertical steps")
@@ -390,6 +392,50 @@ class TestColumnStages:
                 for g in stage[k]:
                     assert pc.comb_column(pc.uncomb_column(g, k), k) == g
 
+    def test_stages_reject_exactly_outside_their_domain(self, schroder_by_n):
+        # stage k is a bijection only where rows k..n-1 hold no vertical step
+        # before column k; inside that domain the sweep's own checks, such as
+        # the one on D[i+1][k], may still raise
+        wrong = []
+        for n in (1, 2, 3, 4):
+            for f in schroder_by_n[n]:
+                for k in range(n):
+                    residue = next(((r, j, v) for r in range(k, n)
+                                    for j, v in enumerate(f.D[r][:k]) if v), None)
+                    for stage in (pc.comb_column, pc.uncomb_column):
+                        result = outcome(stage, f, k)
+                        if residue:
+                            r, j, v = residue
+                            ok = result == (ResidualVerticalSteps,
+                                            f"D[{r}][{j}] = {v} but rows {k}..{n - 1} may "
+                                            f"hold no vertical steps before column {k}")
+                        elif isinstance(result, pc.PathFamily):
+                            ok = pc.validate_family(result) == []
+                        else:
+                            ok = (issubclass(result[0], (pc.PreconditionViolation,
+                                                         pc.InvalidFamily))
+                                  and "may hold no" not in result[1])
+                        if not ok:
+                            wrong.append((stage.__name__, f, k, result))
+        assert wrong == []
+
+    @pytest.mark.parametrize("stage,B,D,message", [
+        ("uncomb_column", ((), (0,), (1, 1), (0, 0, 0)),
+         ((0,), (0, 1), (0, 0, 0), (0, 1, 1, 1)),
+         "D[3][1] = 1 but rows 2..3 may hold no vertical steps before column 2"),
+        ("comb_column", ((), (1,), (0, 0), (0, 1, 1), (1, 0, 0, 0)),
+         ((0,), (0, 0), (0, 0, 2), (0, 1, 0, 0), (0, 0, 0, 2, 1)),
+         "D[3][1] = 1 but rows 2..4 may hold no vertical steps before column 2"),
+    ])
+    def test_valid_family_outside_the_domain(self, stage, B, D, message):
+        # run anyway, either stage would return a family whose path 3
+        # drops below its anti-diagonal
+        f = pc.PathFamily(B, D)
+        assert pc.validate_family(f) == []
+        with pytest.raises(ResidualVerticalSteps) as exc:
+            getattr(pc, stage)(f, 2)
+        assert str(exc.value) == message
+
 
 def short_row_family():
     # B[1][0] = 2; rows of at most 8 bits pack by one table lookup
@@ -632,6 +678,15 @@ class TestSweepErrors:
             assert str(exc.value) == message
         if call not in ("disj_step", "clify_step"):
             assert sink == self.reference(call, f, k)
+
+    def test_paths_meeting_on_a_negative_gap(self):
+        # paths 1 and 2 enter column 1 at the same level: the gap is -1
+        f = pc.family_from_bits(tri([0], [1, 0]))
+        for call in (pc.uncomb, lambda f: pc.uncomb_column(f, 1),
+                     lambda f: pc.clify_step(f, 1, 1)):
+            with pytest.raises(NotDisjoint) as exc:
+                call(f)
+            assert str(exc.value) == "paths 1,2 meet at or before column 1"
 
 
 class TestListRows:

@@ -123,3 +123,18 @@ def test_layering():
     assert {module for module, _ in package_imports(TILINGS)} == {"families"}
     assert {name for _, name in package_imports(COMBING)} & {
         "explicit_paths", "ExplicitPath", "family_from_paths"} == set()
+
+
+def test_one_staging_site():
+    # the column stages and single steps reach the sweep through one runner,
+    # _stage_sweep; comb and uncomb pack the whole triangle themselves
+    tree = ast.parse(COMBING.read_text(), filename=str(COMBING))
+    callers: dict[str, set[str]] = {}
+    for node in tree.body:
+        caller = node.name if isinstance(node, ast.FunctionDef) else "<module>"
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                callers.setdefault(call.func.id, set()).add(caller)
+    assert callers["_sweep"] == {"comb", "uncomb", "_stage_sweep", "_sweep"}
+    assert callers["_pack"] == {"comb", "uncomb", "_stage_sweep"}
+    assert callers["_by_slack"] == {"_tables"}

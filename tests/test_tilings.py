@@ -4,6 +4,7 @@ import math
 import random
 import re
 from functools import partial
+from typing import Iterator
 
 import hypothesis.strategies as st
 import pytest
@@ -369,6 +370,50 @@ class TestVerticalDominoes:
         swapped = pc.DominoTiling.from_pairs(((a[1], a[0]), (b[1], b[0]))
                                              for a, b in tiling.dominoes)
         assert vertical_dominoes(swapped) != 2 * zero_bits(t)
+
+
+def flips(dominoes: frozenset) -> Iterator[frozenset]:
+    """The tilings one flip away: two parallel dominoes that fill a 2x2
+    block turn a quarter, each found from its lower-left domino."""
+    for p, q in dominoes:
+        across = (q[1] - p[1], q[0] - p[0])
+        p2 = (p[0] + across[0], p[1] + across[1])
+        q2 = (q[0] + across[0], q[1] + across[1])
+        if (p2, q2) in dominoes:
+            yield dominoes - {(p, q), (p2, q2)} | {(p, p2), (q, q2)}
+
+
+def flip_rank(t: pc.BitTriangle) -> int:
+    return sum(2 * (i - 1 - j) + 1 for i, row in enumerate(t.bits)
+               for j, b in enumerate(row) if b == 0)
+
+
+class TestFlipRank:
+    """Combing carries the flip rank of the Elkies-Kuperberg-Larsen-Propp
+    weight pointwise: family_to_tiling(comb(t)) lies sum(2(i-1-j)+1) over
+    the zero bits t.bits[i][j] flips above the tiling of the all-ones
+    triangle, measured here by a breadth-first search over 2x2 flips."""
+
+    def test_every_triangle_up_to_order_5(self, triangles_by_n):
+        reached = []
+        for n in range(1, 6):
+            ones = pc.BitTriangle(tuple((1,) * i for i in range(n)))
+            bottom = pc.family_to_tiling(pc.comb(ones)).dominoes
+            distance, frontier = {bottom: 0}, [bottom]
+            while frontier:
+                ahead = []
+                for tiling in frontier:
+                    for other in flips(tiling):
+                        if other not in distance:
+                            distance[other] = distance[tiling] + 1
+                            ahead.append(other)
+                frontier = ahead
+            reached.append(len(distance))
+            ranks = {pc.family_to_tiling(pc.comb(t)).dominoes: flip_rank(t)
+                     for t in triangles_by_n[n]}
+            assert ranks == distance
+        assert reached == [1, 2, 8, 64, 1024]
+        assert max(ranks.values()) == 30
 
 
 class TestBridgeAgainstOracles:
