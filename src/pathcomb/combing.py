@@ -17,12 +17,12 @@ sweep driver, _sweep, which holds one loop per direction with the chunked
 scan written inline, so that a basic operation costs no Python call.  The
 chunk tables come indexed by slack, built once per public call by _tables.
 The two column stages and the two single steps reach _sweep through one
-runner, _stage_sweep, which checks the stage domain for its window of rows,
-packs the window and rebuilds the family; comb and uncomb pack the whole
-triangle once and sweep every column in place.  _sweep is also the one
-place that captures traces for the optional trace_sink arguments, so that
-tests can assert the monotonicity and dominance properties of the
-d-sequences.
+runner, _stage_sweep, which checks the shape of its window of rows and the
+stage domain there, packs the window and rebuilds the family; comb and
+uncomb pack the whole triangle once and sweep every column in place.
+_sweep is also the one place that captures traces for the optional
+trace_sink arguments, so that tests can assert the monotonicity and
+dominance properties of the d-sequences.
 
 InsufficientVerticalSteps and ResidualVerticalSteps are defined here.
 NotDisjoint and their base PreconditionViolation come from families, so the
@@ -31,7 +31,6 @@ tiling layer raises the same NotDisjoint without loading this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, product, repeat
 from operator import xor
 from typing import Iterable, Sequence
@@ -42,6 +41,8 @@ from .families import (
     NotDisjoint,
     PathFamily,
     PreconditionViolation,
+    _Record,
+    _shape_violations,
     entry_levels,
     require_valid,
 )
@@ -55,17 +56,19 @@ class ResidualVerticalSteps(PreconditionViolation):
     """Vertical steps present where the operation requires none."""
 
 
-@dataclass(frozen=True)
-class CombTrace:
+class CombTrace(_Record):
     """The control sequence (d_0, ..., d_k) produced by one basic operation.
 
     Forward traces are weakly increasing from d_0 = 0 by unit steps; the
     backward operation rebuilds the same sequence scanning from d_k down.
     """
 
-    i: int
-    k: int
-    d_seq: tuple[int, ...]
+    __slots__ = ("i", "k", "d_seq")
+
+    def __init__(self, i: int, k: int, d_seq: tuple[int, ...]) -> None:
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d_seq", d_seq)
 
     @property
     def transferred(self) -> int:
@@ -274,15 +277,20 @@ def _stage_sweep(f: PathFamily, first: int, rows: Sequence[int], k: int, backwar
     each i in rows in turn, which stay in the window of rows first to
     first + len(rows).
 
-    Checks the stage domain before any operation runs: ResidualVerticalSteps
-    when a window row holds a vertical step before column k, InvalidFamily
-    when a B entry of the window before column k is not a bit, and, forward
-    with row k in the window, InvalidFamily when D[k][k] is not
-    k - sum(B[k]).  The backward direction reads the gaps off entry_levels,
-    exact on that domain.  Then _sweep runs, with its own checks, on the
-    packed window; the rows outside it stay as they are.
+    Checks the window's rows and the stage domain before any operation
+    runs: InvalidFamily with validate_family's message when B and D differ
+    in their number of rows or a window row has the wrong length,
+    ResidualVerticalSteps when a window row holds a vertical step before
+    column k, InvalidFamily when a B entry of the window before column k is
+    not a bit, and, forward with row k in the window, InvalidFamily when
+    D[k][k] is not k - sum(B[k]).  The backward direction reads the gaps
+    off entry_levels, exact on that domain.  Then _sweep runs, with its own
+    checks, on the packed window; the rows outside it stay as they are.
     """
     window = range(first, first + len(rows) + 1)
+    shape = _shape_violations(f, window)
+    if shape:
+        raise InvalidFamily(shape[0].message)
     for r in window:
         for j, v in enumerate(f.D[r][:k]):
             if v:
@@ -324,10 +332,11 @@ def disj_step(f: PathFamily, i: int, k: int) -> tuple[PathFamily, CombTrace]:
     before column k.  Step directions are interchanged exactly where the
     d-sequence increases; d_k vertical steps move from row i to row i+1.
     Raises, in this order: ValueError for i or k out of range;
-    ResidualVerticalSteps for a vertical step of row i or i+1 before
-    column k; InvalidFamily for a B entry of those rows before column k
-    that is not a bit, and, when i = k, for D[k][k] other than
-    k - sum(B[k]); ResidualVerticalSteps when D[i+1][k] is not 0; and
+    InvalidFamily when B and D differ in their number of rows or row i or
+    i+1 has the wrong length; ResidualVerticalSteps for a vertical step of
+    row i or i+1 before column k; InvalidFamily for a B entry of those rows
+    before column k that is not a bit, and, when i = k, for D[k][k] other
+    than k - sum(B[k]); ResidualVerticalSteps when D[i+1][k] is not 0; and
     InsufficientVerticalSteps when D[i][k] cannot cover the transfer.
     """
     return _step(f, i, k, backward=False)
@@ -341,12 +350,13 @@ def clify_step(f: PathFamily, i: int, k: int) -> tuple[PathFamily, CombTrace]:
     column k-1 down to 0.  The gap between the two paths is read off their
     entry levels into column k, which entry_levels gives exactly because
     rows i and i+1 hold no vertical steps before column k.  Raises, in
-    this order: ValueError for i or k out of range; ResidualVerticalSteps
-    for a vertical step of row i or i+1 before column k; InvalidFamily for
-    a B entry of those rows before column k that is not a bit; NotDisjoint
-    when the paths meet at or before column k, or when their gap cannot
-    absorb D[i+1][k]; and NotDisjoint naming the column where they collide
-    in the scan.
+    this order: ValueError for i or k out of range; InvalidFamily when B
+    and D differ in their number of rows or row i or i+1 has the wrong
+    length; ResidualVerticalSteps for a vertical step of row i or i+1
+    before column k; InvalidFamily for a B entry of those rows before
+    column k that is not a bit; NotDisjoint when the paths meet at or
+    before column k, or when their gap cannot absorb D[i+1][k]; and
+    NotDisjoint naming the column where they collide in the scan.
     """
     return _step(f, i, k, backward=True)
 
@@ -359,12 +369,14 @@ def comb_column(f: PathFamily, k: int,
     Given paths P_{k+1}, ..., P_{n-1} already disjoint, as comb_column at
     k+1 leaves them, the result has P_k, ..., P_{n-1} disjoint.  Identity
     on the paths for k = n-1 and k = 0.  Raises, in this order: ValueError
-    for k out of range; ResidualVerticalSteps for a vertical step of rows
-    k..n-1 before column k; InvalidFamily for a B entry of those rows
-    before column k that is not a bit, then for D[k][k] other than
-    k - sum(B[k]); then, for each pair i, i+1 from i = k up,
-    ResidualVerticalSteps when D[i+1][k] is not 0 and
-    InsufficientVerticalSteps when D[i][k] cannot cover the transfer.
+    for k out of range; InvalidFamily when B and D differ in their number
+    of rows or one of rows k..n-1 has the wrong length;
+    ResidualVerticalSteps for a vertical step of rows k..n-1 before column
+    k; InvalidFamily for a B entry of those rows before column k that is
+    not a bit, then for D[k][k] other than k - sum(B[k]); then, for each
+    pair i, i+1 from i = k up, ResidualVerticalSteps when D[i+1][k] is not
+    0 and InsufficientVerticalSteps when D[i][k] cannot cover the
+    transfer.
     """
     if not 0 <= k < f.n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={f.n}")
@@ -376,12 +388,13 @@ def uncomb_column(f: PathFamily, k: int,
     """Inverse of comb_column at k: collect column k's vertical steps in P_k.
 
     Its domain is comb_column's.  Raises, in this order: ValueError for k
-    out of range; ResidualVerticalSteps for a vertical step of rows
-    k..n-1 before column k; InvalidFamily for a B entry of those rows
-    before column k that is not a bit; then, for each pair i, i+1 from
-    i = n-2 down, NotDisjoint when the paths meet at or before column k
-    or their gap cannot absorb D[i+1][k], and NotDisjoint naming the
-    column where they collide in the scan.
+    out of range; InvalidFamily when B and D differ in their number of rows
+    or one of rows k..n-1 has the wrong length; ResidualVerticalSteps for
+    a vertical step of rows k..n-1 before column k; InvalidFamily for a B
+    entry of those rows before column k that is not a bit; then, for each
+    pair i, i+1 from i = n-2 down, NotDisjoint when the paths meet at or
+    before column k or their gap cannot absorb D[i+1][k], and NotDisjoint
+    naming the column where they collide in the scan.
     """
     if not 0 <= k < f.n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={f.n}")

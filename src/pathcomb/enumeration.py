@@ -14,16 +14,32 @@ verify_bijection.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Hashable, Iterator
 
 from .combing import comb, uncomb
-from .families import BitTriangle, PathFamily, require_valid
+from .families import BitTriangle, PathFamily, _Record, require_valid
 
 
 class CapExceeded(ValueError):
     """An enumeration was requested beyond its configured size cap."""
+
+
+_MAX_ORDER = 6
+"""The largest order enumerated, whatever the cap.  Order n has
+2^(n(n-1)/2) disjoint families, each one kept in a set: order 6 has
+32,768, order 7 has 2,097,152, and order 13 more than any memory holds."""
+
+
+def _check_order(n: int, cap: int) -> None:
+    """Raise ValueError for a negative order n, then CapExceeded for n above
+    cap and for n above _MAX_ORDER, before any family is built."""
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    if n > cap:
+        raise CapExceeded(f"order {n} exceeds cap {cap}")
+    if n > _MAX_ORDER:
+        raise CapExceeded(f"order {n} exceeds {_MAX_ORDER}, the largest order enumerated")
 
 
 def all_bit_triangles(n: int) -> Iterator[BitTriangle]:
@@ -80,10 +96,7 @@ def enumerate_disjoint(n: int, cap: int = 5) -> set[PathFamily]:
     """All disjoint order-n families, by backtracking from the top path down.
     The occupied points are the bits of an int (_points), so a row fits
     when its mask shares no bit with it.  Exactly 2^(n(n-1)/2) results."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"order {n} exceeds cap {cap}")
+    _check_order(n, cap)
     options = [[(brow, drow, _points(i, brow, drow, n)) for brow, drow in _schroder_rows(i)]
                for i in range(n)]
     out: set[PathFamily] = set()
@@ -105,10 +118,7 @@ def enumerate_disjoint(n: int, cap: int = 5) -> set[PathFamily]:
 def enumerate_schroder(n: int, cap: int = 5) -> set[PathFamily]:
     """All valid order-n families, intersecting or not (the combing domain
     before any disjointness is imposed)."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"order {n} exceeds cap {cap}")
+    _check_order(n, cap)
     rows = [list(_schroder_rows(i)) for i in range(n)]
     # both products run through the choices of rows in the same order
     B = product(*[[brow for brow, _ in options] for options in rows])
@@ -155,12 +165,19 @@ def joint_distribution(n: int, statistic: Callable[[PathFamily], Hashable],
     return Counter(statistic(f) for f in enumerate_disjoint(n, cap))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    n: int
-    triangles: int
-    disjoint_families: int
-    failures: tuple[str, ...]
+class VerificationReport(_Record):
+    """The result of verify_bijection at order n: the number of triangles
+    combed, the number of disjoint families enumerated, and every failure
+    found."""
+
+    __slots__ = ("n", "triangles", "disjoint_families", "failures")
+
+    def __init__(self, n: int, triangles: int, disjoint_families: int,
+                 failures: tuple[str, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "triangles", triangles)
+        object.__setattr__(self, "disjoint_families", disjoint_families)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
@@ -187,8 +204,7 @@ def verify_bijection(n: int, cap: int = 5,
     TestUncomb.test_sweep_certifies_disjointness_exhaustive and
     test_double_round_trip_n4, check comb(uncomb(g)) == g directly.
     """
-    if n > cap:
-        raise CapExceeded(f"order {n} exceeds cap {cap}")
+    _check_order(n, cap)
     failures: list[str] = []
     image: dict[PathFamily, BitTriangle] = {}
     count = 0

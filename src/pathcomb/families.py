@@ -25,13 +25,21 @@ the combing kernel and the tiling layer both raise it, and neither loads
 the other for that.  ExplicitPath, explicit_paths and family_from_paths
 rebuild paths step by step; no library code calls them, and the tests
 check the point walk against them.
+
+The frozen records of the package, here and in combing, enumeration and
+tilings, derive from _Record.  Each lists its fields as __slots__ and sets
+them in its own __init__, which also makes the record's checks.  The base
+gives == and hash on the tuple of the fields, the repr Name(field=value,
+...), pickling and copying through __init__, and
+dataclasses.FrozenInstanceError on assignment or deletion.  It does not
+load dataclasses, whose import loads inspect, so no command pays for that
+at start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, count
-from operator import add, sub
+from operator import add, attrgetter, sub
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .fields import _plain_int
@@ -60,6 +68,54 @@ class ParseError(ValueError):
         super().__init__(message + loc)
         self.line = line
         self.column = column
+
+
+def _frozen(message: str) -> AttributeError:
+    """dataclasses.FrozenInstanceError(message), the error a frozen record
+    raises on assignment or deletion; dataclasses is loaded on this error
+    path only."""
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(message)
+
+
+class _Record:
+    """Base of a frozen record whose fields are its __slots__, in order.
+
+    A subclass sets each field in its own __init__ with object.__setattr__.
+    Two records are equal when they are of one class and their tuples of
+    fields are equal, and a record hashes as that tuple.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # attrgetter reads the fields in C, but given one name it returns
+        # the value itself, not a 1-tuple
+        get = attrgetter(*cls.__slots__)
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise _frozen(f"cannot delete field {name!r}")
 
 
 def _fields(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, list[str]]]:
@@ -154,24 +210,24 @@ def _records(text: str, width: int, wrong_width: str, noun: str,
     return frozenset(line_of)
 
 
-@dataclass(frozen=True)
-class BitTriangle:
+class BitTriangle(_Record):
     """A strictly lower triangular array of bits: rows 0..n-1, row i has i bits."""
 
-    bits: tuple[tuple[int, ...], ...]
+    __slots__ = ("bits",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, bits: tuple[tuple[int, ...], ...]) -> None:
         # a bit is exactly the int 0 or 1: True and 1.0 equal 1 but are
         # written differently.  The identity tests pass the interpreter's
         # shared 0 and 1, which nearly every bit is, faster than the
         # equality test they skip; any other object takes the exact test.
         zero, one = 0, 1
-        for i, row in enumerate(self.bits):
+        for i, row in enumerate(bits):
             if not isinstance(row, tuple) or len(row) != i:
                 raise ValueError(f"triangle row {i} must be a tuple of length {i}")
             for b in row:
                 if b is not zero and b is not one and (type(b) is not int or b not in (0, 1)):
                     raise ValueError(f"triangle entries must be bits, got {b!r} in row {i}")
+        object.__setattr__(self, "bits", bits)
 
     @property
     def n(self) -> int:
@@ -202,17 +258,17 @@ class BitTriangle:
         return cls(tuple(rows[:n]))
 
 
-@dataclass(frozen=True)
-class ExplicitPath:
+class ExplicitPath(_Record):
     """A concrete path: a start point and a sequence of step vectors."""
 
-    start: tuple[int, int]
-    steps: tuple[tuple[int, int], ...]
+    __slots__ = ("start", "steps")
 
-    def __post_init__(self) -> None:
-        for s in self.steps:
+    def __init__(self, start: tuple[int, int], steps: tuple[tuple[int, int], ...]) -> None:
+        for s in steps:
             if s not in STEP_VECTORS:
                 raise MalformedPath(f"bad step vector {s!r}")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def end(self) -> tuple[int, int]:
@@ -244,16 +300,18 @@ class ExplicitPath:
         return cls(tuple(points[0]), tuple(steps))
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(_Record):
     """The (B, D) encoding of an order-n family.
 
     The constructor performs no validation so that diagnostics can be
     produced for arbitrary input; see validate_family.
     """
 
-    B: tuple[tuple[int, ...], ...]
-    D: tuple[tuple[int, ...], ...]
+    __slots__ = ("B", "D")
+
+    def __init__(self, B: tuple[tuple[int, ...], ...], D: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "D", D)
 
     @property
     def n(self) -> int:
@@ -304,14 +362,16 @@ class PathFamily:
         return cls(tuple(B), tuple(D))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One invariant violation found by validate_family."""
 
-    kind: str
-    i: int | None
-    j: int | None
-    message: str
+    __slots__ = ("kind", "i", "j", "message")
+
+    def __init__(self, kind: str, i: int | None, j: int | None, message: str) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "message", message)
 
 
 def _passes(B: Sequence[Sequence[int]], D: Sequence[Sequence[int]]) -> bool:
@@ -337,6 +397,24 @@ def _passes(B: Sequence[Sequence[int]], D: Sequence[Sequence[int]]) -> bool:
     return True
 
 
+def _shape_violations(f: PathFamily, rows: Iterable[int]) -> list[Violation]:
+    """The triangularity violations of f: B and D differing in their number
+    of rows, or else, for each given row i, B[i] not of length i and D[i]
+    not of length i + 1."""
+    if len(f.B) != len(f.D):
+        return [Violation("triangularity", None, None,
+                          f"B has {len(f.B)} rows but D has {len(f.D)}")]
+    out = []
+    for i in rows:
+        if len(f.B[i]) != i:
+            out.append(Violation("triangularity", i, None,
+                                 f"B row {i} has length {len(f.B[i])}, expected {i}"))
+        if len(f.D[i]) != i + 1:
+            out.append(Violation("triangularity", i, None,
+                                 f"D row {i} has length {len(f.D[i])}, expected {i + 1}"))
+    return out
+
+
 def validate_family(f: PathFamily) -> list[Violation]:
     """Report every violated invariant of the (B, D) encoding.
 
@@ -351,19 +429,8 @@ def validate_family(f: PathFamily) -> list[Violation]:
     """
     if _passes(f.B, f.D):
         return []
-    out: list[Violation] = []
-    if len(f.B) != len(f.D):
-        out.append(Violation("triangularity", None, None,
-                             f"B has {len(f.B)} rows but D has {len(f.D)}"))
-        return out
     n = len(f.B)
-    for i in range(n):
-        if len(f.B[i]) != i:
-            out.append(Violation("triangularity", i, None,
-                                 f"B row {i} has length {len(f.B[i])}, expected {i}"))
-        if len(f.D[i]) != i + 1:
-            out.append(Violation("triangularity", i, None,
-                                 f"D row {i} has length {len(f.D[i])}, expected {i + 1}"))
+    out = _shape_violations(f, range(n))
     if out:
         return out
     for i in range(n):

@@ -41,7 +41,6 @@ loads neither the combing kernel nor the enumeration oracles.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import IntEnum
 from itertools import islice, repeat, starmap
 from operator import gt
@@ -52,6 +51,7 @@ from .families import (
     NotDisjoint,
     PathFamily,
     _path_points,
+    _Record,
     _records,
     require_valid,
 )
@@ -69,11 +69,13 @@ def is_black(cell: Cell) -> bool:
     return (cell[0] - cell[1]) % 2 == 0
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(_Record):
     """A finite set of cells; colors follow from coordinate parity."""
 
-    cells: frozenset[Cell]
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: frozenset[Cell]) -> None:
+        object.__setattr__(self, "cells", cells)
 
     @classmethod
     def from_cells(cls, cells: Iterable[Cell]) -> "Region":
@@ -94,13 +96,16 @@ class Region:
                             lambda v: list(zip(v[0::2], v[1::2]))))
 
 
-@dataclass(frozen=True)
-class EdgeSets:
+class EdgeSets(_Record):
     """Entries, interior edges and exits of a region."""
 
-    entries: frozenset[Cell]
-    interior: frozenset[Cell]
-    exits: frozenset[Cell]
+    __slots__ = ("entries", "interior", "exits")
+
+    def __init__(self, entries: frozenset[Cell], interior: frozenset[Cell],
+                 exits: frozenset[Cell]) -> None:
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "interior", interior)
+        object.__setattr__(self, "exits", exits)
 
 
 def _sorted_pairs(pairs: Iterable[tuple[Cell, Cell]]) -> list[tuple[Cell, Cell]]:
@@ -114,18 +119,18 @@ def _dominoes(v: list[int]) -> list[tuple[Cell, Cell]]:
     return _sorted_pairs(zip(zip(v[0::4], v[1::4]), zip(v[2::4], v[3::4])))
 
 
-@dataclass(frozen=True)
-class DominoTiling:
+class DominoTiling(_Record):
     """A partition of a region into adjacent cell pairs (each pair sorted)."""
 
-    dominoes: frozenset[tuple[Cell, Cell]]
+    __slots__ = ("dominoes",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, dominoes: frozenset[tuple[Cell, Cell]]) -> None:
         # the same dominoes in either orientation make the same tiling;
         # sorted pairs, as from_text, from_pairs and family_to_tiling give,
         # are only checked
-        if any(starmap(gt, self.dominoes)):
-            object.__setattr__(self, "dominoes", frozenset(_sorted_pairs(self.dominoes)))
+        if any(starmap(gt, dominoes)):
+            dominoes = frozenset(_sorted_pairs(dominoes))
+        object.__setattr__(self, "dominoes", dominoes)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Cell, Cell]]) -> "DominoTiling":
@@ -150,11 +155,13 @@ class DominoTiling:
                             _dominoes))
 
 
-@dataclass(frozen=True)
-class EdgePathFamily:
+class EdgePathFamily(_Record):
     """Paths over vertical edges, each from an entry to an exit."""
 
-    paths: tuple[tuple[Cell, ...], ...]
+    __slots__ = ("paths",)
+
+    def __init__(self, paths: tuple[tuple[Cell, ...], ...]) -> None:
+        object.__setattr__(self, "paths", paths)
 
     @classmethod
     def from_paths(cls, paths: Iterable[Sequence[Cell]]) -> "EdgePathFamily":

@@ -22,6 +22,20 @@ def schroder_by_n():
     return {n: pc.enumerate_schroder(n) for n in range(6)}
 
 
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Make the enumeration oracles fail as soon as they list a Schröder row
+    or a triangle, so a test of an order they must refuse fails fast where
+    they would start on it."""
+    from pathcomb import enumeration
+
+    def refuse(*args):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(enumeration, "_schroder_rows", refuse)
+    monkeypatch.setattr(enumeration, "all_bit_triangles", refuse)
+
+
 @st.composite
 def bit_triangles(draw, max_n: int = 7):
     n = draw(st.integers(min_value=0, max_value=max_n))

@@ -210,6 +210,13 @@ class TestDetVerifyEnumerate:
         assert r.returncode == 1
         assert "CapExceeded" in r.stderr
 
+    @pytest.mark.parametrize("argv", [["enumerate", "--n", "13", "--cap", "13"],
+                                      ["verify", "--n", "7", "--cap", "7"]])
+    def test_orders_above_six_exit_with_one_error_line(self, argv, no_enumeration, capsys):
+        assert pathcomb.cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: CapExceeded: order {argv[2]} exceeds 6, the largest order enumerated\n")
+
     @pytest.mark.parametrize("command", ORDER_COMMANDS)
     def test_negative_order_is_a_usage_error(self, command, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -486,6 +486,23 @@ class TestStagesRejectNonBits:
                    "B[11][10] = 3 is not a bit")
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: pc.comb_column(f, 1),
+    lambda f: pc.uncomb_column(f, 1),
+    lambda f: pc.disj_step(f, 1, 1),
+    lambda f: pc.clify_step(f, 1, 1),
+], ids=["comb_column", "uncomb_column", "disj_step", "clify_step"])
+@pytest.mark.parametrize("B,D,message", [
+    (((), (0,), (0, 0)), ((0,), (0,), (0, 0, 2)), "D row 1 has length 1, expected 2"),
+    (((), (0,), (0, 0)), ((0,), (0, 1)), "B has 3 rows but D has 2"),
+    (((), (0,), (0,)), ((0,), (0, 1), (0, 0, 2)), "B row 2 has length 1, expected 2"),
+], ids=["short-D-row", "missing-D-row", "short-B-row"])
+def test_stages_reject_malformed_rows(call, B, D, message):
+    # each raised IndexError, or returned the malformed family, before the
+    # stage runner checked its rows' shape
+    TestStagesRejectNonBits.check(call, pc.PathFamily(B, D), message)
+
+
 class TestComb:
     def test_already_disjoint_unchanged(self):
         for n in range(6):

@@ -31,6 +31,18 @@ def test_negative_order_is_rejected(call):
     assert type(raised.value) is ValueError
 
 
+@pytest.mark.parametrize("call,n", [
+    (lambda: pc.enumerate_disjoint(13, cap=13), 13),
+    (lambda: pc.enumerate_schroder(7, cap=7), 7),
+    (lambda: pc.verify_bijection(7, cap=7), 7),
+], ids=["enumerate_disjoint", "enumerate_schroder", "verify_bijection"])
+def test_orders_above_six_are_refused_whatever_the_cap(call, n, no_enumeration):
+    # enumerate_disjoint(13, cap=13) ran until it raised MemoryError
+    with pytest.raises(pc.CapExceeded) as exc:
+        call()
+    assert str(exc.value) == f"order {n} exceeds 6, the largest order enumerated"
+
+
 class TestSchroderRows:
     def test_counts_are_large_schroder_numbers(self):
         for i, count in enumerate([1, 2, 6, 22, 90, 394, 1806, 8558]):

@@ -67,21 +67,21 @@ LOADS = [
     ("import pathcomb", BASE, False),
     ("import pathcomb.cli", CLI, False),
     (["det", "--n", "5"], CLI, False),
-    (["sample", "--n", "4", "--seed", "1"], COMBING | {"pathcomb.rng"}, True),
+    (["sample", "--n", "4", "--seed", "1"], COMBING | {"pathcomb.rng"}, False),
     (["sample", "--n", "4", "--seed", "1", "--svg", "out"], COMBING | SVG | {"pathcomb.rng"},
-     True),
-    (["comb", "--input", "triangle.txt", "--stages", "stages"], COMBING | SVG, True),
-    (["uncomb", "--input", "family.txt", "--output", "out"], COMBING, True),
-    (["verify", "--n", "3"], ENUMERATION, True),
-    (["enumerate", "--n", "3", "--stat", "rows"], ENUMERATION, True),
+     False),
+    (["comb", "--input", "triangle.txt", "--stages", "stages"], COMBING | SVG, False),
+    (["uncomb", "--input", "family.txt", "--output", "out"], COMBING, False),
+    (["verify", "--n", "3"], ENUMERATION, False),
+    (["enumerate", "--n", "3", "--stat", "rows"], ENUMERATION, False),
     (["tile", "--input", "family.txt", "--direction", "to-tiling", "--output", "out"],
-     TILINGS, True),
+     TILINGS, False),
     (["tile", "--input", "tiling.txt", "--direction", "to-family", "--output", "out"],
-     TILINGS, True),
-    (["render", "--input", "family.txt", "--style", "paths", "--output", "out"], SVG, True),
-    (["render", "--input", "family.txt", "--style", "dual", "--output", "out"], SVG, True),
-    (["render", "--input", "tiling.txt", "--style", "tiling", "--output", "out"], SVG, True),
-    (["render", "--input", "tiling.txt", "--style", "overlay", "--output", "out"], SVG, True),
+     TILINGS, False),
+    (["render", "--input", "family.txt", "--style", "paths", "--output", "out"], SVG, False),
+    (["render", "--input", "family.txt", "--style", "dual", "--output", "out"], SVG, False),
+    (["render", "--input", "tiling.txt", "--style", "tiling", "--output", "out"], SVG, False),
+    (["render", "--input", "tiling.txt", "--style", "overlay", "--output", "out"], SVG, False),
 ]
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(pathcomb.__file__)))
@@ -90,17 +90,17 @@ import json, sys
 sys.path.insert(0, {src!r})
 {run}
 loaded = sorted(m for m in sys.modules if m == "pathcomb" or m.startswith("pathcomb."))
-print(json.dumps([loaded, "dataclasses" in sys.modules]))
+print(json.dumps([loaded, "dataclasses" in sys.modules, "inspect" in sys.modules]))
 """
 
 
-def probe(code: str, cwd) -> tuple[set[str], bool]:
+def probe(code: str, cwd) -> tuple[set[str], bool, bool]:
     """The pathcomb modules a fresh interpreter holds after running code, and
-    whether it loaded dataclasses."""
+    whether it loaded dataclasses and inspect."""
     proc = subprocess.run([sys.executable, "-c", PROBE.format(src=SRC, run=code)],
                           capture_output=True, text=True, cwd=cwd, check=True)
-    loaded, dataclasses = json.loads(proc.stdout.splitlines()[-1])
-    return set(loaded), dataclasses
+    loaded, dataclasses, inspect = json.loads(proc.stdout.splitlines()[-1])
+    return set(loaded), dataclasses, inspect
 
 
 @pytest.mark.parametrize("run,modules,dataclasses", LOADS,
@@ -112,7 +112,8 @@ def test_each_command_loads_only_its_modules(run, modules, dataclasses, tmp_path
     (tmp_path / "tiling.txt").write_text(pathcomb.family_to_tiling(f).to_text())
     if not isinstance(run, str):
         run = f"from pathcomb.cli import main\nassert main({run!r}) == 0"
-    assert probe(run, tmp_path) == (modules, dataclasses)
+    # inspect, which dataclasses loads, costs every command several ms
+    assert probe(run, tmp_path) == (modules, dataclasses, False)
 
 
 class TestPublicSurface:
