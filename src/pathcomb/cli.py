@@ -169,13 +169,14 @@ def cmd_verify(n: int, cap: int) -> int:
 
 def cmd_tile(input_path: str, direction: str, output: str | None) -> int:
     from .families import PathFamily
-    from .tilings import DominoTiling, family_to_tiling, tiling_to_family
+    from .tilings import _family, _packed, _pairs, _partners, _text
 
+    # both directions go through the packed tiling and build no DominoTiling
     text = _read(input_path)
     if direction == "to-tiling":
-        _emit(family_to_tiling(PathFamily.from_text(text)).to_text(), output)
+        _emit(_text(_pairs(*_partners(PathFamily.from_text(text)))), output)
     else:
-        _emit(tiling_to_family(DominoTiling.from_text(text)).to_text(), output)
+        _emit(_family(*_packed(text)).to_text(), output)
     return 0
 
 
@@ -194,8 +195,8 @@ def _detect_kind(text: str) -> str:
 
 def cmd_render(input_path: str, style: str, convention: int, output: str | None) -> int:
     from .families import ParseError, PathFamily
-    from .svg import render_dual, render_family, render_overlay, render_tiling
-    from .tilings import Convention, DominoTiling
+    from .svg import _overlay, render_dual, render_family, render_tiling
+    from .tilings import Convention, DominoTiling, _packed
 
     text = _read(input_path)
     kind = _detect_kind(text)
@@ -207,9 +208,10 @@ def cmd_render(input_path: str, style: str, convention: int, output: str | None)
     else:
         if kind != "tiling":
             raise ParseError(f"style {style!r} needs a tiling file")
-        t = DominoTiling.from_text(text)
-        doc = render_tiling(t) if style == "tiling" else render_overlay(
-            t, Convention(convention))
+        if style == "tiling":
+            doc = render_tiling(DominoTiling.from_text(text))
+        else:
+            doc = _overlay(*_packed(text), Convention(convention))
     _emit(doc, output)
     return 0
 

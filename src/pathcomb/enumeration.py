@@ -31,15 +31,21 @@ _MAX_ORDER = 6
 32,768, order 7 has 2,097,152, and order 13 more than any memory holds."""
 
 
-def _check_order(n: int, cap: int) -> None:
+_MAX_SCHRODER_ORDER = 5
+"""The largest order enumerate_schroder lists: every valid family is kept,
+intersecting or not, and order 6 has 1*2*6*22*90*394 = 9,363,360 of them,
+about 3 GB at the 320 bytes each that order 5 takes."""
+
+
+def _check_order(n: int, cap: int, largest: int = _MAX_ORDER) -> None:
     """Raise ValueError for a negative order n, then CapExceeded for n above
-    cap and for n above _MAX_ORDER, before any family is built."""
+    cap and for n above largest, before any family is built."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     if n > cap:
         raise CapExceeded(f"order {n} exceeds cap {cap}")
-    if n > _MAX_ORDER:
-        raise CapExceeded(f"order {n} exceeds {_MAX_ORDER}, the largest order enumerated")
+    if n > largest:
+        raise CapExceeded(f"order {n} exceeds {largest}, the largest order enumerated")
 
 
 def all_bit_triangles(n: int) -> Iterator[BitTriangle]:
@@ -117,8 +123,9 @@ def enumerate_disjoint(n: int, cap: int = 5) -> set[PathFamily]:
 
 def enumerate_schroder(n: int, cap: int = 5) -> set[PathFamily]:
     """All valid order-n families, intersecting or not (the combing domain
-    before any disjointness is imposed)."""
-    _check_order(n, cap)
+    before any disjointness is imposed).  Orders above 5 are refused
+    whatever the cap (_MAX_SCHRODER_ORDER)."""
+    _check_order(n, cap, _MAX_SCHRODER_ORDER)
     rows = [list(_schroder_rows(i)) for i in range(n)]
     # both products run through the choices of rows in the same order
     B = product(*[[brow for brow, _ in options] for options in rows])

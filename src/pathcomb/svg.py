@@ -14,7 +14,9 @@ Each batch of elements (the dominoes, or the paths of one family or one
 convention) is drawn in one pass: every distinct level and column is
 formatted once, through a memo keyed by the lattice value, and the batch
 widens the bounding box once, by its extreme values.  render_tiling and
-render_overlay check the tiling before drawing it.
+render_overlay check the tiling before drawing it.  render_overlay draws
+the packed tiling of tilings._cover through _overlay, which the render
+command also gives the packed tiling it reads straight from a file.
 """
 
 from __future__ import annotations
@@ -22,15 +24,18 @@ from __future__ import annotations
 import math
 from itertools import chain, count, starmap
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .families import PathFamily, _Memo, _path_points, require_valid
 from .tilings import (
+    Cell,
     Convention,
     DominoTiling,
     Region,
     _check_tiles,
-    convention_paths,
+    _cover,
+    _pairs,
+    _polylines,
     dual_family,
 )
 
@@ -140,14 +145,14 @@ def _draw_family(canvas: _Canvas, f: PathFamily, color: str, level_y=_y, column_
     _draw_paths(canvas, starmap(_path_points, zip(count(), f.B, f.D)), color, level_y, column_x)
 
 
-def _draw_tiling(canvas: _Canvas, t: DominoTiling) -> None:
+def _draw_tiling(canvas: _Canvas, dominoes: Collection[tuple[Cell, Cell]]) -> None:
     """One <rect> per domino, in sorted order, then one cover of them all.
 
     The dominoes are sorted adjacent pairs, each cell in one of them, as
     both renderers check first: so sorting by the first cell sorts them,
     and each rect's top-left corner is at the column of the first cell and
     above the level of the second."""
-    if not t.dominoes:
+    if not dominoes:
         return
     xs, ys = _formatted(_x), _formatted(lambda i: _y(i + 1))
     tails = {(orient == "h", parity): (
@@ -156,8 +161,8 @@ def _draw_tiling(canvas: _Canvas, t: DominoTiling) -> None:
         f'fill="{fill}" stroke="#333333" stroke-width="1"/>')
         for (orient, parity), fill in DOMINO_FILL.items()}
     canvas.parts += [f'<rect x="{xs[j]}" y="{ys[i2]}" {tails[i == i2, (i - j) % 2]}'
-                     for (i, j), (i2, _) in sorted(t.dominoes, key=itemgetter(0))]
-    levels, columns = zip(*chain.from_iterable(t.dominoes))
+                     for (i, j), (i2, _) in sorted(dominoes, key=itemgetter(0))]
+    levels, columns = zip(*chain.from_iterable(dominoes))
     canvas.cover(_x(min(columns)), _y(max(levels) + 1), _x(max(columns) + 1), _y(min(levels)))
 
 
@@ -196,19 +201,25 @@ def render_tiling(t: DominoTiling) -> str:
     """
     _check_tiles(Region(t.cells()), t)
     canvas = _Canvas()
-    _draw_tiling(canvas, t)
+    _draw_tiling(canvas, t.dominoes)
     return canvas.document()
 
 
 def render_overlay(t: DominoTiling, conv: Convention = Convention.CANONICAL) -> str:
     """Tiling with its path family under the chosen edge convention.
 
-    convention_paths runs first and checks t: it raises NotATiling unless t
-    tiles an Aztec diamond, and ValueError unless conv is one of the four
-    conventions.
+    t is checked first: _cover raises NotATiling unless t tiles an Aztec
+    diamond, and then the symmetry raises ValueError unless conv is one of
+    the four conventions.
     """
-    polylines = convention_paths(t, conv)
+    return _overlay(*_cover(t), conv)
+
+
+def _overlay(m: int, P: bytearray, conv: Convention) -> str:
+    """render_overlay of the packed tiling (m, P), which render --style
+    overlay reads straight from a tiling file."""
+    polylines = _polylines(m, P, conv)
     canvas = _Canvas()
-    _draw_tiling(canvas, t)
+    _draw_tiling(canvas, _pairs(m, P))
     _draw_paths(canvas, polylines, PATH_COLOR, _y, _x)
     return canvas.document()

@@ -21,18 +21,38 @@ picture directly and builds no Region.  A path's edge steps are the shears
 of its lattice steps, so one rule pairs every crossed black cell: for
 consecutive points p -> q of a path, the black cell shear(p) pairs with the
 white cell shear(q) - (0, 1), left of the next edge.  A black cell no path
-crosses pairs with the cell to its left.  family_to_tiling validates its
-family with require_valid and then makes these pairs in one walk over the
-points of each path (families._path_points), which also certifies
-disjointness: it makes one pair per point, so a collision shows as a
-missing pair.  It sorts each pair as DominoTiling keeps them before it
-builds the tiling's one frozenset.  tiling_to_family and convention_paths
-check the exact cover in one pass over the dominoes and follow the step
-chains from the entries (i, -i); and dual_family turns the forward pairs
-through the half-turn straight into the dual's chains.  _symmetry, the one
-table of the four symmetries, maps a whole list of cells or points in one
-pass.  DominoTiling.from_text and Region.from_text read through the one
-parser skeleton families._records.
+crosses pairs with the cell to its left.
+
+Inside, the bridge keeps an order-m tiling packed as (m, P): P is one
+bytearray indexed by the code s*(2m + 2) + u + m + 1 of each cell (s, u) of
+the box of rows 0..2m+1 and columns -m-1..m, the diamond with a one-cell
+margin, so that entries, exits and steps just outside land on empty slots
+of their own.  The slot of each black cell holds the direction of its
+white partner: 1 left, 2 right, 3 up, 4 down (_UNITS).  _partners writes P
+in one walk over the points of P_1, ..., P_{n-1} (families._path_points);
+a slot written twice is the disjointness certificate.  _fill writes P from
+the cells of the dominoes, checking each in turn, and _cover feeds it
+t.dominoes in set order.  _pairs reads the dominoes back, each pair
+sorted, for the one frozenset of a DominoTiling and for the tiling file
+(_text, which DominoTiling.to_text shares).
+
+One chain walker, _edge_paths, serves all four conventions.  In the
+tiling turned by a symmetry of _symmetry (the one table of the four
+symmetries, mapping a whole list of cells or points in one pass), each
+black cell's left edge steps to the edge right of its white partner; back
+in P that is a step from each white partner w to the black cell w + delta,
+with delta the image of (0, 1): (0, 1), (0, -1), (1, 0) and (-1, 0) for
+conventions 0-3.  The walk starts at the image of each entry (i, -i).
+tiling_to_family and dual_family read (B, D) off the partner directions
+along each chain, turned by the symmetry as one translation of bytes, and
+convention_paths maps only the visited cells through _symmetry.
+
+The tile command and render --style overlay read a tiling file straight
+into P (_packed): families._integers lists its integers and _fill checks
+each domino in line order.  A file that fails there is read again through
+DominoTiling.from_text and _cover, so every error names the same line or
+cell as the library path.  DominoTiling.from_text and Region.from_text
+read through the one parser skeleton families._records.
 
 The module imports from families alone, NotDisjoint included, so loading it
 loads neither the combing kernel nor the enumeration oracles.
@@ -42,14 +62,16 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import IntEnum
-from itertools import islice, repeat, starmap
+from itertools import chain, islice, repeat, starmap
+from math import isqrt
 from operator import gt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .families import (
     InvalidFamily,
     NotDisjoint,
     PathFamily,
+    _integers,
     _path_points,
     _Record,
     _records,
@@ -146,8 +168,7 @@ class DominoTiling(_Record):
         return frozenset(c for pair in self.dominoes for c in pair)
 
     def to_text(self) -> str:
-        lines = sorted(f"{a} {b} {c} {d}" for (a, b), (c, d) in self.dominoes)
-        return "".join(line + "\n" for line in lines)
+        return _text(self.dominoes)
 
     @classmethod
     def from_text(cls, text: str) -> "DominoTiling":
@@ -260,12 +281,7 @@ def paths_to_tiling(s: Region, p: EdgePathFamily) -> DominoTiling:
         raise InvalidFamily("every entry must lie on a path")
     if {path[-1] for path in p.paths} != edges.exits:
         raise InvalidFamily("every exit must lie on a path")
-    blacks, whites = [], set()
-    for c in s.cells:
-        if (c[0] - c[1]) % 2 == 0:
-            blacks.append(c)
-        else:
-            whites.add(c)
+    blacks, whites = [c for c in s.cells if is_black(c)], s.white_cells()
     used: set[Cell] = set()
     pairs = []
     for black in blacks:
@@ -292,132 +308,222 @@ def aztec_region(order: int) -> Region:
     return Region(frozenset(cells))
 
 
-def _partners(f: PathFamily) -> dict[Cell, Cell]:
-    """The white partner of every black cell of the order n-1 diamond under
-    a disjoint order-n family.
+# the partner directions 1-4 (left, right, up, down) as steps (level, column)
+# from a black cell to its white partner; slot 0, the origin, marks no partner
+_UNITS = ((0, 0), (0, -1), (0, 1), (1, 0), (-1, 0))
+# after the symmetry of the convention: a partner right is a diagonal step
+# (B = 1), up a horizontal step (B = 0), down a vertical step
+_BITS = bytes.maketrans(b"\2\3", b"\1\0")
+
+
+def _cell(code: int, m: int) -> Cell:
+    """The cell (s, u) of code s*(2m + 2) + u + m + 1 in the order-m box."""
+    s, r = divmod(code, 2 * m + 2)
+    return s, r - m - 1
+
+
+def _black_rows(m: int) -> Iterator[tuple[int, range]]:
+    """Each row s = 1..2m of the order-m diamond with the columns of its black cells."""
+    for s in range(1, 2 * m + 1):
+        half = min(s, 2 * m + 1 - s)
+        yield s, range(-half + (s > m), half, 2)
+
+
+def _partners(f: PathFamily) -> tuple[int, bytearray]:
+    """The packed tiling (m, P) of the order m = n-1 diamond carried by a
+    disjoint order-n family.
 
     Raises ValueError for n < 1, InvalidFamily unless f is valid and
     NotDisjoint unless it is disjoint.  The shear (level, column) ->
     (level + column, column - level) maps each point p of P_1, ..., P_{n-1}
     but its last onto a black cell, which pairs with the cell left of the
-    shear of the next point q: shear(q) - (0, 1).  A black cell no path
-    crosses pairs with the cell to its left.
+    shear of the next point q: a horizontal, diagonal or vertical step puts
+    it up, right or down.  A black cell no path crosses pairs with the cell
+    to its left.
 
     The same walk certifies disjointness.  The shear is injective, so the
-    walked points are distinct exactly when they make as many pairs as
-    there are points.  The points it skips cannot collide: a valid path i
-    keeps level + column >= i and ends in column i, so only P_i reaches its
-    last point (0, i), and only P_0 the point (0, 0).  Past that certificate
-    the theorem makes the pairs below the dominoes of a tiling, so nothing
-    more is checked.
+    walked points are distinct exactly when no slot of P is written twice,
+    that is when as many slots are filled as there are points.  The points
+    it skips cannot collide: a valid path i keeps level + column >= i and
+    ends in column i, so only P_i reaches its last point (0, i), and only
+    P_0 the point (0, 0).  Past that certificate the theorem makes P a
+    tiling, so nothing more is checked.
     """
     if f.n < 1:
         raise ValueError("need at least one path")
     require_valid(f)
-    partner: dict[Cell, Cell] = {}
+    m = f.n - 1
+    W, base = 2 * m + 2, m + 1
+    P = bytearray(W * W)
+    # (lev, col) shears onto the code lev*(W - 1) + col*(W + 1) + base, which
+    # a horizontal, diagonal or vertical step moves by W + 1, 2 or 1 - W
+    direction = {W + 1: 3, 2: 2, 1 - W: 4}
     points = 0
     for i in range(1, f.n):
-        path = _path_points(i, f.B[i], f.D[i])
-        for (lev, col), (lev2, col2) in zip(path, path[1:]):
-            partner[lev + col, col - lev] = (lev2 + col2, col2 - lev2 - 1)
-        points += len(path) - 1
-    if len(partner) != points:
+        codes = [lev * (W - 1) + col * (W + 1) + base
+                 for lev, col in _path_points(i, f.B[i], f.D[i])]
+        for c, c2 in zip(codes, codes[1:]):
+            P[c] = direction[c2 - c]
+        points += len(codes) - 1
+    if len(P) - P.count(0) != points:
         raise NotDisjoint("only disjoint families correspond to tilings")
-    m = f.n - 1
-    for s in range(1, 2 * m + 1):
-        half = min(s, 2 * m + 1 - s)
-        for u in range(-half + (s > m), half, 2):
-            if (s, u) not in partner:
-                partner[s, u] = (s, u - 1)
-    return partner
+    for s, us in _black_rows(m):
+        row = slice(s * W + us.start + base, s * W + us.stop + base, 2)
+        P[row] = P[row].replace(b"\0", b"\1")
+    return m, P
 
 
-def _aztec_order_of(t: DominoTiling) -> int:
-    """The order m with 2m(m+1) == 2 * len(t.dominoes); whether the dominoes
-    cover exactly that diamond is left to _cover."""
-    count = 2 * len(t.dominoes)
-    order = 0
-    while 2 * order * (order + 1) < count:
-        order += 1
-    if 2 * order * (order + 1) != count:
-        raise NotATiling(f"{count} cells is not an Aztec diamond cell count")
-    return order
+def _fill(values: list[int]) -> tuple[int, bytearray]:
+    """The packed tiling (m, P) of the dominoes whose cells values lists,
+    the integers a b c d of each domino in turn.
 
-
-def _cover(t: DominoTiling) -> tuple[int, dict[Cell, Cell]]:
-    """The order m of the Aztec diamond t tiles, and the white partner of
-    each of its black cells.
-
-    Raises NotATiling, naming the cell at fault, unless the domino count is
-    m(m+1) and each domino is a pair of adjacent cells inside the order-m
-    diamond, each cell covered once.  Those m(m+1) dominoes then cover all
-    2m(m+1) cells of the diamond.  Cell (i, j) lies inside when
+    Raises NotATiling unless there are m(m+1) dominoes, then at the first
+    domino that is not a pair of adjacent cells inside the order-m diamond,
+    or that covers a cell again, naming the cell at fault.  The m(m+1)
+    dominoes then cover all 2m(m+1) cells.  Cell (i, j) lies inside when
     |2i - 2m - 1| + |2j + 1| < 2m + 1: rows 1..2m, row i spanning columns
     -h..h-1 with h = min(i, 2m + 1 - i).
     """
-    m = _aztec_order_of(t)
-    top = 2 * m + 1
-    partner: dict[Cell, Cell] = {}
-    whites: set[Cell] = set()
-    for p, q in t.dominoes:
-        (a, b), (c, d) = p, q
+    count = len(values) // 4
+    m = isqrt(count)
+    if m * (m + 1) != count:
+        raise NotATiling(f"{2 * count} cells is not an Aztec diamond cell count")
+    W, base, top = 2 * m + 2, m + 1, 2 * m + 1
+    direction = {-1: 1, 1: 2, W: 3, -W: 4}
+    P = bytearray(W * W)
+    it = iter(values)
+    for a, b, c, d in zip(it, it, it, it):
         if abs(a - c) + abs(b - d) != 1:
-            raise NotATiling(f"cells {p} and {q} are not adjacent")
-        if abs(2 * a - top) + abs(2 * b + 1) >= top:
-            raise NotATiling(f"cell {p} lies outside the order-{m} diamond")
-        if abs(2 * c - top) + abs(2 * d + 1) >= top:
-            raise NotATiling(f"cell {q} lies outside the order-{m} diamond")
+            raise NotATiling(f"cells {(a, b)} and {(c, d)} are not adjacent")
+        # the inside test above, on the diagonals i + j and i - j
+        if not (0 <= a + b < top and 0 < a - b <= top):
+            raise NotATiling(f"cell {(a, b)} lies outside the order-{m} diamond")
+        if not (0 <= c + d < top and 0 < c - d <= top):
+            raise NotATiling(f"cell {(c, d)} lies outside the order-{m} diamond")
+        black, white = a * W + b + base, c * W + d + base
         if (a - b) % 2:
-            p, q = q, p
-        if p in partner:
-            raise NotATiling(f"cell {p} covered twice")
-        if q in whites:
-            raise NotATiling(f"cell {q} covered twice")
-        partner[p] = q
-        whites.add(q)
-    return m, partner
+            black, white = white, black
+        if P[black] or P[white]:
+            raise NotATiling(f"cell {_cell(black if P[black] else white, m)} covered twice")
+        P[black] = direction[white - black]
+        P[white] = 5  # a mark, read only by the check above
+    return m, P
 
 
-def _edge_paths(m: int, partner: dict[Cell, Cell]) -> list[list[Cell]]:
-    """The edge paths of an order-m diamond tiling, in the order of their
-    entries (i, -i): each black cell's left edge steps to the edge right of
-    its white partner, up to the exit (i, i) outside the diamond.
+def _cover(t: DominoTiling) -> tuple[int, bytearray]:
+    """The packed tiling (m, P) of the Aztec diamond that t tiles, checked
+    by _fill in the iteration order of t.dominoes."""
+    return _fill(list(chain.from_iterable(chain.from_iterable(t.dominoes))))
 
-    partner must pair the cells of an exact cover, as _cover and _partners
-    guarantee.  Then no chain meets a black cell paired with the cell to its
-    left, since that cell is the previous step's white partner; so every step
-    moves one column right and each chain ends at its exit.
+
+def _packed(text: str) -> tuple[int, bytearray]:
+    """The packed tiling (m, P) of a tiling file.
+
+    A well-formed text goes from its integers (families._integers) to P
+    through the checks of _fill, in line order, and builds no DominoTiling.
+    Any other text is read again by DominoTiling.from_text and _cover, so
+    it raises what they raise, naming the same line or cell.
     """
+    values = _integers(text, 4)
+    if values is not None:
+        try:
+            return _fill(values)
+        except NotATiling:
+            pass
+    return _cover(DominoTiling.from_text(text))
+
+
+def _pairs(m: int, P: bytearray) -> list[tuple[Cell, Cell]]:
+    """The dominoes of the packed tiling (m, P), each pair sorted: a right
+    or up partner puts the black cell first."""
+    W, base = 2 * m + 2, m + 1
+    pairs = []
+    for s, us in _black_rows(m):
+        # the cells share the int objects s and u, which at large orders
+        # are not the interpreter's cached small ints
+        for u, d in zip(us, P[s * W + us.start + base:s * W + us.stop + base:2]):
+            if d == 2:
+                pairs.append(((s, u), (s, u + 1)))
+            elif d == 3:
+                pairs.append(((s, u), (s + 1, u)))
+            elif d == 1:
+                pairs.append(((s, u - 1), (s, u)))
+            else:
+                pairs.append(((s - 1, u), (s, u)))
+    return pairs
+
+
+def _text(pairs: Iterable[tuple[Cell, Cell]]) -> str:
+    """The tiling file of sorted pairs: one line a b c d per domino, the
+    lines sorted as strings.  They are sorted with their line breaks, which
+    sort below every character of a line and so keep that order."""
+    return "".join(sorted(f"{a} {b} {c} {d}\n" for (a, b), (c, d) in pairs))
+
+
+def _edge_paths(m: int, P: bytearray, conv: Convention) -> list[list[int]]:
+    """The codes of the cells that the edge paths of the tiling (m, P) turned
+    by conv cross, in the order of their entries (i, -i), each up to its
+    exit (i, i) outside the diamond.  The cells are those of (m, P), not of
+    the turned tiling, whose cells are their images under _symmetry.
+
+    In the turned tiling each black cell's left edge steps to the edge right
+    of its white partner.  The symmetry is an involution, so the walk starts
+    at the image of each entry and steps from each white partner w to the
+    black cell w + delta, delta the image of the step (0, 1).
+
+    P must pair the cells of an exact cover, as _fill and _partners
+    guarantee.  Then no chain meets a black cell paired with the cell
+    before it, since that cell is the previous step's white partner; so
+    every chain ends at its exit, whose slot in the margin is empty.
+    """
+    W, base = 2 * m + 2, m + 1
+    cell = _symmetry(conv, m, cells=True)
+    (s0, u0), (s1, u1) = cell([(0, 0), (0, 1)])
+    delta = (s1 - s0) * W + u1 - u0
+    # per direction: from the black cell to its partner, then delta
+    jump = (0, delta - 1, delta + 1, delta + W, delta - W)
     paths = []
-    for i in range(1, m + 1):
-        edge = (i, -i)
-        path = [edge]
-        while edge in partner:
-            s, u = partner[edge]
-            edge = (s, u + 1)
-            path.append(edge)
+    for s, u in cell([(i, -i) for i in range(1, m + 1)]):
+        c = s * W + u + base
+        path = [c]
+        while d := P[c]:
+            c += jump[d]
+            path.append(c)
         paths.append(path)
     return paths
 
 
-def _family(m: int, partner: dict[Cell, Cell]) -> PathFamily:
-    """The order m+1 family whose P_1, ..., P_m shear onto the edge paths:
-    an edge step one row up is a horizontal step, one along the row a
-    diagonal step and one row down a vertical step."""
+def _family(m: int, P: bytearray, conv: Convention = 0) -> PathFamily:
+    """The order m+1 family whose P_1, ..., P_m shear onto the edge paths of
+    the tiling (m, P) turned by conv: an edge step one row up is a
+    horizontal step, one along the row a diagonal step and one row down a
+    vertical step.  Each path is read off the partner directions along its
+    chain, turned by the symmetry as one translation of bytes."""
+    cell = _symmetry(conv, m, cells=True)
+    (s0, u0), *ends = cell(_UNITS)
+    turn = bytes.maketrans(b"\1\2\3\4",
+                           bytes(_UNITS.index((s - s0, u - u0)) for s, u in ends))
     B: list[tuple[int, ...]] = [()]
     D: list[tuple[int, ...]] = [(0,)]
-    for i, path in enumerate(_edge_paths(m, partner), 1):
-        brow, drow, col = [0] * i, [0] * (i + 1), 0
-        for (s, _), (s2, _) in zip(path, path[1:]):
-            if s2 < s:
-                drow[col] += 1
-            else:
-                if s2 == s:
-                    brow[col] = 1
-                col += 1
-        B.append(tuple(brow))
-        D.append(tuple(drow))
+    for path in _edge_paths(m, P, conv):
+        steps = bytes(map(P.__getitem__, path[:-1])).translate(turn)
+        B.append(tuple(steps.translate(_BITS, b"\4")))
+        # the vertical steps between column steps, column by column
+        D.append(tuple(map(len, steps.replace(b"\2", b"\3").split(b"\3"))))
     return PathFamily(tuple(B), tuple(D))
+
+
+def _polylines(m: int, P: bytearray, conv: Convention) -> list[list[tuple[float, float]]]:
+    """convention_paths of the packed tiling (m, P): the crossed cells of
+    each chain (_edge_paths) are mapped to the turned tiling and their left
+    edges drawn back through the symmetry, all points in one pass."""
+    cell = _symmetry(conv, m, cells=True)
+    point = _symmetry(conv, m, cells=False)
+    paths = _edge_paths(m, P, conv)
+    edges = cell(map(_cell, chain.from_iterable(paths), repeat(m)))
+    # the virtual edge (0, 0) carries the empty path
+    points = iter(point([(0.5, 0.0)] + [(s + 0.5, float(u)) for s, u in edges]))
+    return [list(islice(points, k)) for k in [1, *map(len, paths)]]
 
 
 def family_to_tiling(f: PathFamily) -> DominoTiling:
@@ -425,22 +531,24 @@ def family_to_tiling(f: PathFamily) -> DominoTiling:
     order-n family.
 
     Built straight from (B, D): after require_valid, one walk over the
-    paths P_1, ..., P_{n-1} pairs every black cell with its white partner
-    and certifies that the paths are disjoint (_partners).  Each pair is
-    sorted before the one frozenset is built, which DominoTiling then only
-    checks.  P_0 sits on the virtual edge (0, 0) outside the diamond and is
-    dropped.  Raises ValueError for n < 1, InvalidFamily and NotDisjoint.
+    paths P_1, ..., P_{n-1} packs every black cell's partner and certifies
+    that the paths are disjoint (_partners).  The pairs come out of the
+    packed tiling sorted (_pairs), so DominoTiling only checks them and the
+    one frozenset is built once.  P_0 sits on the virtual edge (0, 0)
+    outside the diamond and is dropped.  Raises ValueError for n < 1,
+    InvalidFamily and NotDisjoint.
     """
-    return DominoTiling(frozenset(_sorted_pairs(_partners(f).items())))
+    return DominoTiling(frozenset(_pairs(*_partners(f))))
 
 
 def tiling_to_family(t: DominoTiling) -> PathFamily:
     """The disjoint order m+1 family of a tiling of the order-m Aztec
     diamond; inverse of family_to_tiling.
 
-    One pass over the dominoes checks the exact cover (_cover raises
-    NotATiling, naming the cell at fault); the step chains from the entries
-    (i, -i) are then written as the B and D rows of P_1, ..., P_m.
+    One pass over the dominoes packs them and checks the exact cover
+    (_cover raises NotATiling, naming the cell at fault); the step chains
+    from the entries (i, -i) are then written as the B and D rows of
+    P_1, ..., P_m.
     """
     return _family(*_cover(t))
 
@@ -495,9 +603,7 @@ def dual_family(f: PathFamily) -> PathFamily:
     if f.n == 0:
         require_valid(f)
         return f
-    rot = _symmetry(Convention.HALF_TURN, f.n - 1, cells=True)
-    partner = _partners(f)
-    return _family(f.n - 1, dict(zip(rot(partner), rot(partner.values()))))
+    return _family(*_partners(f), Convention.HALF_TURN)
 
 
 def convention_paths(t: DominoTiling, conv: Convention) -> list[list[tuple[float, float]]]:
@@ -512,10 +618,4 @@ def convention_paths(t: DominoTiling, conv: Convention) -> list[list[tuple[float
     tiling always yields m+1 polylines.  Raises NotATiling, and ValueError
     unless conv is one of the four conventions.
     """
-    m, partner = _cover(t)
-    cell = _symmetry(conv, m, cells=True)
-    point = _symmetry(conv, m, cells=False)
-    # the virtual edge (0, 0) carries the empty path
-    paths = [[(0, 0)]] + _edge_paths(m, dict(zip(cell(partner), cell(partner.values()))))
-    points = iter(point((s + 0.5, float(u)) for path in paths for s, u in path))
-    return [list(islice(points, len(path))) for path in paths]
+    return _polylines(*_cover(t), conv)

@@ -2,8 +2,9 @@
 library code calls.
 
 They stay as simple as their definitions: in_pathfam_nk decides a stage of
-combing by walking explicit paths point by point, and enumerate_tilings
-lists every domino tiling of a region by backtracking.  Keeping them here,
+combing by walking explicit paths point by point, enumerate_tilings lists
+every domino tiling of a region by backtracking, and height_sum adds up the
+Thurston height function of a tiling vertex by vertex.  Keeping them here,
 outside the package, means the fast code they check cannot come to share
 a helper with them.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from pathcomb.enumeration import CapExceeded
 from pathcomb.families import PathFamily, explicit_paths
-from pathcomb.tilings import Cell, DominoTiling, Region
+from pathcomb.tilings import Cell, DominoTiling, Region, is_black
 
 
 def in_pathfam_nk(f: PathFamily, k: int) -> bool:
@@ -70,3 +71,43 @@ def enumerate_tilings(s: Region, cap: int = 40) -> set[DominoTiling]:
 
     rec(0)
     return out
+
+
+def height_sum(t: DominoTiling) -> int:
+    """The sum over the corners of the cells of t of Thurston's height
+    function (Thurston, "Conway's tiling groups", 1990), which is 0 at the
+    lower-left corner of the lowest, leftmost cell.
+
+    Vertex (i, j) is the lower-left corner of cell (i, j).  Walking along a
+    unit edge, the height moves +1 when the cell on the left is black and -1
+    when it is white, if the edge bounds a domino; along the inner edge of
+    a domino it moves -3 and +3 instead, so that the walk around any cell
+    closes.  A flip turns two dominoes of a 2x2 block and moves the height
+    of its centre by 4 alone, so on the tilings of one region the flip rank
+    is the difference of height sums over 4.  Raises AssertionError when
+    two walks give one vertex different heights, which a tiling rules out.
+    """
+    partner: dict[Cell, Cell] = {}
+    for p, q in t.dominoes:
+        partner[p], partner[q] = q, p
+    if not partner:
+        return 0
+    start = min(partner)
+    height = {start: 0}
+    todo = [start]
+    while todo:
+        i, j = v = todo.pop()
+        # each step: the vertex it reaches, the cell on its left, the cell on its right
+        for w, left, right in (((i, j + 1), (i, j), (i - 1, j)),
+                               ((i, j - 1), (i - 1, j - 1), (i, j - 1)),
+                               ((i + 1, j), (i, j - 1), (i, j)),
+                               ((i - 1, j), (i - 1, j), (i - 1, j - 1))):
+            if left not in partner and right not in partner:
+                continue
+            step = 1 if is_black(left) else -1
+            h = height[v] + (-3 * step if partner.get(left) == right else step)
+            if w not in height:
+                height[w] = h
+                todo.append(w)
+            assert height[w] == h, f"vertex {w} has heights {height[w]} and {h}"
+    return sum(height.values())

@@ -419,6 +419,165 @@ class TestRender:
         assert r.returncode == 2
 
 
+def library_line(call) -> str | None:
+    """The error line main prints for what call raises, or None when it
+    returns."""
+    try:
+        call()
+    except ValueError as exc:
+        return f"error: {type(exc).__name__}: {exc}\n"
+    return None
+
+
+def run_main(argv) -> tuple[int, str]:
+    """main's exit code and standard error; standard output is dropped."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = pathcomb.cli.main(argv)
+    return code, err.getvalue()
+
+
+def seeded_tiling_text() -> str:
+    """A seeded tiling of the order-20 diamond, as a tiling file."""
+    return pc.family_to_tiling(pc.comb(pc.random_triangle(21, 19))).to_text()
+
+
+def faulty_copies(text: str) -> dict[str, tuple[str, str]]:
+    """One copy of a tiling file per fault, each with a part of the error
+    line the library path gives for it."""
+    lines = text.splitlines()
+    cells = pc.DominoTiling.from_text(text).cells()
+
+    def neighbours(line):
+        a, b, c, d = map(int, line.split())
+        return [nb for nb in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)) if nb != (c, d)]
+
+    # a line past the first, which tells render the kind of file, whose
+    # first cell lies on the boundary: it has neighbours inside and outside
+    k = next(k for k in range(1, len(lines)) if not cells.issuperset(neighbours(lines[k])))
+    a, b, c, d = map(int, lines[k].split())
+    inside = next(nb for nb in neighbours(lines[k]) if nb in cells)
+    outside = next(nb for nb in neighbours(lines[k]) if nb not in cells)
+
+    def with_line(line):
+        return "\n".join(lines[:k] + [line] + lines[k + 1:]) + "\n"
+
+    return {
+        "non-adjacent": (with_line(f"{a} {b} {c + 2} {d + 2}"), "are not adjacent"),
+        # the partner of (a, b) left uncovered, a cell outside covered instead
+        "outside": (with_line(f"{a} {b} {outside[0]} {outside[1]}"),
+                    f"cell {outside} lies outside the order-20 diamond"),
+        "covered twice": (with_line(f"{a} {b} {inside[0]} {inside[1]}"), "covered twice"),
+        "repeated line": (text + lines[k] + "\n", f"domino repeats line {k + 1}"),
+        "reversed repeat": (text + f"{c} {d} {a} {b}\n", f"domino repeats line {k + 1}"),
+        "non-Aztec count": ("\n".join(lines[:k] + lines[k + 1:]) + "\n",
+                            "838 cells is not an Aztec diamond cell count"),
+        "three fields": (with_line(f"{a} {b} {c}"), "tiling line must hold four integers"),
+        "plus sign": (with_line(f"+{a} {b} {c} {d}"), "non-integer cell coordinate"),
+    }
+
+
+class TestPackedTilingReader:
+    """tile and render --style overlay read a tiling file straight into the
+    packed tiling; a file that fails there is read again by the library
+    path, so the exit code and error line are the library's."""
+
+    def check_parity(self, text: str, path: str, conventions=range(4)) -> list[str | None]:
+        """Run tile --direction to-family and render --style overlay on the
+        file at path, whose text is text, against the library path; return
+        the library's error lines."""
+        out = path + ".out"
+        wants = []
+        runs = [(["tile", "--input", path, "--direction", "to-family", "--output", out],
+                 lambda: pc.tiling_to_family(pc.DominoTiling.from_text(text)).to_text())]
+        runs += [(["render", "--input", path, "--style", "overlay", "--convention", str(conv),
+                   "--output", out],
+                  lambda conv=conv: render_overlay(pc.DominoTiling.from_text(text),
+                                                   pc.Convention(conv)))
+                 for conv in conventions]
+        for argv, library in runs:
+            want = library_line(library)
+            if want is None:
+                assert run_main(argv) == (0, "")
+                with open(out) as fh:
+                    assert fh.read() == library()
+            else:
+                assert run_main(argv) == (1, want)
+            wants.append(want)
+        return wants
+
+    @pytest.mark.parametrize("fault", list(faulty_copies(seeded_tiling_text())))
+    def test_each_fault_gives_the_library_error(self, fault, tmp_path):
+        text, part = faulty_copies(seeded_tiling_text())[fault]
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        wants = self.check_parity(text, str(path))
+        assert len(wants) == 5 and all(want is not None and part in want for want in wants)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(format_texts("tiling"), st.integers(0, 3))
+    def test_any_text_gives_the_library_outcome(self, text, conv):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.txt")
+            with open(path, "w") as fh:
+                fh.write(text)
+            with open(path) as fh:
+                text = fh.read()  # as the commands read it, line ends translated
+            try:
+                kind = pathcomb.cli._detect_kind(text)
+            except pc.ParseError:
+                kind = None
+            # render checks the kind of file before it reads a tiling
+            self.check_parity(text, path, [conv] if kind == "tiling" else [])
+
+    def test_well_formed_files_build_no_domino_tiling(self, tmp_path, monkeypatch):
+        text = seeded_tiling_text()
+        family = tmp_path / "f.txt"
+        family.write_text(pc.tiling_to_family(pc.DominoTiling.from_text(text)).to_text())
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+
+        def refuse(*args):
+            raise AssertionError("a DominoTiling was built")
+
+        monkeypatch.setattr(pc.DominoTiling, "from_text", classmethod(refuse))
+        monkeypatch.setattr(pc.DominoTiling, "__init__", refuse)
+        out = str(tmp_path / "out")
+        assert run_main(["tile", "--input", str(family), "--direction", "to-tiling",
+                         "--output", out]) == (0, "")
+        assert run_main(["tile", "--input", str(path), "--direction", "to-family",
+                         "--output", out]) == (0, "")
+        for conv in range(4):
+            assert run_main(["render", "--input", str(path), "--style", "overlay",
+                             "--convention", str(conv), "--output", out]) == (0, "")
+        # a faulty file still reaches the library path
+        path.write_text(text + text.splitlines()[0] + "\n")
+        for argv in (["tile", "--input", str(path), "--direction", "to-family"],
+                     ["render", "--input", str(path), "--style", "overlay"]):
+            with pytest.raises(AssertionError, match="a DominoTiling was built"):
+                run_main(argv)
+
+    def test_order_200_matches_the_library_byte_for_byte(self, tmp_path):
+        f = pc.comb(pc.random_triangle(200, 21))
+        t = pc.family_to_tiling(f)
+        family, tiling, back = (str(tmp_path / name) for name in ("f.txt", "t.txt", "b.txt"))
+        with open(family, "w") as fh:
+            fh.write(f.to_text())
+        assert run_main(["tile", "--input", family, "--direction", "to-tiling",
+                         "--output", tiling]) == (0, "")
+        with open(tiling) as fh:
+            assert fh.read() == t.to_text()
+        assert run_main(["tile", "--input", tiling, "--direction", "to-family",
+                         "--output", back]) == (0, "")
+        with open(back) as fh:
+            assert fh.read() == f.to_text()
+        for conv in pc.Convention:
+            assert run_main(["render", "--input", tiling, "--style", "overlay",
+                             "--convention", str(int(conv)), "--output", back]) == (0, "")
+            with open(back) as fh:
+                assert fh.read() == render_overlay(t, conv)
+
+
 @st.composite
 def cli_runs(draw):
     """An argv for main, with DIR standing for a temporary directory, and the

@@ -31,16 +31,18 @@ def test_negative_order_is_rejected(call):
     assert type(raised.value) is ValueError
 
 
-@pytest.mark.parametrize("call,n", [
-    (lambda: pc.enumerate_disjoint(13, cap=13), 13),
-    (lambda: pc.enumerate_schroder(7, cap=7), 7),
-    (lambda: pc.verify_bijection(7, cap=7), 7),
+@pytest.mark.parametrize("call,n,largest", [
+    (lambda: pc.enumerate_disjoint(13, cap=13), 13, 6),
+    (lambda: pc.enumerate_schroder(6, cap=6), 6, 5),
+    (lambda: pc.verify_bijection(7, cap=7), 7, 6),
 ], ids=["enumerate_disjoint", "enumerate_schroder", "verify_bijection"])
-def test_orders_above_six_are_refused_whatever_the_cap(call, n, no_enumeration):
-    # enumerate_disjoint(13, cap=13) ran until it raised MemoryError
+def test_orders_above_six_are_refused_whatever_the_cap(call, n, largest, no_enumeration):
+    # enumerate_disjoint(13, cap=13) ran until it raised MemoryError, and
+    # enumerate_schroder(6, cap=6) would keep 9,363,360 families; the
+    # no_enumeration fixture fails at once if either starts listing rows
     with pytest.raises(pc.CapExceeded) as exc:
         call()
-    assert str(exc.value) == f"order {n} exceeds 6, the largest order enumerated"
+    assert str(exc.value) == f"order {n} exceeds {largest}, the largest order enumerated"
 
 
 class TestSchroderRows:

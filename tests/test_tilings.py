@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
+from collections import Counter
 from functools import partial
 from typing import Iterator
 
@@ -388,32 +390,84 @@ def flip_rank(t: pc.BitTriangle) -> int:
                for j, b in enumerate(row) if b == 0)
 
 
+def bottom_tiling(n: int) -> pc.DominoTiling:
+    """The tiling of the all-ones triangle of order n, of flip rank 0."""
+    return pc.family_to_tiling(pc.comb(pc.BitTriangle(tuple((1,) * i for i in range(n)))))
+
+
+@functools.cache
+def flip_distances(n: int) -> dict[frozenset, int]:
+    """The dominoes of every tiling that 2x2 flips reach from the bottom
+    tiling of order n, with the number of flips, breadth first."""
+    bottom = bottom_tiling(n).dominoes
+    distance, frontier = {bottom: 0}, [bottom]
+    while frontier:
+        ahead = []
+        for tiling in frontier:
+            for other in flips(tiling):
+                if other not in distance:
+                    distance[other] = distance[tiling] + 1
+                    ahead.append(other)
+        frontier = ahead
+    return distance
+
+
+def height_rank(t: pc.DominoTiling, n: int) -> int:
+    """The flip rank of t over the bottom tiling of order n, read off the
+    Thurston height function: (sum of h_t - sum of h_bottom) / 4."""
+    rise = oracles.height_sum(t) - oracles.height_sum(bottom_tiling(n))
+    assert rise % 4 == 0
+    return rise // 4
+
+
 class TestFlipRank:
     """Combing carries the flip rank of the Elkies-Kuperberg-Larsen-Propp
     weight pointwise: family_to_tiling(comb(t)) lies sum(2(i-1-j)+1) over
     the zero bits t.bits[i][j] flips above the tiling of the all-ones
-    triangle, measured here by a breadth-first search over 2x2 flips."""
+    triangle, measured here by a breadth-first search over 2x2 flips and,
+    at any order, by the Thurston height function.  Both read only the
+    dominoes, so a bridge or a comb that is wrong but still invertible,
+    which the round trips pass, fails them."""
 
     def test_every_triangle_up_to_order_5(self, triangles_by_n):
         reached = []
         for n in range(1, 6):
-            ones = pc.BitTriangle(tuple((1,) * i for i in range(n)))
-            bottom = pc.family_to_tiling(pc.comb(ones)).dominoes
-            distance, frontier = {bottom: 0}, [bottom]
-            while frontier:
-                ahead = []
-                for tiling in frontier:
-                    for other in flips(tiling):
-                        if other not in distance:
-                            distance[other] = distance[tiling] + 1
-                            ahead.append(other)
-                frontier = ahead
+            distance = flip_distances(n)
             reached.append(len(distance))
             ranks = {pc.family_to_tiling(pc.comb(t)).dominoes: flip_rank(t)
                      for t in triangles_by_n[n]}
             assert ranks == distance
         assert reached == [1, 2, 8, 64, 1024]
         assert max(ranks.values()) == 30
+
+    def test_height_function_matches_flip_distance(self):
+        # the oracle of the large orders against the breadth-first search
+        for n in range(1, 6):
+            for dominoes, distance in flip_distances(n).items():
+                assert height_rank(pc.DominoTiling(dominoes), n) == distance
+
+    @pytest.mark.parametrize("n,seed", [(50, 16), (200, 17)])
+    def test_seeded_large_orders(self, n, seed):
+        t = pc.random_triangle(n, seed)
+        assert height_rank(pc.family_to_tiling(pc.comb(t)), n) == flip_rank(t)
+
+    def test_weight_enumerator_is_the_eklp_product(self, disjoint_by_n):
+        # independently of comb: summed over every disjoint family, the
+        # weight x^(v/2) q^r of its tiling is prod_{k<m} (1 + x q^(2k+1))^(m-k)
+        for n in range(1, 6):
+            m = n - 1
+            product = Counter({(0, 0): 1})
+            for k in range(m):
+                for _ in range(m - k):
+                    nxt = Counter(product)
+                    for (a, b), c in product.items():
+                        nxt[a + 1, b + 2 * k + 1] += c
+                    product = nxt
+            weights = Counter()
+            for f in disjoint_by_n[n]:
+                tiling = pc.family_to_tiling(f)
+                weights[vertical_dominoes(tiling) // 2, height_rank(tiling, n)] += 1
+            assert weights == product
 
 
 class TestBridgeAgainstOracles:
