@@ -91,14 +91,16 @@ class _Record:
 
     def __init_subclass__(cls) -> None:
         # attrgetter reads the fields in C, but given one name it returns
-        # the value itself, not a 1-tuple
+        # the value itself, not a 1-tuple: == compares that value directly,
+        # and hash, repr and pickle read the 1-tuple
         get = attrgetter(*cls.__slots__)
+        cls._key = staticmethod(get)
         cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            values = self._values
-            return values(self) == values(other)
+            key = self._key
+            return key(self) == key(other)
         return NotImplemented
 
     def __hash__(self) -> int:

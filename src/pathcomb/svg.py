@@ -5,7 +5,7 @@ y down), shifted by a margin.  Family paths are <path> elements, dominoes
 are <rect> elements, grid lines are <line> elements.
 
 Family paths are read straight off (B, D) with the point walk of
-families._path_points, which is_disjoint and the Aztec bridge share.  Each
+families._path_points, which is_disjoint shares.  Each
 renderer certifies its family once: render_family with require_valid,
 render_dual through dual_family, whose one walk validates f and certifies
 it disjoint, and whose result is valid by construction.
@@ -17,6 +17,9 @@ widens the bounding box once, by its extreme values.  render_tiling and
 render_overlay check the tiling before drawing it.  render_overlay draws
 the packed tiling of tilings._cover through _overlay, which the render
 command also gives the packed tiling it reads straight from a file.
+One rect formatter (_rects) serves both: render_tiling feeds it sorted
+pairs, the overlay each rect placed by its first cell's code in P
+(_draw_packed), with no pairs and no sort.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from .tilings import (
     Convention,
     DominoTiling,
     Region,
+    _black_rows,
     _check_tiles,
     _cover,
-    _pairs,
     _polylines,
     dual_family,
 )
@@ -145,25 +148,61 @@ def _draw_family(canvas: _Canvas, f: PathFamily, color: str, level_y=_y, column_
     _draw_paths(canvas, starmap(_path_points, zip(count(), f.B, f.D)), color, level_y, column_x)
 
 
-def _draw_tiling(canvas: _Canvas, dominoes: Collection[tuple[Cell, Cell]]) -> None:
-    """One <rect> per domino, in sorted order, then one cover of them all.
-
-    The dominoes are sorted adjacent pairs, each cell in one of them, as
-    both renderers check first: so sorting by the first cell sorts them,
-    and each rect's top-left corner is at the column of the first cell and
-    above the level of the second."""
-    if not dominoes:
-        return
+def _rects() -> Callable[[int, int, int], str]:
+    """The rect formatter of one batch: rect(i, j, i2) is the <rect> of the
+    domino of first cell (i, j) and second cell on level i2, its top-left
+    corner at the column of the first cell and above the level of the
+    second, sized and filled by its orientation and first cell's colour."""
     xs, ys = _formatted(_x), _formatted(lambda i: _y(i + 1))
     tails = {(orient == "h", parity): (
         f'width="{SCALE * (2 if orient == "h" else 1):g}" '
         f'height="{SCALE * (1 if orient == "h" else 2):g}" '
         f'fill="{fill}" stroke="#333333" stroke-width="1"/>')
         for (orient, parity), fill in DOMINO_FILL.items()}
-    canvas.parts += [f'<rect x="{xs[j]}" y="{ys[i2]}" {tails[i == i2, (i - j) % 2]}'
-                     for (i, j), (i2, _) in sorted(dominoes, key=itemgetter(0))]
+
+    def rect(i: int, j: int, i2: int) -> str:
+        return f'<rect x="{xs[j]}" y="{ys[i2]}" {tails[i == i2, (i - j) % 2]}'
+    return rect
+
+
+def _draw_tiling(canvas: _Canvas, dominoes: Collection[tuple[Cell, Cell]]) -> None:
+    """One <rect> per domino, in sorted order, then one cover of them all.
+
+    The dominoes are sorted adjacent pairs, each cell in one of them, as
+    render_tiling checks first: so sorting by the first cell sorts them."""
+    if not dominoes:
+        return
+    rect = _rects()
+    canvas.parts += [rect(i, j, i2) for (i, j), (i2, _) in sorted(dominoes, key=itemgetter(0))]
     levels, columns = zip(*chain.from_iterable(dominoes))
     canvas.cover(_x(min(columns)), _y(max(levels) + 1), _x(max(columns) + 1), _y(min(levels)))
+
+
+def _draw_packed(canvas: _Canvas, m: int, P: bytearray) -> None:
+    """_draw_tiling of the packed tiling (m, P).  The direction of each
+    black cell (s, u) fixes its domino: right and up put the black cell
+    first, left puts (s, u - 1) first and down (s - 1, u).  Each rect goes
+    to the slot of its first cell's code; the codes run row by row, so the
+    filled slots come in _draw_tiling's sorted order."""
+    if not m:
+        return
+    rect = _rects()
+    W, base = 2 * m + 2, m + 1
+    slots: list[str | None] = [None] * len(P)
+    for s, us in _black_rows(m):
+        row = s * W + base
+        for u, d in zip(us, P[row + us.start:row + us.stop:2]):
+            if d == 2:
+                slots[row + u] = rect(s, u, s)
+            elif d == 3:
+                slots[row + u] = rect(s, u, s + 1)
+            elif d == 1:
+                slots[row + u - 1] = rect(s, u - 1, s)
+            else:
+                slots[row + u - W] = rect(s - 1, u, s)
+    canvas.parts += filter(None, slots)
+    # the diamond: levels 1..2m, columns -m..m-1
+    canvas.cover(_x(-m), _y(2 * m + 1), _x(m), _y(1))
 
 
 def render_family(f: PathFamily) -> str:
@@ -220,6 +259,6 @@ def _overlay(m: int, P: bytearray, conv: Convention) -> str:
     overlay reads straight from a tiling file."""
     polylines = _polylines(m, P, conv)
     canvas = _Canvas()
-    _draw_tiling(canvas, _pairs(m, P))
+    _draw_packed(canvas, m, P)
     _draw_paths(canvas, polylines, PATH_COLOR, _y, _x)
     return canvas.document()

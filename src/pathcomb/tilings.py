@@ -29,8 +29,9 @@ the box of rows 0..2m+1 and columns -m-1..m, the diamond with a one-cell
 margin, so that entries, exits and steps just outside land on empty slots
 of their own.  The slot of each black cell holds the direction of its
 white partner: 1 left, 2 right, 3 up, 4 down (_UNITS).  _partners writes P
-in one walk over the points of P_1, ..., P_{n-1} (families._path_points);
-a slot written twice is the disjointness certificate.  _fill writes P from
+in one walk over the step bytes of P_1, ..., P_{n-1} (_steps), each byte
+the direction stored at the point the step leaves; a slot written twice
+is the disjointness certificate.  _fill writes P from
 the cells of the dominoes, checking each in turn, and _cover feeds it
 t.dominoes in set order.  _pairs reads the dominoes back, each pair
 sorted, for the one frozenset of a DominoTiling and for the tiling file
@@ -44,8 +45,9 @@ in P that is a step from each white partner w to the black cell w + delta,
 with delta the image of (0, 1): (0, 1), (0, -1), (1, 0) and (-1, 0) for
 conventions 0-3.  The walk starts at the image of each entry (i, -i).
 tiling_to_family and dual_family read (B, D) off the partner directions
-along each chain, turned by the symmetry as one translation of bytes, and
-convention_paths maps only the visited cells through _symmetry.
+along each chain, turned by the symmetry as one translation of bytes into
+the step bytes of _steps.  convention_paths draws the visited cells in
+one pass, as one translation read off _symmetry (_polylines).
 
 The tile command and render --style overlay read a tiling file straight
 into P (_packed): families._integers lists its integers and _fill checks
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import IntEnum
-from itertools import chain, islice, repeat, starmap
+from itertools import accumulate, chain, repeat, starmap
 from math import isqrt
 from operator import gt
 from typing import Callable, Iterable, Iterator, Sequence
@@ -72,7 +74,6 @@ from .families import (
     NotDisjoint,
     PathFamily,
     _integers,
-    _path_points,
     _Record,
     _records,
     require_valid,
@@ -316,17 +317,22 @@ _UNITS = ((0, 0), (0, -1), (0, 1), (1, 0), (-1, 0))
 _BITS = bytes.maketrans(b"\2\3", b"\1\0")
 
 
-def _cell(code: int, m: int) -> Cell:
-    """The cell (s, u) of code s*(2m + 2) + u + m + 1 in the order-m box."""
-    s, r = divmod(code, 2 * m + 2)
-    return s, r - m - 1
-
-
 def _black_rows(m: int) -> Iterator[tuple[int, range]]:
     """Each row s = 1..2m of the order-m diamond with the columns of its black cells."""
     for s in range(1, 2 * m + 1):
         half = min(s, 2 * m + 1 - s)
         yield s, range(-half + (s > m), half, 2)
+
+
+# the partner direction of a step out of a column: up for B = 0, right for B = 1
+_TURNS = (b"\3", b"\2")
+
+
+def _steps(i: int, brow: Sequence[int], drow: Sequence[int]) -> bytes:
+    """The steps of path i in path order, one partner direction each (4 for a
+    vertical step): for each column j, D[i][j] vertical steps and then the
+    step to column j + 1; then the vertical run of the last column."""
+    return b"".join(b"\4" * d + _TURNS[b] for b, d in zip(brow, drow)) + b"\4" * drow[-1]
 
 
 def _partners(f: PathFamily) -> tuple[int, bytearray]:
@@ -338,8 +344,9 @@ def _partners(f: PathFamily) -> tuple[int, bytearray]:
     (level + column, column - level) maps each point p of P_1, ..., P_{n-1}
     but its last onto a black cell, which pairs with the cell left of the
     shear of the next point q: a horizontal, diagonal or vertical step puts
-    it up, right or down.  A black cell no path crosses pairs with the cell
-    to its left.
+    it up, right or down.  So each step of _steps is the direction stored
+    at the code of the point it leaves.  A black cell no path crosses pairs
+    with the cell to its left.
 
     The same walk certifies disjointness.  The shear is injective, so the
     walked points are distinct exactly when no slot of P is written twice,
@@ -356,15 +363,15 @@ def _partners(f: PathFamily) -> tuple[int, bytearray]:
     W, base = 2 * m + 2, m + 1
     P = bytearray(W * W)
     # (lev, col) shears onto the code lev*(W - 1) + col*(W + 1) + base, which
-    # a horizontal, diagonal or vertical step moves by W + 1, 2 or 1 - W
-    direction = {W + 1: 3, 2: 2, 1 - W: 4}
+    # a diagonal, horizontal or vertical step (2, 3, 4) moves by 2, W + 1 or 1 - W
+    move = (0, 0, 2, W + 1, 1 - W)
     points = 0
     for i in range(1, f.n):
-        codes = [lev * (W - 1) + col * (W + 1) + base
-                 for lev, col in _path_points(i, f.B[i], f.D[i])]
-        for c, c2 in zip(codes, codes[1:]):
-            P[c] = direction[c2 - c]
-        points += len(codes) - 1
+        steps = _steps(i, f.B[i], f.D[i])
+        for c, d in zip(accumulate(map(move.__getitem__, steps), initial=i * (W - 1) + base),
+                        steps):
+            P[c] = d
+        points += len(steps)
     if len(P) - P.count(0) != points:
         raise NotDisjoint("only disjoint families correspond to tilings")
     for s, us in _black_rows(m):
@@ -404,7 +411,8 @@ def _fill(values: list[int]) -> tuple[int, bytearray]:
         if (a - b) % 2:
             black, white = white, black
         if P[black] or P[white]:
-            raise NotATiling(f"cell {_cell(black if P[black] else white, m)} covered twice")
+            twice = black if P[black] else white
+            raise NotATiling(f"cell {(twice // W, twice % W - base)} covered twice")
         P[black] = direction[white - black]
         P[white] = 5  # a mark, read only by the check above
     return m, P
@@ -514,16 +522,30 @@ def _family(m: int, P: bytearray, conv: Convention = 0) -> PathFamily:
 
 
 def _polylines(m: int, P: bytearray, conv: Convention) -> list[list[tuple[float, float]]]:
-    """convention_paths of the packed tiling (m, P): the crossed cells of
-    each chain (_edge_paths) are mapped to the turned tiling and their left
-    edges drawn back through the symmetry, all points in one pass."""
+    """convention_paths of the packed tiling (m, P), all points in one pass.
+
+    Each cell that a chain crosses (_edge_paths) is mapped to the turned
+    tiling, its left edge moved by +1/2 to the edge midpoint, and drawn back
+    through the symmetry.  The two symmetries are one involution, so these
+    steps compose to a translation: the cell of code s*W + r is drawn at
+    (s + a, r + b).  Each axis is drawn as z - (k - x), which keeps the sign
+    of a zero (see _symmetry): on a half-integer axis k = 0 and z is the
+    shift, on an integer axis z is the zero that the steps draw there.
+    """
+    W = 2 * m + 2
     cell = _symmetry(conv, m, cells=True)
     point = _symmetry(conv, m, cells=False)
-    paths = _edge_paths(m, P, conv)
-    edges = cell(map(_cell, chain.from_iterable(paths), repeat(m)))
+
+    def drawn(s: int, r: int) -> tuple[float, float]:
+        (level, column), = cell([(s, r - m - 1)])
+        return point([(level + 0.5, float(column))])[0]
+
+    ks = [0 if shift % 1 else -int(shift) for shift in drawn(0, 0)]
+    (z0, k0), (z1, k1) = [(drawn(k, k)[axis], k) for axis, k in enumerate(ks)]
     # the virtual edge (0, 0) carries the empty path
-    points = iter(point([(0.5, 0.0)] + [(s + 0.5, float(u)) for s, u in edges]))
-    return [list(islice(points, k)) for k in [1, *map(len, paths)]]
+    return [point([(0.5, 0.0)]),
+            *([(z0 - (k0 - s), z1 - (k1 - r)) for s, r in map(divmod, path, repeat(W))]
+              for path in _edge_paths(m, P, conv))]
 
 
 def family_to_tiling(f: PathFamily) -> DominoTiling:

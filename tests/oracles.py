@@ -3,16 +3,17 @@ library code calls.
 
 They stay as simple as their definitions: in_pathfam_nk decides a stage of
 combing by walking explicit paths point by point, enumerate_tilings lists
-every domino tiling of a region by backtracking, and height_sum adds up the
-Thurston height function of a tiling vertex by vertex.  Keeping them here,
-outside the package, means the fast code they check cannot come to share
-a helper with them.
+every domino tiling of a region by backtracking, height_sum adds up the
+Thurston height function of a tiling vertex by vertex, and
+partners_by_points packs the tiling of a family by walking the lattice
+points of its paths.  Keeping them here, outside the package, means the
+fast code they check cannot come to share a helper with them.
 """
 
 from __future__ import annotations
 
 from pathcomb.enumeration import CapExceeded
-from pathcomb.families import PathFamily, explicit_paths
+from pathcomb.families import NotDisjoint, PathFamily, _path_points, explicit_paths, require_valid
 from pathcomb.tilings import Cell, DominoTiling, Region, is_black
 
 
@@ -111,3 +112,34 @@ def height_sum(t: DominoTiling) -> int:
                 todo.append(w)
             assert height[w] == h, f"vertex {w} has heights {height[w]} and {h}"
     return sum(height.values())
+
+
+def partners_by_points(f: PathFamily) -> tuple[int, bytearray]:
+    """tilings._partners' reference: the packed tiling (m, P) of a disjoint
+    family, walked over the points (level, column) of each path
+    (families._path_points).  Each point but the last shears onto a black
+    cell, whose partner direction is read off the code of the next point;
+    every other black cell of the diamond pairs left.  Raises what
+    _partners raises, with the same messages."""
+    if f.n < 1:
+        raise ValueError("need at least one path")
+    require_valid(f)
+    m = f.n - 1
+    W, base = 2 * m + 2, m + 1
+    P = bytearray(W * W)
+    direction = {W + 1: 3, 2: 2, 1 - W: 4}
+    points = 0
+    for i in range(1, f.n):
+        codes = [lev * (W - 1) + col * (W + 1) + base
+                 for lev, col in _path_points(i, f.B[i], f.D[i])]
+        for c, c2 in zip(codes, codes[1:]):
+            P[c] = direction[c2 - c]
+        points += len(codes) - 1
+    if len(P) - P.count(0) != points:
+        raise NotDisjoint("only disjoint families correspond to tilings")
+    for s in range(1, 2 * m + 1):
+        for u in range(-m, m):
+            inside = abs(2 * s - 2 * m - 1) + abs(2 * u + 1) < 2 * m + 1
+            if inside and is_black((s, u)) and not P[s * W + u + base]:
+                P[s * W + u + base] = 1
+    return m, P

@@ -25,8 +25,8 @@ from conftest import (
     oracle_tiling,
 )
 from pathcomb.families import require_valid
-from pathcomb.svg import render_dual, render_family, render_overlay
-from pathcomb.tilings import EdgePathFamily, _symmetry, is_black
+from pathcomb.svg import render_dual, render_family, render_overlay, render_tiling
+from pathcomb.tilings import EdgePathFamily, _partners, _symmetry, is_black
 
 
 def tri(*rows):
@@ -284,29 +284,33 @@ class TestFamilyTilingBridge:
         assert str(raised.value) == str(expected.value)
 
     @pytest.mark.parametrize("call,walks", [
-        (pc.family_to_tiling, [range(1, 65)]),
-        (pc.dual_family, [range(1, 65)]),
-        (pc.is_disjoint, [range(65)]),
-        (render_family, [range(65)]),
+        (pc.family_to_tiling, [("_steps", range(1, 65))]),
+        (pc.dual_family, [("_steps", range(1, 65))]),
+        (pc.is_disjoint, [("_path_points", range(65))]),
+        (render_family, [("_path_points", range(65))]),
         # the bridge walk of dual_family, then f and its dual drawn
-        (render_dual, [range(1, 65), range(65), range(65)]),
+        (render_dual, [("_steps", range(1, 65)), ("_path_points", range(65)),
+                       ("_path_points", range(65))]),
     ], ids=["family_to_tiling", "dual_family", "is_disjoint", "render_family", "render_dual"])
     def test_one_walk_per_path(self, call, walks, monkeypatch):
-        # the order-65 family of the golden tests: one _path_points call for
-        # each path walked (P_1, ..., P_64 for the bridge, all 65 otherwise),
-        # wherever it is reached from
+        # the order-65 family of the golden tests: one call of a path walk
+        # for each path walked, wherever it is reached from.  The bridge
+        # walks the steps of P_1, ..., P_64 (tilings._steps), the others the
+        # points of all 65 paths (families._path_points)
         f = pc.comb(pc.random_triangle(65, 5))
-        path_points = pathcomb.families._path_points
         calls = []
 
-        def counted(i, brow, drow):
-            calls.append(i)
-            return path_points(i, brow, drow)
+        def counting(name, walk):
+            def counted(i, brow, drow):
+                calls.append((name, i))
+                return walk(i, brow, drow)
+            return counted
 
-        for module in (pathcomb.families, pathcomb.tilings, pathcomb.svg):
-            monkeypatch.setattr(module, "_path_points", counted)
+        for module, name in ((pathcomb.families, "_path_points"), (pathcomb.svg, "_path_points"),
+                             (pathcomb.tilings, "_steps")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         call(f)
-        assert calls == [i for walk in walks for i in walk]
+        assert calls == [(name, i) for name, walk in walks for i in walk]
 
     def test_rejects_doubled_cell_large_order(self):
         # swap one domino for one that shares a cell with a neighbour: the
@@ -358,7 +362,7 @@ class TestVerticalDominoes:
         assert sum(len(triangles_by_n[n]) for n in range(1, 6)) == 1099
         assert mismatches == []
 
-    @pytest.mark.parametrize("n,seed", [(50, 13), (200, 14)])
+    @pytest.mark.parametrize("n,seed", [(50, 13), (200, 14), (400, 18)])
     def test_seeded_large_orders(self, n, seed):
         t = pc.random_triangle(n, seed)
         assert vertical_dominoes(pc.family_to_tiling(pc.comb(t))) == 2 * zero_bits(t)
@@ -446,7 +450,7 @@ class TestFlipRank:
             for dominoes, distance in flip_distances(n).items():
                 assert height_rank(pc.DominoTiling(dominoes), n) == distance
 
-    @pytest.mark.parametrize("n,seed", [(50, 16), (200, 17)])
+    @pytest.mark.parametrize("n,seed", [(50, 16), (200, 17), (400, 19)])
     def test_seeded_large_orders(self, n, seed):
         t = pc.random_triangle(n, seed)
         assert height_rank(pc.family_to_tiling(pc.comb(t)), n) == flip_rank(t)
@@ -491,6 +495,61 @@ class TestBridgeAgainstOracles:
                 for conv in pc.Convention:
                     assert repr(pc.convention_paths(t, conv)) == \
                         repr(oracle_convention_paths(t, conv))
+
+    @pytest.mark.parametrize("n,seed", [(65, 5), (200, 3)])
+    def test_conventions_at_seeded_large_orders(self, n, seed):
+        # the signed zeros of test_conventions_up_to_order_4, on orders
+        # whose drawings reach far from the axes
+        t = pc.family_to_tiling(pc.comb(pc.random_triangle(n, seed)))
+        for conv in pc.Convention:
+            assert repr(pc.convention_paths(t, conv)) == repr(oracle_convention_paths(t, conv))
+
+
+def rect_lines(doc: str) -> list[str]:
+    return [line for line in doc.splitlines() if line.startswith("<rect")]
+
+
+class TestPackedBridgeAgainstReferences:
+    """The step walk of _partners against the point walk it replaced
+    (oracles.partners_by_points), and the rects that the overlay places
+    straight from the packed tiling against those that render_tiling draws
+    from the sorted pairs of a DominoTiling."""
+
+    def test_walk_on_every_disjoint_family_up_to_order_5(self, disjoint_by_n):
+        for n in range(1, 6):
+            for f in disjoint_by_n[n]:
+                assert _partners(f) == oracles.partners_by_points(f)
+
+    @pytest.mark.parametrize("n,seed", [(65, 5), (200, 3)])
+    def test_walk_at_seeded_large_orders(self, n, seed):
+        f = pc.comb(pc.random_triangle(n, seed))
+        assert _partners(f) == oracles.partners_by_points(f)
+
+    def test_walk_rejects_meeting_families_alike(self, schroder_by_n, disjoint_by_n):
+        meeting = [f for n in range(1, 5) for f in schroder_by_n[n] - disjoint_by_n[n]]
+        assert len(meeting) == 4 + 200
+        for f in meeting:
+            with pytest.raises(pc.NotDisjoint) as expected:
+                oracles.partners_by_points(f)
+            with pytest.raises(pc.NotDisjoint) as raised:
+                _partners(f)
+            assert str(raised.value) == str(expected.value)
+
+    def test_overlay_rects_up_to_order_5(self, disjoint_by_n):
+        for n in range(1, 6):
+            for f in disjoint_by_n[n]:
+                t = pc.family_to_tiling(f)
+                rects = rect_lines(render_tiling(t))
+                for conv in pc.Convention:
+                    assert rect_lines(render_overlay(t, conv)) == rects
+
+    @pytest.mark.parametrize("n,seed", [(65, 5), (200, 3)])
+    def test_overlay_rects_at_seeded_large_orders(self, n, seed):
+        t = pc.family_to_tiling(pc.comb(pc.random_triangle(n, seed)))
+        rects = rect_lines(render_tiling(t))
+        assert len(rects) == n * (n - 1)
+        for conv in pc.Convention:
+            assert rect_lines(render_overlay(t, conv)) == rects
 
 
 def _neighbours(c):
