@@ -169,12 +169,12 @@ def cmd_verify(n: int, cap: int) -> int:
 
 def cmd_tile(input_path: str, direction: str, output: str | None) -> int:
     from .families import PathFamily
-    from .tilings import _family, _packed, _pairs, _partners, _text
+    from .tilings import _family, _packed, _packed_text, _partners
 
     # both directions go through the packed tiling and build no DominoTiling
     text = _read(input_path)
     if direction == "to-tiling":
-        _emit(_text(_pairs(*_partners(PathFamily.from_text(text)))), output)
+        _emit(_packed_text(*_partners(PathFamily.from_text(text))), output)
     else:
         _emit(_family(*_packed(text)).to_text(), output)
     return 0

@@ -17,9 +17,11 @@ widens the bounding box once, by its extreme values.  render_tiling and
 render_overlay check the tiling before drawing it.  render_overlay draws
 the packed tiling of tilings._cover through _overlay, which the render
 command also gives the packed tiling it reads straight from a file.
-One rect formatter (_rects) serves both: render_tiling feeds it sorted
-pairs, the overlay each rect placed by its first cell's code in P
-(_draw_packed), with no pairs and no sort.
+One rect drawer (_draw_rows) serves both, taking the dominoes row by row
+as the first cell and kind of each: the overlay from tilings._first_cells,
+the one reader of the packed tiling, so this module reads no byte of it,
+and render_tiling from its pairs, grouped by row with each row sorted
+(_draw_tiling).
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from .tilings import (
     Convention,
     DominoTiling,
     Region,
-    _black_rows,
     _check_tiles,
     _cover,
+    _first_cells,
     _polylines,
     dual_family,
 )
@@ -148,61 +150,40 @@ def _draw_family(canvas: _Canvas, f: PathFamily, color: str, level_y=_y, column_
     _draw_paths(canvas, starmap(_path_points, zip(count(), f.B, f.D)), color, level_y, column_x)
 
 
-def _rects() -> Callable[[int, int, int], str]:
-    """The rect formatter of one batch: rect(i, j, i2) is the <rect> of the
-    domino of first cell (i, j) and second cell on level i2, its top-left
-    corner at the column of the first cell and above the level of the
-    second, sized and filled by its orientation and first cell's colour."""
+def _draw_rows(canvas: _Canvas, rows: Iterable[tuple[int, Iterable[tuple[int, int]]]]) -> None:
+    """One <rect> per domino, its dominoes given row by row in sorted order
+    as tilings._first_cells gives them: each level s with the column u and
+    kind k (1 horizontal, 2 vertical) of each first cell on it.  A rect has
+    its top-left corner at the column of the first cell and above the level
+    s + k - 1 of the second, and is sized and filled by its kind and its
+    first cell's colour.  The caller covers the rects."""
     xs, ys = _formatted(_x), _formatted(lambda i: _y(i + 1))
-    tails = {(orient == "h", parity): (
+    tails = {(1 if orient == "h" else 2, parity): (
         f'width="{SCALE * (2 if orient == "h" else 1):g}" '
         f'height="{SCALE * (1 if orient == "h" else 2):g}" '
         f'fill="{fill}" stroke="#333333" stroke-width="1"/>')
         for (orient, parity), fill in DOMINO_FILL.items()}
-
-    def rect(i: int, j: int, i2: int) -> str:
-        return f'<rect x="{xs[j]}" y="{ys[i2]}" {tails[i == i2, (i - j) % 2]}'
-    return rect
+    for s, row in rows:
+        tops = (None, ys[s], ys[s + 1])
+        canvas.parts += [f'<rect x="{xs[u]}" y="{tops[k]}" {tails[k, (s - u) % 2]}'
+                         for u, k in row]
 
 
 def _draw_tiling(canvas: _Canvas, dominoes: Collection[tuple[Cell, Cell]]) -> None:
-    """One <rect> per domino, in sorted order, then one cover of them all.
-
-    The dominoes are sorted adjacent pairs, each cell in one of them, as
-    render_tiling checks first: so sorting by the first cell sorts them."""
+    """_draw_rows of sorted adjacent pairs, each cell in one of them, as
+    render_tiling checks first, then one cover of them all.  The second
+    cell of a pair is right of or above the first, so its kind is one more
+    than its rise, and sorting a row by first cell sorts it."""
     if not dominoes:
         return
-    rect = _rects()
-    canvas.parts += [rect(i, j, i2) for (i, j), (i2, _) in sorted(dominoes, key=itemgetter(0))]
+    rows: dict[int, list[tuple[Cell, Cell]]] = {}
+    for pair in dominoes:
+        rows.setdefault(pair[0][0], []).append(pair)
+    first = itemgetter(0)
+    _draw_rows(canvas, ((s, [(j, 1 + i2 - s) for (_, j), (i2, _) in sorted(row, key=first)])
+                        for s, row in sorted(rows.items())))
     levels, columns = zip(*chain.from_iterable(dominoes))
     canvas.cover(_x(min(columns)), _y(max(levels) + 1), _x(max(columns) + 1), _y(min(levels)))
-
-
-def _draw_packed(canvas: _Canvas, m: int, P: bytearray) -> None:
-    """_draw_tiling of the packed tiling (m, P).  The direction of each
-    black cell (s, u) fixes its domino: right and up put the black cell
-    first, left puts (s, u - 1) first and down (s - 1, u).  Each rect goes
-    to the slot of its first cell's code; the codes run row by row, so the
-    filled slots come in _draw_tiling's sorted order."""
-    if not m:
-        return
-    rect = _rects()
-    W, base = 2 * m + 2, m + 1
-    slots: list[str | None] = [None] * len(P)
-    for s, us in _black_rows(m):
-        row = s * W + base
-        for u, d in zip(us, P[row + us.start:row + us.stop:2]):
-            if d == 2:
-                slots[row + u] = rect(s, u, s)
-            elif d == 3:
-                slots[row + u] = rect(s, u, s + 1)
-            elif d == 1:
-                slots[row + u - 1] = rect(s, u - 1, s)
-            else:
-                slots[row + u - W] = rect(s - 1, u, s)
-    canvas.parts += filter(None, slots)
-    # the diamond: levels 1..2m, columns -m..m-1
-    canvas.cover(_x(-m), _y(2 * m + 1), _x(m), _y(1))
 
 
 def render_family(f: PathFamily) -> str:
@@ -259,6 +240,9 @@ def _overlay(m: int, P: bytearray, conv: Convention) -> str:
     overlay reads straight from a tiling file."""
     polylines = _polylines(m, P, conv)
     canvas = _Canvas()
-    _draw_packed(canvas, m, P)
+    if m:
+        _draw_rows(canvas, _first_cells(m, P))
+        # the diamond: levels 1..2m, columns -m..m-1
+        canvas.cover(_x(-m), _y(2 * m + 1), _x(m), _y(1))
     _draw_paths(canvas, polylines, PATH_COLOR, _y, _x)
     return canvas.document()

@@ -33,9 +33,14 @@ in one walk over the step bytes of P_1, ..., P_{n-1} (_steps), each byte
 the direction stored at the point the step leaves; a slot written twice
 is the disjointness certificate.  _fill writes P from
 the cells of the dominoes, checking each in turn, and _cover feeds it
-t.dominoes in set order.  _pairs reads the dominoes back, each pair
-sorted, for the one frozenset of a DominoTiling and for the tiling file
-(_text, which DominoTiling.to_text shares).
+t.dominoes in set order.  _first_cells is the one reader of the dominoes
+in P: three translations of P, each shifted onto the code of a domino's
+first cell, mark every first cell with its kind (horizontal or vertical)
+in one int, and the rows of that mark give the dominoes in sorted order.
+It feeds the one frozenset of family_to_tiling, the tiling file
+(_packed_text, through the line writer _text that DominoTiling.to_text
+shares) and the overlay's rects (svg._draw_rows), so no other module
+reads a byte of P.
 
 One chain walker, _edge_paths, serves all four conventions.  In the
 tiling turned by a symmetry of _symmetry (the one table of the four
@@ -64,9 +69,9 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import IntEnum
-from itertools import accumulate, chain, repeat, starmap
+from itertools import accumulate, chain, compress, repeat, starmap
 from math import isqrt
-from operator import gt
+from operator import add, gt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .families import (
@@ -169,7 +174,7 @@ class DominoTiling(_Record):
         return frozenset(c for pair in self.dominoes for c in pair)
 
     def to_text(self) -> str:
-        return _text(self.dominoes)
+        return _text(starmap(add, self.dominoes))
 
     @classmethod
     def from_text(cls, text: str) -> "DominoTiling":
@@ -317,13 +322,6 @@ _UNITS = ((0, 0), (0, -1), (0, 1), (1, 0), (-1, 0))
 _BITS = bytes.maketrans(b"\2\3", b"\1\0")
 
 
-def _black_rows(m: int) -> Iterator[tuple[int, range]]:
-    """Each row s = 1..2m of the order-m diamond with the columns of its black cells."""
-    for s in range(1, 2 * m + 1):
-        half = min(s, 2 * m + 1 - s)
-        yield s, range(-half + (s > m), half, 2)
-
-
 # the partner direction of a step out of a column: up for B = 0, right for B = 1
 _TURNS = (b"\3", b"\2")
 
@@ -374,8 +372,10 @@ def _partners(f: PathFamily) -> tuple[int, bytearray]:
         points += len(steps)
     if len(P) - P.count(0) != points:
         raise NotDisjoint("only disjoint families correspond to tilings")
-    for s, us in _black_rows(m):
-        row = slice(s * W + us.start + base, s * W + us.stop + base, 2)
+    # the black cells of row s = 1..2m: every other column from -half + (s > m) below half
+    for s in range(1, 2 * m + 1):
+        half = min(s, 2 * m + 1 - s)
+        row = slice(s * W + base - half + (s > m), s * W + base + half, 2)
         P[row] = P[row].replace(b"\0", b"\1")
     return m, P
 
@@ -414,7 +414,7 @@ def _fill(values: list[int]) -> tuple[int, bytearray]:
             twice = black if P[black] else white
             raise NotATiling(f"cell {(twice // W, twice % W - base)} covered twice")
         P[black] = direction[white - black]
-        P[white] = 5  # a mark, read only by the check above
+        P[white] = 5  # a mark for the check above, which _first_cells reads as white
     return m, P
 
 
@@ -441,31 +441,48 @@ def _packed(text: str) -> tuple[int, bytearray]:
     return _cover(DominoTiling.from_text(text))
 
 
-def _pairs(m: int, P: bytearray) -> list[tuple[Cell, Cell]]:
-    """The dominoes of the packed tiling (m, P), each pair sorted: a right
-    or up partner puts the black cell first."""
-    W, base = 2 * m + 2, m + 1
-    pairs = []
-    for s, us in _black_rows(m):
-        # the cells share the int objects s and u, which at large orders
-        # are not the interpreter's cached small ints
-        for u, d in zip(us, P[s * W + us.start + base:s * W + us.stop + base:2]):
-            if d == 2:
-                pairs.append(((s, u), (s, u + 1)))
-            elif d == 3:
-                pairs.append(((s, u), (s + 1, u)))
-            elif d == 1:
-                pairs.append(((s, u - 1), (s, u)))
-            else:
-                pairs.append(((s - 1, u), (s, u)))
-    return pairs
+# the kind of the domino whose first cell is at each code, 1 for horizontal
+# and 2 for vertical, read off three codes of P: a right or up partner makes
+# the black cell first, a left partner the cell one code before it and a
+# down partner the cell W codes before it; white cells, 0 or _fill's mark 5,
+# give nothing
+_FIRST_HERE = bytes.maketrans(b"\1\2\3\4\5", b"\0\1\2\0\0")
+_FIRST_BEFORE = bytes.maketrans(b"\1\2\3\4\5", b"\1\0\0\0\0")
+_FIRST_BELOW = bytes.maketrans(b"\1\2\3\4\5", b"\0\0\0\2\0")
 
 
-def _text(pairs: Iterable[tuple[Cell, Cell]]) -> str:
-    """The tiling file of sorted pairs: one line a b c d per domino, the
-    lines sorted as strings.  They are sorted with their line breaks, which
-    sort below every character of a line and so keep that order."""
-    return "".join(sorted(f"{a} {b} {c} {d}\n" for (a, b), (c, d) in pairs))
+def _first_cells(m: int, P: bytearray) -> Iterator[tuple[int, Iterator[tuple[int, int]]]]:
+    """The dominoes of the packed tiling (m, P) in sorted order, row by row:
+    each row s = 1..2m with the column u and kind k of each first cell on
+    it, left to right.  Kind 1 is a horizontal domino, second cell
+    (s, u + 1), and kind 2 a vertical one, second cell (s + 1, u).
+
+    The kinds of all codes are one int, the three translations of P each
+    shifted to the first cell's code; each row is then read off its bytes."""
+    W = 2 * m + 2
+    kinds = (int.from_bytes(P.translate(_FIRST_HERE), "little")
+             | int.from_bytes(P.translate(_FIRST_BEFORE), "little") >> 8
+             | int.from_bytes(P.translate(_FIRST_BELOW), "little") >> 8 * W
+             ).to_bytes(len(P), "little")
+    # one int object per column, shared by every row
+    columns = list(range(-m - 1, m + 1))
+    for s in range(1, 2 * m + 1):
+        row = kinds[s * W:s * W + W]
+        yield s, zip(compress(columns, row), row.translate(None, b"\0"))
+
+
+def _text(dominoes: Iterable[Sequence[int]]) -> str:
+    """The tiling file of dominoes given by the integers a b c d of their
+    two cells: one line a b c d per domino, the lines sorted as strings.
+    They are sorted with their line breaks, which sort below every
+    character of a line and so keep that order."""
+    return "".join(sorted(f"{a} {b} {c} {d}\n" for a, b, c, d in dominoes))
+
+
+def _packed_text(m: int, P: bytearray) -> str:
+    """The tiling file of the packed tiling (m, P), as DominoTiling.to_text
+    writes it: kind k puts the second cell at (s + k - 1, u + 2 - k)."""
+    return _text((s, u, s + k - 1, u + 2 - k) for s, row in _first_cells(m, P) for u, k in row)
 
 
 def _edge_paths(m: int, P: bytearray, conv: Convention) -> list[list[int]]:
@@ -555,12 +572,16 @@ def family_to_tiling(f: PathFamily) -> DominoTiling:
     Built straight from (B, D): after require_valid, one walk over the
     paths P_1, ..., P_{n-1} packs every black cell's partner and certifies
     that the paths are disjoint (_partners).  The pairs come out of the
-    packed tiling sorted (_pairs), so DominoTiling only checks them and the
-    one frozenset is built once.  P_0 sits on the virtual edge (0, 0)
+    packed tiling sorted (_first_cells), so DominoTiling only checks them
+    and the one frozenset is built once.  P_0 sits on the virtual edge (0, 0)
     outside the diamond and is dropped.  Raises ValueError for n < 1,
     InvalidFamily and NotDisjoint.
     """
-    return DominoTiling(frozenset(_pairs(*_partners(f))))
+    pairs = []
+    for s, row in _first_cells(*_partners(f)):
+        above = s + 1  # one int for the second cells of the row's vertical dominoes
+        pairs += [((s, u), (s, u + 1) if k == 1 else (above, u)) for u, k in row]
+    return DominoTiling(frozenset(pairs))
 
 
 def tiling_to_family(t: DominoTiling) -> PathFamily:

@@ -21,7 +21,7 @@ import pathcomb.cli
 import pathcomb.families
 import pathcomb.svg
 import oracles
-from conftest import format_texts
+from conftest import format_texts, oracle_tiling
 from pathcomb.svg import render_dual, render_family, render_overlay, render_tiling
 
 
@@ -557,16 +557,18 @@ class TestPackedTilingReader:
             with pytest.raises(AssertionError, match="a DominoTiling was built"):
                 run_main(argv)
 
-    def test_order_200_matches_the_library_byte_for_byte(self, tmp_path):
-        f = pc.comb(pc.random_triangle(200, 21))
+    @pytest.mark.parametrize("n,seed", [(65, 5), (200, 21)])
+    def test_seeded_orders_match_the_library_byte_for_byte(self, n, seed, tmp_path):
+        f = pc.comb(pc.random_triangle(n, seed))
         t = pc.family_to_tiling(f)
         family, tiling, back = (str(tmp_path / name) for name in ("f.txt", "t.txt", "b.txt"))
         with open(family, "w") as fh:
             fh.write(f.to_text())
         assert run_main(["tile", "--input", family, "--direction", "to-tiling",
                          "--output", tiling]) == (0, "")
+        # family_to_tiling decodes P as the command does; the oracle does not
         with open(tiling) as fh:
-            assert fh.read() == t.to_text()
+            assert fh.read() == t.to_text() == oracle_tiling(f).to_text()
         assert run_main(["tile", "--input", tiling, "--direction", "to-family",
                          "--output", back]) == (0, "")
         with open(back) as fh:

@@ -11,6 +11,7 @@ ENUMERATION = Path(pc.__file__).parent / "enumeration.py"
 TILINGS = Path(pc.__file__).parent / "tilings.py"
 COMBING = Path(pc.__file__).parent / "combing.py"
 SVG = Path(pc.__file__).parent / "svg.py"
+CLI = Path(pc.__file__).parent / "cli.py"
 
 
 def test_no_assert_statements_in_library():
@@ -138,3 +139,55 @@ def test_one_staging_site():
     assert callers["_sweep"] == {"comb", "uncomb", "_stage_sweep", "_sweep"}
     assert callers["_pack"] == {"comb", "uncomb", "_stage_sweep"}
     assert callers["_by_slack"] == {"_tables"}
+
+
+def test_packed_format_stays_in_tilings():
+    # only tilings knows the bytes of a packed tiling (m, P): svg draws it
+    # through the one decoder tilings._first_cells, takes none of the
+    # module's tables and reads no byte of P, and cli writes the tiling file
+    # through tilings as well
+    def from_tilings(path):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        return tree, {alias.name for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.module == "tilings"
+                      for alias in node.names}
+
+    tables = {target.id for node in ast.parse(TILINGS.read_text()).body
+              if isinstance(node, ast.Assign) for target in node.targets
+              if isinstance(target, ast.Name) and target.id.startswith("_")}
+    assert {"_UNITS", "_BITS", "_TURNS"} <= tables
+    svg, svg_names = from_tilings(SVG)
+    assert "_first_cells" in svg_names
+    assert svg_names & (tables | {"_black_rows"}) == set()
+    assert [node.lineno for node in ast.walk(svg) if isinstance(node, ast.Subscript)
+            and getattr(node.value, "id", None) == "P"] == []
+    assert "_pairs" not in from_tilings(CLI)[1]
+
+
+def test_no_unused_imports():
+    # no linter runs on the package, so an import that nothing in its scope
+    # reads is caught here; a name listed in a string, as __all__ is built,
+    # counts as read
+    def own_imports(scope):
+        todo = list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) != "__future__":
+                    yield node
+            elif not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                todo.extend(ast.iter_child_nodes(node))
+
+    modules = sorted(Path(pc.__file__).parent.glob("*.py"))
+    assert len(modules) >= 10
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef))]:
+            read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+            read |= {node.value for node in ast.walk(scope)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+            unused += [f"{path.name}:{node.lineno} {alias.name}" for node in own_imports(scope)
+                       for alias in node.names
+                       if (alias.asname or alias.name).partition(".")[0] not in read]
+    assert unused == []

@@ -26,7 +26,14 @@ from conftest import (
 )
 from pathcomb.families import require_valid
 from pathcomb.svg import render_dual, render_family, render_overlay, render_tiling
-from pathcomb.tilings import EdgePathFamily, _partners, _symmetry, is_black
+from pathcomb.tilings import (
+    EdgePathFamily,
+    _cover,
+    _packed_text,
+    _partners,
+    _symmetry,
+    is_black,
+)
 
 
 def tri(*rows):
@@ -484,6 +491,10 @@ class TestBridgeAgainstOracles:
             for f in disjoint_by_n[n]:
                 t = pc.family_to_tiling(f)
                 assert t == oracle_tiling(f)
+                # the one decoder, on the walk's P and on _fill's, whose
+                # white cells hold the mark 5
+                for packed in (_partners(f), _cover(t)):
+                    assert _packed_text(*packed) == t.to_text()
                 assert pc.tiling_to_family(t) == f == oracle_family(t)
                 assert pc.dual_family(f) == oracle_dual(f)
 
