@@ -31,7 +31,7 @@ tiling layer raises the same NotDisjoint without loading this module.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, product, repeat
 from operator import xor
 from typing import Iterable, Sequence
 
@@ -41,6 +41,7 @@ from .families import (
     NotDisjoint,
     PathFamily,
     PreconditionViolation,
+    _non_bits,
     _Record,
     _shape_violations,
     entry_levels,
@@ -112,7 +113,7 @@ _BACKWARD = _table(backward=True)
 # the 2W-bit key's slice of each table for slack 0..W
 _FORWARD_ROWS, _BACKWARD_ROWS = ([table[s << 2 * W:(s + 1) << 2 * W] for s in range(W + 1)]
                                  for table in (_FORWARD, _BACKWARD))
-_BITS = [bytes(m >> j & 1 for j in range(W)) for m in range(1 << W)]
+_CHUNK_BYTES = [bytes(m >> j & 1 for j in range(W)) for m in range(1 << W)]
 # a row of at most 2W bits packs and unpacks with one lookup
 _NIBBLE = {bits: sum(b << j for j, b in enumerate(bits))
            for n in range(1, W + 1) for bits in product((0, 1), repeat=n)}
@@ -125,7 +126,6 @@ _UNPACK = {(len(bits), chunks): bits for bits, chunks in _PACK.items()}
 # byte; no two partial products share a bit, so nothing carries.
 _GATHER_MUL = 1 << 24 | 1 << 17 | 1 << 10 | 1 << 3
 _LOW_NIBBLE = bytes(b & 15 for b in range(256))
-_BIT_VALUES = frozenset((0, 1))
 
 
 def _gather(bits: bytes) -> list[int]:
@@ -137,7 +137,7 @@ def _gather(bits: bytes) -> list[int]:
 
 def _spread(chunks: Iterable[int]) -> bytes:
     """The columns of a run of chunks, one 0/1 byte each; inverse of _gather."""
-    return b"".join(map(_BITS.__getitem__, chunks))
+    return b"".join(map(_CHUNK_BYTES.__getitem__, chunks))
 
 
 def _by_slack(rows: list, top: int) -> list:
@@ -299,10 +299,9 @@ def _stage_sweep(f: PathFamily, first: int, rows: Sequence[int], k: int, backwar
                     f"vertical steps before column {k}")
     span = slice(first, window.stop)
     bits = [row[:k] for row in f.B[span]]
-    if not _BIT_VALUES.issuperset(chain.from_iterable(bits)):
-        i, j, b = next((i, j, b) for i, row in zip(window, bits)
-                       for j, b in enumerate(row) if b not in _BIT_VALUES)
-        raise InvalidFamily(f"B[{i}][{j}] = {b!r} is not a bit")
+    non_bits = _non_bits(first, bits)
+    if non_bits:
+        raise InvalidFamily(non_bits[0].message)
     if not backward and k in window and f.D[k][k] != k - sum(f.B[k]):
         raise InvalidFamily(f"row {k}, column {k}: D[{k}][{k}] = {f.D[k][k]} is not "
                             f"{k} - sum(B[{k}]), as a stage input needs")

@@ -17,14 +17,24 @@ disjoint.
 
 validate_family accepts a valid family in one pass over (B, D), and only a
 family that fails that pass is checked again, phase by phase, to list its
-violations.  The text readers take each integer field as an optional minus
-sign followed by ASCII digits, and nothing else that int would accept.
+violations.  A B entry is a bit when it is an int equal to 0 or 1, so True
+is one and 1.0 is not.  The text readers take each integer field as an
+optional minus sign followed by ASCII digits, and nothing else that int
+would accept.
+
+A path is read off (B, D) as one bytes object of step bytes (_steps), one
+byte per step: 2 diagonal, 3 horizontal, 4 vertical.  The SVG drawings sum
+them into levels and columns, and the tiling layer stores them as partner
+directions.  One shear walk over those bytes (_sheared) maps every point
+onto one slot of a bytearray and certifies disjointness by counting the
+filled slots: is_disjoint is that certificate, and the Aztec bridge of the
+tiling layer packs its tiling in the same walk.
 
 NotDisjoint, under PreconditionViolation, is defined beside is_disjoint:
 the combing kernel and the tiling layer both raise it, and neither loads
 the other for that.  ExplicitPath, explicit_paths and family_from_paths
 rebuild paths step by step; no library code calls them, and the tests
-check the point walk against them.
+check the step-byte walk against them.
 
 The frozen records of the package, here and in combing, enumeration and
 tilings, derive from _Record.  Each lists its fields as __slots__ and sets
@@ -39,7 +49,7 @@ at start-up.
 from __future__ import annotations
 
 from itertools import accumulate, count
-from operator import add, attrgetter, sub
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .fields import _plain_int
@@ -378,25 +388,37 @@ class Violation(_Record):
 
 def _passes(B: Sequence[Sequence[int]], D: Sequence[Sequence[int]]) -> bool:
     """True only when validate_family finds nothing in (B, D).  One pass
-    over each row checks its lengths, its entries (B entries 0 or 1, D
-    entries of type int and >= 0) and its slack s, the column index less
-    the levels descended before the column: each D[i][j] <= s for j < i,
-    and D[i][i] == s.  False at the first entry off, and also for an int
-    subclass such as bool, which validate_family's phases then decide."""
+    over each row checks its lengths, its entries (B entries the int 0 or
+    1, D entries of type int and >= 0) and its slack s, the column index
+    less the levels descended before the column: each D[i][j] <= s for
+    j < i, and D[i][i] == s.  False at the first entry off, and also for an
+    int subclass such as bool, which validate_family's phases then decide:
+    a B entry passes only as the interpreter's shared 0 or 1, which the
+    identity tests find at no cost, as in BitTriangle."""
     if len(B) != len(D):
         return False
+    zero, one = 0, 1
     for i, brow, drow in zip(count(), B, D):
         if len(brow) != i or len(drow) != i + 1:
             return False
         s = 0
         for b, d in zip(brow, drow):
-            if type(d) is not int or not 0 <= d <= s or b not in (0, 1):
+            if type(d) is not int or not 0 <= d <= s or b is not zero and b is not one:
                 return False
             s += 1 - d - b
         d = drow[i]
         if type(d) is not int or d != s:
             return False
     return True
+
+
+def _non_bits(first: int, rows: Iterable[Sequence[object]]) -> list[Violation]:
+    """The domain violations of the B rows first, first + 1, ... that rows
+    lists: one for each entry that is not an int equal to 0 or 1.  True and
+    False are bits, 1.0 is not."""
+    return [Violation("domain", i, j, f"B[{i}][{j}] = {b!r} is not a bit")
+            for i, row in enumerate(rows, first) for j, b in enumerate(row)
+            if not isinstance(b, int) or b not in (0, 1)]
 
 
 def _shape_violations(f: PathFamily, rows: Iterable[int]) -> list[Violation]:
@@ -435,10 +457,8 @@ def validate_family(f: PathFamily) -> list[Violation]:
     out = _shape_violations(f, range(n))
     if out:
         return out
+    out = _non_bits(0, f.B)
     for i in range(n):
-        for j, b in enumerate(f.B[i]):
-            if b not in (0, 1):
-                out.append(Violation("domain", i, j, f"B[{i}][{j}] = {b!r} is not a bit"))
         for j, d in enumerate(f.D[i]):
             if not isinstance(d, int) or d < 0:
                 out.append(Violation("domain", i, j, f"D[{i}][{j}] = {d!r} is not a count"))
@@ -526,14 +546,6 @@ def is_cliff_shaped(f: PathFamily) -> bool:
     return all(f.D[i][j] == 0 for i in range(f.n) for j in range(i))
 
 
-def _path_points(i: int, brow: Sequence[int], drow: Sequence[int]) -> list[tuple[int, int]]:
-    """The points (level, column) of path i in path order: it enters column j
-    at level e_j = i - sum(B[i][:j] + D[i][:j]) and holds the levels e_j
-    down to e_j - D[i][j] there."""
-    return [(lev, j) for j, e in enumerate(accumulate(map(add, brow, drow), sub, initial=i))
-            for lev in range(e, e - drow[j] - 1, -1)]
-
-
 class PreconditionViolation(Exception):
     """A basic operation was invoked outside its legal domain."""
 
@@ -542,22 +554,65 @@ class NotDisjoint(PreconditionViolation):
     """The operation requires disjoint paths and the input paths collide."""
 
 
-def is_disjoint(f: PathFamily) -> bool:
-    """True when the supports of the n paths are pairwise disjoint.
+# The step bytes of a path, one per step in path order: 2 for a diagonal
+# step, 3 for a horizontal one and 4 for a vertical one.  In the Aztec
+# bridge (tilings) they are also the directions, right, up and down, from
+# the black cell that a step leaves to its white partner.  _TURNS is the
+# byte of a column step by its B entry, and _BITS its inverse on the
+# column steps.
+_TURNS = (b"\3", b"\2")
+_BITS = bytes.maketrans(b"\2\3", b"\1\0")
+# the level and the column move of each step byte, one table per axis
+_LEVEL_MOVES, _COLUMN_MOVES = zip((0, 0), (0, 0), D_STEP, H_STEP, V_STEP)
 
-    Raises InvalidFamily, as explicit_paths does, when f is not valid.  A
-    valid path visits no point twice, so the paths are disjoint exactly when
-    the set of all their points (_path_points) is as large as the sum of
-    their lengths.
+
+def _steps(brow: Sequence[int], drow: Sequence[int]) -> bytes:
+    """The step bytes of the path with rows brow = B[i] and drow = D[i], in
+    path order: for each column j, D[i][j] vertical steps and then the step
+    to column j + 1; then the vertical run of the last column."""
+    return b"".join(b"\4" * d + _TURNS[b] for b, d in zip(brow, drow)) + b"\4" * drow[-1]
+
+
+def _sheared(f: PathFamily) -> tuple[bytearray, bool]:
+    """The shear walk of f: (P, disjoint).
+
+    Raises InvalidFamily unless f is valid.  The shear (level, column) ->
+    (level + column, column - level) is injective, and it maps each point
+    of an order-n family onto the code s*W + u + n, W = 2n, of a cell (s, u)
+    of a W x W box: a valid path i keeps 0 <= s <= 2i and |u| <= i.  P has
+    one byte per code, and the walk writes, at the code of each point of
+    P_1, ..., P_{n-1} but its last, the step byte (_steps) of the step that
+    leaves it.
+
+    disjoint certifies the family: the walked points are distinct exactly
+    when no slot of P is written twice, that is when as many slots are
+    filled as steps were walked.  Path i takes i column steps and, by its
+    descent balance, i - sum(B[i]) vertical ones, so the walk takes
+    n(n - 1) - sum(B) steps in all.  The points it skips cannot collide: a
+    valid path i keeps level + column >= i and ends in column i, so only
+    P_i reaches its last point (0, i), and only P_0 the point (0, 0).
     """
     require_valid(f)
-    seen: set[tuple[int, int]] = set()
-    points = 0
-    for i, (brow, drow) in enumerate(zip(f.B, f.D)):
-        path = _path_points(i, brow, drow)
-        seen.update(path)
-        points += len(path)
-    return len(seen) == points
+    n = f.n
+    W = 2 * n
+    P = bytearray(W * W)
+    # (lev, col) shears onto the code lev*(W - 1) + col*(W + 1) + n, which
+    # a diagonal, horizontal or vertical step (2, 3, 4) moves by 2, W + 1 or 1 - W
+    move = (0, 0, 2, W + 1, 1 - W)
+    for i in range(1, n):
+        steps = _steps(f.B[i], f.D[i])
+        for c, d in zip(accumulate(map(move.__getitem__, steps), initial=i * (W - 1) + n), steps):
+            P[c] = d
+    return P, len(P) - P.count(0) == n * (n - 1) - sum(map(sum, f.B))
+
+
+def is_disjoint(f: PathFamily) -> bool:
+    """True when the supports of the n paths are pairwise disjoint: the
+    certificate of the shear walk (_sheared).
+
+    Raises InvalidFamily, as explicit_paths does, when f is not valid.
+    """
+    return _sheared(f)[1]
 
 
 def entry_levels(f: PathFamily, k: int) -> tuple[int, ...]:

@@ -4,11 +4,12 @@ One fixed transform: x = SCALE * column, y = -SCALE * level (level up is
 y down), shifted by a margin.  Family paths are <path> elements, dominoes
 are <rect> elements, grid lines are <line> elements.
 
-Family paths are read straight off (B, D) with the point walk of
-families._path_points, which is_disjoint shares.  Each
-renderer certifies its family once: render_family with require_valid,
-render_dual through dual_family, whose one walk validates f and certifies
-it disjoint, and whose result is valid by construction.
+Family paths are read straight off (B, D): the levels and columns of each
+path are two running sums over its step bytes (families._steps), the one
+encoding of a path that the shear walk of is_disjoint and the Aztec bridge
+also reads.  Each renderer certifies its family once: render_family with
+require_valid, render_dual through dual_family, whose one walk validates f
+and certifies it disjoint, and whose result is valid by construction.
 
 Each batch of elements (the dominoes, or the paths of one family or one
 convention) is drawn in one pass: every distinct level and column is
@@ -27,11 +28,11 @@ and render_tiling from its pairs, grouped by row with each row sorted
 from __future__ import annotations
 
 import math
-from itertools import chain, count, starmap
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
-from .families import PathFamily, _Memo, _path_points, require_valid
+from .families import _COLUMN_MOVES, _LEVEL_MOVES, PathFamily, _Memo, _steps, require_valid
 from .tilings import (
     Cell,
     Convention,
@@ -146,8 +147,12 @@ def _draw_paths(canvas: _Canvas, paths: Iterable[Sequence[tuple[float, float]]],
 
 
 def _draw_family(canvas: _Canvas, f: PathFamily, color: str, level_y=_y, column_x=_x) -> None:
-    # f is valid: each renderer certifies it before drawing
-    _draw_paths(canvas, starmap(_path_points, zip(count(), f.B, f.D)), color, level_y, column_x)
+    # f is valid: each renderer certifies it before drawing.  The levels and
+    # columns of path i are two running sums over its step bytes, from (i, 0)
+    paths = (zip(accumulate(map(_LEVEL_MOVES.__getitem__, steps), initial=i),
+                 accumulate(map(_COLUMN_MOVES.__getitem__, steps), initial=0))
+             for i, steps in enumerate(map(_steps, f.B, f.D)))
+    _draw_paths(canvas, paths, color, level_y, column_x)
 
 
 def _draw_rows(canvas: _Canvas, rows: Iterable[tuple[int, Iterable[tuple[int, int]]]]) -> None:

@@ -28,10 +28,11 @@ bytearray indexed by the code s*(2m + 2) + u + m + 1 of each cell (s, u) of
 the box of rows 0..2m+1 and columns -m-1..m, the diamond with a one-cell
 margin, so that entries, exits and steps just outside land on empty slots
 of their own.  The slot of each black cell holds the direction of its
-white partner: 1 left, 2 right, 3 up, 4 down (_UNITS).  _partners writes P
-in one walk over the step bytes of P_1, ..., P_{n-1} (_steps), each byte
-the direction stored at the point the step leaves; a slot written twice
-is the disjointness certificate.  _fill writes P from
+white partner: 1 left, 2 right, 3 up, 4 down (_UNITS).  _partners takes P
+from the shear walk of families (_sheared), which is_disjoint shares: it
+writes the step bytes of P_1, ..., P_{n-1} (families._steps), each the
+direction stored at the point the step leaves, and certifies the family
+disjoint by its count of filled slots.  _fill writes P from
 the cells of the dominoes, checking each in turn, and _cover feeds it
 t.dominoes in set order.  _first_cells is the one reader of the dominoes
 in P: three translations of P, each shifted onto the code of a domino's
@@ -51,8 +52,8 @@ with delta the image of (0, 1): (0, 1), (0, -1), (1, 0) and (-1, 0) for
 conventions 0-3.  The walk starts at the image of each entry (i, -i).
 tiling_to_family and dual_family read (B, D) off the partner directions
 along each chain, turned by the symmetry as one translation of bytes into
-the step bytes of _steps.  convention_paths draws the visited cells in
-one pass, as one translation read off _symmetry (_polylines).
+the step bytes of families._steps.  convention_paths draws the visited
+cells in one pass, as one translation read off _symmetry (_polylines).
 
 The tile command and render --style overlay read a tiling file straight
 into P (_packed): families._integers lists its integers and _fill checks
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import IntEnum
-from itertools import accumulate, chain, compress, repeat, starmap
+from itertools import chain, compress, repeat, starmap
 from math import isqrt
 from operator import add, gt
 from typing import Callable, Iterable, Iterator, Sequence
@@ -78,9 +79,11 @@ from .families import (
     InvalidFamily,
     NotDisjoint,
     PathFamily,
+    _BITS,
     _integers,
     _Record,
     _records,
+    _sheared,
     require_valid,
 )
 
@@ -317,20 +320,6 @@ def aztec_region(order: int) -> Region:
 # the partner directions 1-4 (left, right, up, down) as steps (level, column)
 # from a black cell to its white partner; slot 0, the origin, marks no partner
 _UNITS = ((0, 0), (0, -1), (0, 1), (1, 0), (-1, 0))
-# after the symmetry of the convention: a partner right is a diagonal step
-# (B = 1), up a horizontal step (B = 0), down a vertical step
-_BITS = bytes.maketrans(b"\2\3", b"\1\0")
-
-
-# the partner direction of a step out of a column: up for B = 0, right for B = 1
-_TURNS = (b"\3", b"\2")
-
-
-def _steps(i: int, brow: Sequence[int], drow: Sequence[int]) -> bytes:
-    """The steps of path i in path order, one partner direction each (4 for a
-    vertical step): for each column j, D[i][j] vertical steps and then the
-    step to column j + 1; then the vertical run of the last column."""
-    return b"".join(b"\4" * d + _TURNS[b] for b, d in zip(brow, drow)) + b"\4" * drow[-1]
 
 
 def _partners(f: PathFamily) -> tuple[int, bytearray]:
@@ -338,40 +327,22 @@ def _partners(f: PathFamily) -> tuple[int, bytearray]:
     disjoint order-n family.
 
     Raises ValueError for n < 1, InvalidFamily unless f is valid and
-    NotDisjoint unless it is disjoint.  The shear (level, column) ->
-    (level + column, column - level) maps each point p of P_1, ..., P_{n-1}
-    but its last onto a black cell, which pairs with the cell left of the
-    shear of the next point q: a horizontal, diagonal or vertical step puts
-    it up, right or down.  So each step of _steps is the direction stored
-    at the code of the point it leaves.  A black cell no path crosses pairs
-    with the cell to its left.
-
-    The same walk certifies disjointness.  The shear is injective, so the
-    walked points are distinct exactly when no slot of P is written twice,
-    that is when as many slots are filled as there are points.  The points
-    it skips cannot collide: a valid path i keeps level + column >= i and
-    ends in column i, so only P_i reaches its last point (0, i), and only
-    P_0 the point (0, 0).  Past that certificate the theorem makes P a
-    tiling, so nothing more is checked.
+    NotDisjoint unless it is disjoint.  The box of the shear walk
+    (families._sheared) is the box of (m, P), and the walk's codes are
+    those of P.  The shear maps each point p of P_1, ..., P_{n-1} but its
+    last onto a black cell, which pairs with the cell left of the shear of
+    the next point q: a horizontal, diagonal or vertical step puts it up,
+    right or down, the step byte the walk writes.  A black cell no path
+    crosses pairs with the cell to its left.  Past the walk's certificate
+    the theorem makes P a tiling, so nothing more is checked.
     """
     if f.n < 1:
         raise ValueError("need at least one path")
-    require_valid(f)
+    P, disjoint = _sheared(f)
+    if not disjoint:
+        raise NotDisjoint("only disjoint families correspond to tilings")
     m = f.n - 1
     W, base = 2 * m + 2, m + 1
-    P = bytearray(W * W)
-    # (lev, col) shears onto the code lev*(W - 1) + col*(W + 1) + base, which
-    # a diagonal, horizontal or vertical step (2, 3, 4) moves by 2, W + 1 or 1 - W
-    move = (0, 0, 2, W + 1, 1 - W)
-    points = 0
-    for i in range(1, f.n):
-        steps = _steps(i, f.B[i], f.D[i])
-        for c, d in zip(accumulate(map(move.__getitem__, steps), initial=i * (W - 1) + base),
-                        steps):
-            P[c] = d
-        points += len(steps)
-    if len(P) - P.count(0) != points:
-        raise NotDisjoint("only disjoint families correspond to tilings")
     # the black cells of row s = 1..2m: every other column from -half + (s > m) below half
     for s in range(1, 2 * m + 1):
         half = min(s, 2 * m + 1 - s)
@@ -570,8 +541,9 @@ def family_to_tiling(f: PathFamily) -> DominoTiling:
     order-n family.
 
     Built straight from (B, D): after require_valid, one walk over the
-    paths P_1, ..., P_{n-1} packs every black cell's partner and certifies
-    that the paths are disjoint (_partners).  The pairs come out of the
+    paths P_1, ..., P_{n-1}, the shear walk that is_disjoint shares, packs
+    every black cell's partner and certifies that the paths are disjoint
+    (_partners).  The pairs come out of the
     packed tiling sorted (_first_cells), so DominoTiling only checks them
     and the one frozenset is built once.  P_0 sits on the virtual edge (0, 0)
     outside the diamond and is dropped.  Raises ValueError for n < 1,

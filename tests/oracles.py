@@ -4,16 +4,18 @@ library code calls.
 They stay as simple as their definitions: in_pathfam_nk decides a stage of
 combing by walking explicit paths point by point, enumerate_tilings lists
 every domino tiling of a region by backtracking, height_sum adds up the
-Thurston height function of a tiling vertex by vertex, and
-partners_by_points packs the tiling of a family by walking the lattice
-points of its paths.  Keeping them here, outside the package, means the
-fast code they check cannot come to share a helper with them.
+Thurston height function of a tiling vertex by vertex, supports_disjoint
+compares the point sets of a family's paths, and partners_by_points packs
+the tiling of a family by walking the lattice points of its paths.  The
+last two read those points off explicit_paths, which no library code calls.
+Keeping them here, outside the package, means the fast code they check
+cannot come to share a helper with them.
 """
 
 from __future__ import annotations
 
 from pathcomb.enumeration import CapExceeded
-from pathcomb.families import NotDisjoint, PathFamily, _path_points, explicit_paths, require_valid
+from pathcomb.families import NotDisjoint, PathFamily, explicit_paths
 from pathcomb.tilings import Cell, DominoTiling, Region, is_black
 
 
@@ -114,24 +116,31 @@ def height_sum(t: DominoTiling) -> int:
     return sum(height.values())
 
 
+def supports_disjoint(f: PathFamily) -> bool:
+    """is_disjoint's reference: the supports of the explicit paths of f are
+    pairwise disjoint when their union is as large as the sum of their sizes.
+    Raises InvalidFamily, through explicit_paths, unless f is valid."""
+    supports = [p.support() for p in explicit_paths(f)]
+    return sum(map(len, supports)) == len(frozenset().union(*supports))
+
+
 def partners_by_points(f: PathFamily) -> tuple[int, bytearray]:
     """tilings._partners' reference: the packed tiling (m, P) of a disjoint
-    family, walked over the points (level, column) of each path
-    (families._path_points).  Each point but the last shears onto a black
-    cell, whose partner direction is read off the code of the next point;
-    every other black cell of the diamond pairs left.  Raises what
-    _partners raises, with the same messages."""
+    family, walked over the points (level, column) of each explicit path.
+    Each point but the last shears onto a black cell, whose partner
+    direction is read off the code of the next point; every other black
+    cell of the diamond pairs left.  Raises what _partners raises, with the
+    same messages."""
     if f.n < 1:
         raise ValueError("need at least one path")
-    require_valid(f)
+    paths = explicit_paths(f)
     m = f.n - 1
     W, base = 2 * m + 2, m + 1
     P = bytearray(W * W)
     direction = {W + 1: 3, 2: 2, 1 - W: 4}
     points = 0
-    for i in range(1, f.n):
-        codes = [lev * (W - 1) + col * (W + 1) + base
-                 for lev, col in _path_points(i, f.B[i], f.D[i])]
+    for path in paths[1:]:
+        codes = [lev * (W - 1) + col * (W + 1) + base for lev, col in path.points()]
         for c, c2 in zip(codes, codes[1:]):
             P[c] = direction[c2 - c]
         points += len(codes) - 1

@@ -437,9 +437,9 @@ class TestColumnStages:
         assert str(exc.value) == message
 
 
-def short_row_family():
-    # B[1][0] = 2; rows of at most 8 bits pack by one table lookup
-    return pc.PathFamily(((), (2,), (0, 0)), ((0,), (0, 0), (0, 0, 2)))
+def short_row_family(bad=2):
+    # B[1][0] = bad; rows of at most 8 bits pack by one table lookup
+    return pc.PathFamily(((), (bad,), (0, 0)), ((0,), (0, 0), (0, 0, 2)))
 
 
 def long_row_family(j):
@@ -484,6 +484,16 @@ class TestStagesRejectNonBits:
                    "B[1][0] = 2 is not a bit")
         self.check(lambda f: pc.uncomb_column(f, 11), long_row_family(10),
                    "B[11][10] = 3 is not a bit")
+
+    @pytest.mark.parametrize("call", [
+        lambda f: pc.disj_step(f, 1, 1),
+        lambda f: pc.clify_step(f, 1, 1),
+        lambda f: pc.comb_column(f, 1),
+        lambda f: pc.uncomb_column(f, 1),
+    ], ids=["disj_step", "clify_step", "comb_column", "uncomb_column"])
+    def test_float_bit(self, call):
+        # 1.0 equals 1 but is not a bit; the stages once packed it as 1
+        self.check(call, short_row_family(1.0), "B[1][0] = 1.0 is not a bit")
 
 
 @pytest.mark.parametrize("call", [

@@ -7,7 +7,9 @@ from hypothesis import given
 
 import pathcomb as pc
 from pathcomb.families import D_STEP, H_STEP, V_STEP, _passes
+from pathcomb.svg import render_dual, render_family
 
+import oracles
 from conftest import bit_triangles, path_families
 
 
@@ -159,25 +161,23 @@ class TestPredicates:
         assert pc.is_disjoint(f)
         assert f.D[2][1] == 1 and not pc.is_cliff_shaped(f)
 
-    @staticmethod
-    def supports_disjoint(f):
-        supports = [p.support() for p in pc.explicit_paths(f)]
-        return sum(map(len, supports)) == len(frozenset().union(*supports))
-
     def test_disjoint_matches_supports_exhaustive(self, schroder_by_n):
-        for n in range(5):
+        for n in range(6):
             for f in schroder_by_n[n]:
-                assert pc.is_disjoint(f) == self.supports_disjoint(f)
+                assert pc.is_disjoint(f) == oracles.supports_disjoint(f)
 
-    @pytest.mark.parametrize("n,seed", [(7, 1), (30, 2), (120, 3)])
+    @pytest.mark.parametrize("n,seed", [(7, 1), (30, 2), (65, 5), (120, 3), (200, 4)])
     def test_disjoint_matches_supports_seeded(self, n, seed):
         f = pc.comb(pc.random_triangle(n, seed))
-        assert pc.is_disjoint(f) and self.supports_disjoint(f)
+        assert pc.is_disjoint(f) and oracles.supports_disjoint(f)
         # paths 1 and 2 rerouted through (1, 1): no longer disjoint
         g = pc.PathFamily(f.B[:1] + ((0,), (1, 1)) + f.B[3:],
                           f.D[:1] + ((0, 1), (0, 0, 0)) + f.D[3:])
         assert pc.validate_family(g) == []
-        assert not pc.is_disjoint(g) and not self.supports_disjoint(g)
+        assert not pc.is_disjoint(g) and not oracles.supports_disjoint(g)
+        # the cliff family that comb starts from: its paths collide
+        c = pc.family_from_bits(pc.random_triangle(n, seed))
+        assert not pc.is_disjoint(c) and not oracles.supports_disjoint(c)
 
     def test_disjoint_rejects_invalid(self):
         f = pc.PathFamily.from_rows([[], [0], [0, 1]], [[0], [0, 0], [0, 0, 0]])
@@ -220,7 +220,8 @@ SINGLE_FAULTS = [
     ("B=list", _entry(_B, 2, 1, [1]), _D, [("domain", 2, 1, "B[2][1] = [1] is not a bit")]),
     ("B-flipped", _entry(_B, 3, 0, 1), _D, _BALANCE_3_UP),
     ("B=False", _entry(_B, 3, 0, False), _D, []),
-    ("B=1.0", _entry(_B, 2, 1, 1.0), _D, []),
+    ("B=1.0", _entry(_B, 2, 1, 1.0), _D, [("domain", 2, 1, "B[2][1] = 1.0 is not a bit")]),
+    ("B=0.0", _entry(_B, 3, 0, 0.0), _D, [("domain", 3, 0, "B[3][0] = 0.0 is not a bit")]),
     ("D+1-interior", _B, _entry(_D, 3, 2, 2), _BALANCE_3_UP),
     ("D-1-interior", _B, _entry(_D, 3, 2, 0),
      [("descent-balance", 3, None, "row 3 steps descend 2 levels, expected 3")]),
@@ -300,6 +301,21 @@ class TestValidateFamily:
         assert pc.validate_family(f) == [pc.Violation(*v) for v in expected]
         if expected:
             assert not _passes(B, D)
+
+
+@pytest.mark.parametrize("call", [pc.is_disjoint, pc.family_to_tiling, pc.dual_family,
+                                  render_family, render_dual, pc.uncomb],
+                         ids=["is_disjoint", "family_to_tiling", "dual_family", "render_family",
+                              "render_dual", "uncomb"])
+def test_float_bit_is_invalid(call):
+    # 1.0 equals 1, but each call raised TypeError on it, past a validation
+    # that took it for a bit; uncomb did so in a row of more than 8 bits
+    B = [(1,) * i for i in range(10)]
+    B[9] = (1, 1, 1, 1.0, 1, 1, 1, 1, 1)
+    f = pc.PathFamily(tuple(B), tuple((0,) * (i + 1) for i in range(10)))
+    with pytest.raises(pc.InvalidFamily) as raised:
+        call(f)
+    assert str(raised.value) == "B[9][3] = 1.0 is not a bit"
 
 
 class TestFamilyText:

@@ -145,17 +145,34 @@ def test_packed_format_stays_in_tilings():
     # only tilings knows the bytes of a packed tiling (m, P): svg draws it
     # through the one decoder tilings._first_cells, takes none of the
     # module's tables and reads no byte of P, and cli writes the tiling file
-    # through tilings as well
+    # through tilings as well.  The step bytes of a path, which the bridge
+    # stores in P, are defined in families alone, beside the one shear walk,
+    # and the point walk they replaced is gone
     def from_tilings(path):
         tree = ast.parse(path.read_text(), filename=str(path))
         return tree, {alias.name for node in ast.walk(tree)
                       if isinstance(node, ast.ImportFrom) and node.module == "tilings"
                       for alias in node.names}
 
-    tables = {target.id for node in ast.parse(TILINGS.read_text()).body
-              if isinstance(node, ast.Assign) for target in node.targets
-              if isinstance(target, ast.Name) and target.id.startswith("_")}
-    assert {"_UNITS", "_BITS", "_TURNS"} <= tables
+    def defined(path):
+        names = set()
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names |= {name.id for target in node.targets for name in ast.walk(target)
+                          if isinstance(name, ast.Name)}
+        return names
+
+    where: dict[str, set[str]] = {}
+    for path in Path(pc.__file__).parent.glob("*.py"):
+        for name in defined(path):
+            where.setdefault(name, set()).add(path.stem)
+    step_bytes = ("_steps", "_TURNS", "_BITS", "_sheared")
+    assert {name: where.get(name) for name in step_bytes} == dict.fromkeys(step_bytes, {"families"})
+    assert "_path_points" not in where
+    tables = {name for name in defined(TILINGS) if name.startswith("_") and name.isupper()}
+    assert "_UNITS" in tables
     svg, svg_names = from_tilings(SVG)
     assert "_first_cells" in svg_names
     assert svg_names & (tables | {"_black_rows"}) == set()

@@ -291,33 +291,30 @@ class TestFamilyTilingBridge:
         assert str(raised.value) == str(expected.value)
 
     @pytest.mark.parametrize("call,walks", [
-        (pc.family_to_tiling, [("_steps", range(1, 65))]),
-        (pc.dual_family, [("_steps", range(1, 65))]),
-        (pc.is_disjoint, [("_path_points", range(65))]),
-        (render_family, [("_path_points", range(65))]),
-        # the bridge walk of dual_family, then f and its dual drawn
-        (render_dual, [("_steps", range(1, 65)), ("_path_points", range(65)),
-                       ("_path_points", range(65))]),
+        (pc.family_to_tiling, [range(1, 65)]),
+        (pc.dual_family, [range(1, 65)]),
+        (pc.is_disjoint, [range(1, 65)]),
+        (render_family, [range(65)]),
+        # the shear walk of dual_family, then f and its dual drawn
+        (render_dual, [range(1, 65), range(65), range(65)]),
     ], ids=["family_to_tiling", "dual_family", "is_disjoint", "render_family", "render_dual"])
     def test_one_walk_per_path(self, call, walks, monkeypatch):
-        # the order-65 family of the golden tests: one call of a path walk
-        # for each path walked, wherever it is reached from.  The bridge
-        # walks the steps of P_1, ..., P_64 (tilings._steps), the others the
-        # points of all 65 paths (families._path_points)
+        # the order-65 family of the golden tests: one call of the one path
+        # walk, families._steps, for each path walked, wherever it is
+        # reached from.  The shear walk (families._sheared) skips P_0, and
+        # a drawing walks all 65 paths
         f = pc.comb(pc.random_triangle(65, 5))
         calls = []
 
-        def counting(name, walk):
-            def counted(i, brow, drow):
-                calls.append((name, i))
-                return walk(i, brow, drow)
-            return counted
+        def counted(brow, drow):
+            calls.append(len(brow))  # path i has i B entries
+            return walk(brow, drow)
 
-        for module, name in ((pathcomb.families, "_path_points"), (pathcomb.svg, "_path_points"),
-                             (pathcomb.tilings, "_steps")):
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        walk = pathcomb.families._steps
+        for module in (pathcomb.families, pathcomb.svg):
+            monkeypatch.setattr(module, "_steps", counted)
         call(f)
-        assert calls == [(name, i) for name, walk in walks for i in walk]
+        assert calls == [i for paths in walks for i in paths]
 
     def test_rejects_doubled_cell_large_order(self):
         # swap one domino for one that shares a cell with a neighbour: the
