@@ -313,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "render":
             return cmd_render(args.input, args.style, args.convention, args.output)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ValueError, OSError, *_precondition_violation()) as exc:
+    except (ValueError, OverflowError, OSError, *_precondition_violation()) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

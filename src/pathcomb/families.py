@@ -610,7 +610,7 @@ def is_disjoint(f: PathFamily) -> bool:
     """True when the supports of the n paths are pairwise disjoint: the
     certificate of the shear walk (_sheared).
 
-    Raises InvalidFamily, as explicit_paths does, when f is not valid.
+    Raises InvalidFamily, through require_valid, when f is not valid.
     """
     return _sheared(f)[1]
 

@@ -14,34 +14,31 @@ and certifies it disjoint, and whose result is valid by construction.
 Each batch of elements (the dominoes, or the paths of one family or one
 convention) is drawn in one pass: every distinct level and column is
 formatted once, through a memo keyed by the lattice value, and the batch
-widens the bounding box once, by its extreme values.  render_tiling and
-render_overlay check the tiling before drawing it.  render_overlay draws
+widens the bounding box once, by its extreme values.  render_overlay draws
 the packed tiling of tilings._cover through _overlay, which the render
 command also gives the packed tiling it reads straight from a file.
-One rect drawer (_draw_rows) serves both, taking the dominoes row by row
-as the first cell and kind of each: the overlay from tilings._first_cells,
-the one reader of the packed tiling, so this module reads no byte of it,
-and render_tiling from its pairs, grouped by row with each row sorted
-(_draw_tiling).
+One rect drawer (_draw_rows) serves both tiling renderers, taking the
+dominoes row by row as the first cell and kind of each from a decoder of
+tilings, which checks the tiling first: the overlay from _first_cells, the
+one reader of the packed tiling, so this module reads no byte of it, and
+render_tiling from _tile_rows, whose one pass over the pairs checks them
+and groups them by row.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import accumulate, chain
-from operator import itemgetter
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .families import _COLUMN_MOVES, _LEVEL_MOVES, PathFamily, _Memo, _steps, require_valid
 from .tilings import (
-    Cell,
     Convention,
     DominoTiling,
-    Region,
-    _check_tiles,
     _cover,
     _first_cells,
     _polylines,
+    _tile_rows,
     dual_family,
 )
 
@@ -157,11 +154,12 @@ def _draw_family(canvas: _Canvas, f: PathFamily, color: str, level_y=_y, column_
 
 def _draw_rows(canvas: _Canvas, rows: Iterable[tuple[int, Iterable[tuple[int, int]]]]) -> None:
     """One <rect> per domino, its dominoes given row by row in sorted order
-    as tilings._first_cells gives them: each level s with the column u and
-    kind k (1 horizontal, 2 vertical) of each first cell on it.  A rect has
-    its top-left corner at the column of the first cell and above the level
-    s + k - 1 of the second, and is sized and filled by its kind and its
-    first cell's colour.  The caller covers the rects."""
+    as tilings._first_cells and tilings._tile_rows give them: each level s
+    with the column u and kind k (1 horizontal, 2 vertical) of each first
+    cell on it.  A rect has its top-left corner at the column of the first
+    cell and above the level s + k - 1 of the second, and is sized and
+    filled by its kind and its first cell's colour.  The caller covers the
+    rects."""
     xs, ys = _formatted(_x), _formatted(lambda i: _y(i + 1))
     tails = {(1 if orient == "h" else 2, parity): (
         f'width="{SCALE * (2 if orient == "h" else 1):g}" '
@@ -172,23 +170,6 @@ def _draw_rows(canvas: _Canvas, rows: Iterable[tuple[int, Iterable[tuple[int, in
         tops = (None, ys[s], ys[s + 1])
         canvas.parts += [f'<rect x="{xs[u]}" y="{tops[k]}" {tails[k, (s - u) % 2]}'
                          for u, k in row]
-
-
-def _draw_tiling(canvas: _Canvas, dominoes: Collection[tuple[Cell, Cell]]) -> None:
-    """_draw_rows of sorted adjacent pairs, each cell in one of them, as
-    render_tiling checks first, then one cover of them all.  The second
-    cell of a pair is right of or above the first, so its kind is one more
-    than its rise, and sorting a row by first cell sorts it."""
-    if not dominoes:
-        return
-    rows: dict[int, list[tuple[Cell, Cell]]] = {}
-    for pair in dominoes:
-        rows.setdefault(pair[0][0], []).append(pair)
-    first = itemgetter(0)
-    _draw_rows(canvas, ((s, [(j, 1 + i2 - s) for (_, j), (i2, _) in sorted(row, key=first)])
-                        for s, row in sorted(rows.items())))
-    levels, columns = zip(*chain.from_iterable(dominoes))
-    canvas.cover(_x(min(columns)), _y(max(levels) + 1), _x(max(columns) + 1), _y(min(levels)))
 
 
 def render_family(f: PathFamily) -> str:
@@ -224,9 +205,11 @@ def render_tiling(t: DominoTiling) -> str:
     Raises NotATiling unless the dominoes tile their own cells: each is a
     pair of adjacent cells and no cell is covered twice.
     """
-    _check_tiles(Region(t.cells()), t)
     canvas = _Canvas()
-    _draw_tiling(canvas, t.dominoes)
+    _draw_rows(canvas, _tile_rows(t))
+    if t.dominoes:
+        levels, columns = zip(*chain.from_iterable(t.dominoes))
+        canvas.cover(_x(min(columns)), _y(max(levels) + 1), _x(max(columns) + 1), _y(min(levels)))
     return canvas.document()
 
 

@@ -10,7 +10,8 @@ disjoint paths routing every entry to an exit through interior edges, with
 steps (1,1), (0,2), (-1,1).  region_edges, tiling_to_paths and
 paths_to_tiling implement this for any region, checking every entry, exit,
 interior edge and edge reuse; they are the general-region API and the
-oracles the Aztec bridge below is tested against.
+oracles the Aztec bridge below is tested against.  No other library code
+calls them or builds a Region.
 
 Specialised to the Aztec diamond of order m (placed here with rows 1..2m
 centred on column -1/2), these edge paths are exactly the images of the
@@ -41,7 +42,10 @@ in one int, and the rows of that mark give the dominoes in sorted order.
 It feeds the one frozenset of family_to_tiling, the tiling file
 (_packed_text, through the line writer _text that DominoTiling.to_text
 shares) and the overlay's rects (svg._draw_rows), so no other module
-reads a byte of P.
+reads a byte of P.  Beside it, _tile_rows gives the dominoes of any
+DominoTiling in the same rows, once one pass over its pairs has checked
+that they tile their own cells; render_tiling draws from it, and
+tiling_to_paths takes its adjacency and double-cover check from it.
 
 One chain walker, _edge_paths, serves all four conventions.  In the
 tiling turned by a symmetry of _symmetry (the one table of the four
@@ -72,7 +76,7 @@ from collections import Counter
 from enum import IntEnum
 from itertools import chain, compress, repeat, starmap
 from math import isqrt
-from operator import add, gt
+from operator import add, gt, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .families import (
@@ -214,19 +218,6 @@ def region_edges(s: Region) -> EdgeSets:
     return EdgeSets(frozenset(entries), frozenset(interior), frozenset(exits))
 
 
-def _check_tiles(s: Region, t: DominoTiling) -> None:
-    seen: set[Cell] = set()
-    for c1, c2 in t.dominoes:
-        if abs(c1[0] - c2[0]) + abs(c1[1] - c2[1]) != 1:
-            raise NotATiling(f"cells {c1} and {c2} are not adjacent")
-        for c in (c1, c2):
-            if c in seen:
-                raise NotATiling(f"cell {c} covered twice")
-            seen.add(c)
-    if seen != s.cells:
-        raise NotATiling("dominoes do not cover exactly the region")
-
-
 def tiling_to_paths(s: Region, t: DominoTiling) -> EdgePathFamily:
     """The edge-path family of a tiling.
 
@@ -235,7 +226,9 @@ def tiling_to_paths(s: Region, t: DominoTiling) -> EdgePathFamily:
     maximal paths from entries to exits.  Works on any region, checking the
     exact cover against s.cells; the Aztec bridge is tested against it.
     """
-    _check_tiles(s, t)
+    _tile_rows(t)  # for its adjacency and double-cover check; no row is read
+    if t.cells() != s.cells:
+        raise NotATiling("dominoes do not cover exactly the region")
     step_from: dict[Cell, Cell] = {}
     for c1, c2 in t.dominoes:
         black, (wi, wj) = (c1, c2) if (c1[0] - c1[1]) % 2 == 0 else (c2, c1)
@@ -440,6 +433,35 @@ def _first_cells(m: int, P: bytearray) -> Iterator[tuple[int, Iterator[tuple[int
     for s in range(1, 2 * m + 1):
         row = kinds[s * W:s * W + W]
         yield s, zip(compress(columns, row), row.translate(None, b"\0"))
+
+
+def _tile_rows(t: DominoTiling) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """The dominoes of t in sorted order, row by row, as _first_cells gives
+    those of a packed tiling: each level s with the column u and kind k
+    (1 horizontal, 2 vertical) of each first cell on it, left to right.
+
+    Raises NotATiling unless t tiles its own cells.  One pass over
+    t.dominoes, in set order, names the first pair that is not adjacent or
+    the first cell covered twice, and groups the pairs by the level of
+    their first cell; the check is over when this returns.  The second cell
+    of a sorted adjacent pair is right of or above the first, so its kind
+    is one more than its rise, and sorting a row by first cell sorts it.
+    Each row is built as it is read.
+    """
+    seen: set[Cell] = set()
+    rows: dict[int, list[tuple[Cell, Cell]]] = {}
+    for pair in t.dominoes:
+        c1, c2 = pair
+        if abs(c1[0] - c2[0]) + abs(c1[1] - c2[1]) != 1:
+            raise NotATiling(f"cells {c1} and {c2} are not adjacent")
+        for c in pair:
+            if c in seen:
+                raise NotATiling(f"cell {c} covered twice")
+            seen.add(c)
+        rows.setdefault(c1[0], []).append(pair)
+    first = itemgetter(0)
+    return ((s, [(j, 1 + i2 - s) for (_, j), (i2, _) in sorted(row, key=first)])
+            for s, row in sorted(rows.items()))
 
 
 def _text(dominoes: Iterable[Sequence[int]]) -> str:

@@ -8,6 +8,9 @@ Thurston height function of a tiling vertex by vertex, supports_disjoint
 compares the point sets of a family's paths, and partners_by_points packs
 the tiling of a family by walking the lattice points of its paths.  The
 last two read those points off explicit_paths, which no library code calls.
+check_tiles is the exact-cover check of a tiling against a region, with its
+messages, as the library ran it before render_tiling and tiling_to_paths
+took their check from the one-pass row decoder tilings._tile_rows.
 Keeping them here, outside the package, means the fast code they check
 cannot come to share a helper with them.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from pathcomb.enumeration import CapExceeded
 from pathcomb.families import NotDisjoint, PathFamily, explicit_paths
-from pathcomb.tilings import Cell, DominoTiling, Region, is_black
+from pathcomb.tilings import Cell, DominoTiling, NotATiling, Region, is_black
 
 
 def in_pathfam_nk(f: PathFamily, k: int) -> bool:
@@ -74,6 +77,22 @@ def enumerate_tilings(s: Region, cap: int = 40) -> set[DominoTiling]:
 
     rec(0)
     return out
+
+
+def check_tiles(s: Region, t: DominoTiling) -> None:
+    """Raises NotATiling unless the dominoes of t are adjacent pairs that
+    cover the cells of s exactly once, naming the first fault in the
+    iteration order of t.dominoes."""
+    seen: set[Cell] = set()
+    for c1, c2 in t.dominoes:
+        if abs(c1[0] - c2[0]) + abs(c1[1] - c2[1]) != 1:
+            raise NotATiling(f"cells {c1} and {c2} are not adjacent")
+        for c in (c1, c2):
+            if c in seen:
+                raise NotATiling(f"cell {c} covered twice")
+            seen.add(c)
+    if seen != s.cells:
+        raise NotATiling("dominoes do not cover exactly the region")
 
 
 def height_sum(t: DominoTiling) -> int:

@@ -408,6 +408,16 @@ class TestRender:
         assert r.stderr.startswith("error: NotATiling: ")
         assert r.stdout == ""
 
+    def test_cli_render_tiling_beyond_float_range(self, tmp_path):
+        # an adjacent pair whose columns no float holds: main reports the
+        # OverflowError of the drawing like a ValueError
+        til_file = tmp_path / "t.txt"
+        til_file.write_text(f"0 {10 ** 400} 0 {10 ** 400 + 1}\n")
+        r = run_cli("render", "--input", str(til_file), "--style", "tiling")
+        assert r.returncode == 1
+        assert r.stderr == "error: OverflowError: int too large to convert to float\n"
+        assert r.stdout == ""
+
     def test_style_kind_mismatch(self, tmp_path):
         fam_file = tmp_path / "f.txt"
         fam_file.write_text(pc.comb(tri([1], [1, 1])).to_text())

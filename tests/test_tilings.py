@@ -18,6 +18,7 @@ import pathcomb.svg
 import pathcomb.tilings
 import oracles
 from conftest import (
+    aztec_order,
     oracle_convention_paths,
     oracle_dual,
     oracle_family,
@@ -608,6 +609,36 @@ COVER_CHECKED = [pc.tiling_to_family] + [partial(pc.convention_paths, conv=conv)
                                          for conv in pc.Convention]
 
 
+def rejection(call, *args) -> str | None:
+    """The NotATiling message of call(*args), or None when it returns."""
+    try:
+        call(*args)
+    except pc.NotATiling as exc:
+        return str(exc)
+    return None
+
+
+def assert_checks_match_the_reference(t: pc.DominoTiling) -> None:
+    """render_tiling checks t against its own cells, and tiling_to_paths
+    against the diamond its domino count names: each raises the message of
+    the reference check (oracles.check_tiles) on that region, or returns
+    when the reference passes."""
+    own, diamond = pc.Region(t.cells()), pc.aztec_region(aztec_order(t))
+    assert rejection(render_tiling, t) == rejection(oracles.check_tiles, own, t)
+    assert rejection(pc.tiling_to_paths, diamond, t) == \
+        rejection(oracles.check_tiles, diamond, t)
+
+
+def two_fault_tiling() -> pc.DominoTiling:
+    """A seeded order-64 tiling read from a file in which two dominoes are
+    stretched apart: two faults, so a check names the first it meets."""
+    lines = pc.family_to_tiling(pc.comb(pc.random_triangle(65, 5))).to_text().splitlines()
+    for k in (768, 1719):
+        a, b, c, d = map(int, lines[k].split())
+        lines[k] = f"{a} {b} {c + 2} {d}"
+    return pc.DominoTiling.from_text("\n".join(lines) + "\n")
+
+
 class TestRejectionParity:
     """The fast checks reject exactly the tilings that the general-region
     exact-cover check rejects on the diamond the domino count names."""
@@ -618,6 +649,7 @@ class TestRejectionParity:
         kinds = {}
         for kind, dominoes in _mutants(t, random.Random(seed)):
             mutant = pc.DominoTiling(frozenset(dominoes))
+            assert_checks_match_the_reference(mutant)
             rejected = oracle_rejects(mutant)
             kinds.setdefault(kind, set()).add(rejected)
             if not rejected:
@@ -633,6 +665,11 @@ class TestRejectionParity:
                                  str(err.value)), str(err.value)
         assert kinds["flip"] == {False}
         assert {k for k, seen in kinds.items() if seen == {True}} == set(kinds) - {"flip"}
+
+    def test_two_fault_file(self):
+        t = two_fault_tiling()
+        assert_checks_match_the_reference(t)
+        assert rejection(render_tiling, t) == "cells (27, 5) and (29, 6) are not adjacent"
 
     @pytest.mark.parametrize("dominoes,message", [
         ({((1, -1), (1, 0)), ((2, 0), (2, 1))}, "cell (2, 1) lies outside the order-1 diamond"),
@@ -813,12 +850,8 @@ class TestSerialization:
         # _cover names the first fault in the iteration order of the set of
         # dominoes, which depends on how from_text builds it: here a set
         # built straight from the list of dominoes would name (51, -49)
-        lines = pc.family_to_tiling(pc.comb(pc.random_triangle(65, 5))).to_text().splitlines()
-        for k in (768, 1719):
-            a, b, c, d = map(int, lines[k].split())
-            lines[k] = f"{a} {b} {c + 2} {d}"
         with pytest.raises(pc.NotATiling) as err:
-            pc.tiling_to_family(pc.DominoTiling.from_text("\n".join(lines) + "\n"))
+            pc.tiling_to_family(two_fault_tiling())
         assert str(err.value) == "cells (27, 5) and (29, 6) are not adjacent"
 
     def test_repeated_cell_is_a_parse_error(self):
