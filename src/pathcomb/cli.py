@@ -195,8 +195,8 @@ def _detect_kind(text: str) -> str:
 
 def cmd_render(input_path: str, style: str, convention: int, output: str | None) -> int:
     from .families import ParseError, PathFamily
-    from .svg import _overlay, render_dual, render_family, render_tiling
-    from .tilings import Convention, DominoTiling, _packed
+    from .svg import _overlay, _tiling, render_dual, render_family, render_tiling
+    from .tilings import Convention, DominoTiling, _aztec, _packed
 
     text = _read(input_path)
     kind = _detect_kind(text)
@@ -209,7 +209,10 @@ def cmd_render(input_path: str, style: str, convention: int, output: str | None)
         if kind != "tiling":
             raise ParseError(f"style {style!r} needs a tiling file")
         if style == "tiling":
-            doc = render_tiling(DominoTiling.from_text(text))
+            # a tiling of any other region, or a faulty file, takes the
+            # library reader, which names the line or cell at fault
+            packed = _aztec(text)
+            doc = _tiling(*packed) if packed else render_tiling(DominoTiling.from_text(text))
         else:
             doc = _overlay(*_packed(text), Convention(convention))
     _emit(doc, output)

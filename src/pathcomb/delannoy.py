@@ -4,37 +4,51 @@ delannoy(i, j) counts the paths from (i, 0) to (0, j) using the same three
 steps as the path families.  The matrix of these numbers has determinant
 2^(n(n-1)/2), which the unitriangular reduction verify_reduction exposes
 as an exact block identity.  All arithmetic is exact (Python integers).
+
+Every row of the table comes from the row above in one pass at C level
+(_rows), and verify_reduction checks the table a whole row at a time, on
+the entries on and above the diagonal only, once one comparison has found
+the table symmetric: no Python code runs per entry.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import accumulate, islice
+from operator import add
+from typing import Iterator, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
+def _rows(width: int) -> Iterator[tuple[int, ...]]:
+    """The rows 0, 1, 2, ... of the Delannoy table, each cut to its first
+    width entries, without end.  Entry j of the next row is entry j - 1 of
+    it plus entries j and j - 1 of this one, so the next row is one running
+    sum of the pairwise sums of this one, from 1."""
+    row = (1,) * width
+    while True:
+        yield row
+        row = tuple(accumulate(map(add, row[1:], row), initial=1))
+
+
 def delannoy(i: int, j: int) -> int:
     """Number of paths from (i, 0) to (0, j): a(i,0) = a(0,j) = 1 and
-    a(i+1,j+1) = a(i,j+1) + a(i+1,j) + a(i,j)."""
+    a(i+1,j+1) = a(i,j+1) + a(i+1,j) + a(i,j).
+
+    As a(i, j) = a(j, i), this is the last entry of row max(i, j) cut to
+    min(i, j) + 1 entries: max(i, j) steps on rows of that length, with no
+    table."""
     if i < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
-    return delannoy_matrix(max(i, j) + 1)[i][j]
+    return next(islice(_rows(min(i, j) + 1), max(i, j), None))[-1]
 
 
 def delannoy_matrix(n: int) -> Matrix:
     """The upper-left n x n block of the Delannoy table, each row built
-    from the one above by the recurrence."""
+    from the one above in one pass (_rows)."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    rows: list[tuple[int, ...]] = []
-    row = (1,) * n
-    for _ in range(n):
-        rows.append(row)
-        nxt = [1] * n
-        for j in range(1, n):
-            nxt[j] = row[j] + nxt[j - 1] + row[j - 1]
-        row = tuple(nxt)
-    return tuple(rows)
+    return tuple(islice(_rows(n), n))
 
 
 def det_exact(matrix: Sequence[Sequence[int]]) -> int:
@@ -77,23 +91,33 @@ def verify_reduction(n: int) -> bool:
     With E the identity plus -1 directly above the diagonal, E^T A E must
     equal the block matrix [[1, 0], [0, 2*A']] where A' is the order n-1
     Delannoy matrix.  Entry (i, j) of E^T A E is the second difference
-    A[i][j] - A[i-1][j] - A[i][j-1] + A[i-1][j-1] (a missing index reads
-    as 0), so the check runs in O(n^2) on one delannoy_matrix(n).  As
+    D(i, j) = A[i][j] - A[i-1][j] - A[i][j-1] + A[i-1][j-1] (a missing
+    index reads as 0), so the identity says that the first row and column
+    of A are all 1 and that A[i][j] = A[i-1][j] + A[i][j-1] + A[i-1][j-1]
+    for i, j >= 1; the check runs in O(n^2) on one delannoy_matrix(n).  As
     det E = 1, the identity certifies det A_n = 2^(n-1) det A_{n-1}; and as
     E is upper bidiagonal, the leading m x m block of E^T A_n E is
     E^T A_m E, so passing at n implies passing at every m <= n.  Exact
-    equality; n >= 1.
+    equality; n >= 1.  A table that is not n x n fails.
+
+    The check is made on whole rows.  One comparison first finds A equal
+    to its transpose, which also makes it n x n; then the first row must
+    be all 1, and so the first column, and the recurrence is checked on
+    the entries with j >= i, one row at a time.  That is the whole
+    identity: on a symmetric table D(j, i) = D(i, j) and
+    A[j-1][i-1] = A[i-1][j-1], so the recurrence at (i, j) gives it at
+    (j, i).  Nor does the symmetry test reject a table the identity
+    holds on: all-1 borders and the recurrence determine the Delannoy
+    table, which is symmetric.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    a = delannoy_matrix(n)
-    if a[0][0] != 1:
+    a = tuple(map(tuple, delannoy_matrix(n)))
+    if len(a) != n or tuple(zip(*a)) != a or set(a[0]) != {1}:
         return False
-    for t in range(1, n):
-        if a[0][t] != a[0][t - 1] or a[t][0] != a[t - 1][0]:
-            return False
     for i in range(1, n):
-        for j in range(1, n):
-            if a[i][j] - a[i - 1][j] - a[i][j - 1] + a[i - 1][j - 1] != 2 * a[i - 1][j - 1]:
-                return False
+        prev, row = a[i - 1], a[i]
+        # A[i][j] for j = i..n-1, from A[i-1][j], A[i-1][j-1] and A[i][j-1]
+        if tuple(map(add, map(add, prev[i:], prev[i - 1:]), row[i - 1:])) != row[i:]:
+            return False
     return True

@@ -16,13 +16,15 @@ convention) is drawn in one pass: every distinct level and column is
 formatted once, through a memo keyed by the lattice value, and the batch
 widens the bounding box once, by its extreme values.  render_overlay draws
 the packed tiling of tilings._cover through _overlay, which the render
-command also gives the packed tiling it reads straight from a file.
+command also gives the packed tiling it reads straight from a file; for
+--style tiling on a file of an Aztec tiling the command draws the same
+rects and box through _tiling, and so builds no DominoTiling.
 One rect drawer (_draw_rows) serves both tiling renderers, taking the
 dominoes row by row as the first cell and kind of each from a decoder of
-tilings, which checks the tiling first: the overlay from _first_cells, the
-one reader of the packed tiling, so this module reads no byte of it, and
-render_tiling from _tile_rows, whose one pass over the pairs checks them
-and groups them by row.
+tilings, which checks the tiling first: a packed tiling from _first_cells,
+the one reader of it, so this module reads no byte of it (_draw_diamond),
+and render_tiling from _tile_rows, whose one pass over the pairs checks
+them and groups them by row.
 """
 
 from __future__ import annotations
@@ -223,14 +225,28 @@ def render_overlay(t: DominoTiling, conv: Convention = Convention.CANONICAL) -> 
     return _overlay(*_cover(t), conv)
 
 
+def _draw_diamond(canvas: _Canvas, m: int, P: bytearray) -> None:
+    """The rects of the packed tiling (m, P), covered by the bounding box of
+    the diamond, levels 1..2m and columns -m..m-1: the box render_tiling
+    takes from the dominoes of an Aztec tiling."""
+    if m:
+        _draw_rows(canvas, _first_cells(m, P))
+        canvas.cover(_x(-m), _y(2 * m + 1), _x(m), _y(1))
+
+
+def _tiling(m: int, P: bytearray) -> str:
+    """render_tiling of the packed tiling (m, P), which render --style
+    tiling reads straight from a tiling file of an Aztec diamond."""
+    canvas = _Canvas()
+    _draw_diamond(canvas, m, P)
+    return canvas.document()
+
+
 def _overlay(m: int, P: bytearray, conv: Convention) -> str:
     """render_overlay of the packed tiling (m, P), which render --style
     overlay reads straight from a tiling file."""
     polylines = _polylines(m, P, conv)
     canvas = _Canvas()
-    if m:
-        _draw_rows(canvas, _first_cells(m, P))
-        # the diamond: levels 1..2m, columns -m..m-1
-        canvas.cover(_x(-m), _y(2 * m + 1), _x(m), _y(1))
+    _draw_diamond(canvas, m, P)
     _draw_paths(canvas, polylines, PATH_COLOR, _y, _x)
     return canvas.document()

@@ -41,11 +41,14 @@ first cell, mark every first cell with its kind (horizontal or vertical)
 in one int, and the rows of that mark give the dominoes in sorted order.
 It feeds the one frozenset of family_to_tiling, the tiling file
 (_packed_text, through the line writer _text that DominoTiling.to_text
-shares) and the overlay's rects (svg._draw_rows), so no other module
-reads a byte of P.  Beside it, _tile_rows gives the dominoes of any
-DominoTiling in the same rows, once one pass over its pairs has checked
-that they tile their own cells; render_tiling draws from it, and
-tiling_to_paths takes its adjacency and double-cover check from it.
+shares) and the rects svg draws from a packed tiling (svg._draw_rows), so
+no other module reads a byte of P.  _aztec reads a well-formed tiling file
+of an Aztec diamond straight into P, through _fill; _packed falls back to
+DominoTiling.from_text for any other file.  Beside _first_cells,
+_tile_rows gives the dominoes of any DominoTiling in the same rows, once
+one pass over its pairs has checked that they tile their own cells;
+render_tiling draws from it, and tiling_to_paths takes its adjacency and
+double-cover check from it.
 
 One chain walker, _edge_paths, serves all four conventions.  In the
 tiling turned by a symmetry of _symmetry (the one table of the four
@@ -388,21 +391,28 @@ def _cover(t: DominoTiling) -> tuple[int, bytearray]:
     return _fill(list(chain.from_iterable(chain.from_iterable(t.dominoes))))
 
 
-def _packed(text: str) -> tuple[int, bytearray]:
-    """The packed tiling (m, P) of a tiling file.
-
-    A well-formed text goes from its integers (families._integers) to P
-    through the checks of _fill, in line order, and builds no DominoTiling.
-    Any other text is read again by DominoTiling.from_text and _cover, so
-    it raises what they raise, naming the same line or cell.
-    """
+def _aztec(text: str) -> tuple[int, bytearray] | None:
+    """The packed tiling (m, P) of a well-formed tiling file of an Aztec
+    diamond, or None for any other text.  The text goes from its integers
+    (families._integers) to P through the checks of _fill, in line order,
+    and builds no DominoTiling."""
     values = _integers(text, 4)
     if values is not None:
         try:
             return _fill(values)
         except NotATiling:
             pass
-    return _cover(DominoTiling.from_text(text))
+    return None
+
+
+def _packed(text: str) -> tuple[int, bytearray]:
+    """The packed tiling (m, P) of a tiling file.
+
+    A well-formed file of an Aztec diamond is read by _aztec.  Any other
+    text is read again by DominoTiling.from_text and _cover, so it raises
+    what they raise, naming the same line or cell.
+    """
+    return _aztec(text) or _cover(DominoTiling.from_text(text))
 
 
 # the kind of the domino whose first cell is at each code, 1 for horizontal

@@ -434,7 +434,7 @@ def library_line(call) -> str | None:
     returns."""
     try:
         call()
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         return f"error: {type(exc).__name__}: {exc}\n"
     return None
 
@@ -497,7 +497,6 @@ class TestPackedTilingReader:
         file at path, whose text is text, against the library path; return
         the library's error lines."""
         out = path + ".out"
-        wants = []
         runs = [(["tile", "--input", path, "--direction", "to-family", "--output", out],
                  lambda: pc.tiling_to_family(pc.DominoTiling.from_text(text)).to_text())]
         runs += [(["render", "--input", path, "--style", "overlay", "--convention", str(conv),
@@ -505,6 +504,14 @@ class TestPackedTilingReader:
                   lambda conv=conv: render_overlay(pc.DominoTiling.from_text(text),
                                                    pc.Convention(conv)))
                  for conv in conventions]
+        return self.parity(runs, out)
+
+    @staticmethod
+    def parity(runs, out: str) -> list[str | None]:
+        """Run main on each argv of runs, which writes to out, against its
+        library call: the same file on success, else the same error line.
+        Return the library's error lines."""
+        wants = []
         for argv, library in runs:
             want = library_line(library)
             if want is None:
@@ -539,6 +546,41 @@ class TestPackedTilingReader:
                 kind = None
             # render checks the kind of file before it reads a tiling
             self.check_parity(text, path, [conv] if kind == "tiling" else [])
+            if kind == "tiling":
+                self.check_render_tiling(text, path)
+
+    def check_render_tiling(self, text: str, path: str) -> str | None:
+        """Run render --style tiling on the file at path, whose text is
+        text, against render_tiling of the library reader; return the
+        library's error line."""
+        out = path + ".svg"
+        return self.parity([(["render", "--input", path, "--style", "tiling", "--output", out],
+                             lambda: render_tiling(pc.DominoTiling.from_text(text)))], out)[0]
+
+    @pytest.mark.parametrize("fault", list(faulty_copies(seeded_tiling_text())))
+    def test_render_tiling_of_each_fault(self, fault, tmp_path):
+        # render_tiling takes a tiling of any region, so only the faults of
+        # the file itself, not the diamond's, are errors there
+        text, part = faulty_copies(seeded_tiling_text())[fault]
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        want = self.check_render_tiling(text, str(path))
+        assert (want is None) == (fault in ("outside", "non-Aztec count"))
+        assert want is None or part in want
+
+    def test_render_tiling_matches_the_library_byte_for_byte(self, tmp_path):
+        texts = [pc.family_to_tiling(f).to_text()
+                 for n in range(1, 6) for f in pc.enumerate_disjoint(n)]
+        # the order-0 diamond is the empty file
+        assert len(texts) == 1 + 2 + 8 + 64 + 1024 and texts[0] == ""
+        texts += [pc.family_to_tiling(pc.comb(pc.random_triangle(n, seed))).to_text()
+                  for n, seed in ((65, 5), (201, 21))]
+        # a tiling of no Aztec diamond, which the library reader draws
+        texts.append("-1 0 -1 1\n-2 0 -2 1\n0 -1 1 -1\n-1 2 -2 2\n")
+        path = tmp_path / "t.txt"
+        for text in texts:
+            path.write_text(text)
+            assert self.check_render_tiling(text, str(path)) is None
 
     def test_well_formed_files_build_no_domino_tiling(self, tmp_path, monkeypatch):
         text = seeded_tiling_text()
@@ -560,10 +602,13 @@ class TestPackedTilingReader:
         for conv in range(4):
             assert run_main(["render", "--input", str(path), "--style", "overlay",
                              "--convention", str(conv), "--output", out]) == (0, "")
+        assert run_main(["render", "--input", str(path), "--style", "tiling",
+                         "--output", out]) == (0, "")
         # a faulty file still reaches the library path
         path.write_text(text + text.splitlines()[0] + "\n")
         for argv in (["tile", "--input", str(path), "--direction", "to-family"],
-                     ["render", "--input", str(path), "--style", "overlay"]):
+                     ["render", "--input", str(path), "--style", "overlay"],
+                     ["render", "--input", str(path), "--style", "tiling"]):
             with pytest.raises(AssertionError, match="a DominoTiling was built"):
                 run_main(argv)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import random
+from functools import cache
 
 import pytest
 
@@ -12,8 +13,10 @@ delannoy_module = importlib.import_module("pathcomb.delannoy")
 
 
 def walk_count(i: int, j: int) -> int:
-    """Count paths from (i, 0) to (0, j) by walking every one of them."""
+    """Count paths from (i, 0) to (0, j) by the three steps a path can take
+    from each point, each point's count remembered for this call only."""
 
+    @cache
     def rec(lev: int, col: int) -> int:
         if lev == 0 and col == j:
             return 1
@@ -95,6 +98,20 @@ class TestDelannoy:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             pc.delannoy(-1, 0)
+        with pytest.raises(ValueError):
+            pc.delannoy(0, -1)
+
+    def test_against_table_and_walker(self):
+        a = recurrence_table((1,) * 25, (1,) * 25)
+        for i in range(25):
+            for j in range(25):
+                assert pc.delannoy(i, j) == a[i][j] == walk_count(i, j)
+
+    def test_one_entry_builds_no_table(self):
+        # a (10^5 + 1)^2 table would not fit in memory
+        assert pc.delannoy(10 ** 5, 0) == pc.delannoy(0, 10 ** 5) == 1
+        # D(2, j) = 2j^2 + 2j + 1
+        assert pc.delannoy(2, 10 ** 4) == pc.delannoy(10 ** 4, 2) == 2 * 10 ** 8 + 2 * 10 ** 4 + 1
 
 
 class TestDetExact:
@@ -128,6 +145,10 @@ class TestDetExact:
             m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             assert pc.det_exact(m) == det_cofactor(m)
 
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_matrix_matches_recurrence(self, n):
+        assert pc.delannoy_matrix(n) == recurrence_table((1,) * n, (1,) * n)
+
     @pytest.mark.parametrize("n", range(9))
     def test_power_of_two(self, n):
         assert pc.det_exact(pc.delannoy_matrix(n)) == 2 ** (n * (n - 1) // 2)
@@ -160,6 +181,51 @@ class TestReduction:
             monkeypatch.setattr(delannoy_module, "delannoy_matrix", lambda m: bad)
             assert not pc.verify_reduction(n)
             assert not reduction_by_products(bad)
+
+    @pytest.mark.parametrize("n", [12, 45])
+    def test_symmetric_faults_fail(self, n, monkeypatch):
+        # the recurrence is checked on and above the diagonal only, once the
+        # table is found symmetric: a fault moved with its mirror image must
+        # still fail, wherever it is
+        a = pc.delannoy_matrix(n)
+        rng = random.Random(20261019 + n)
+        spots = {(i, i) for i in range(n)} | {(0, j) for j in range(n)} | {(n - 1, n - 1)}
+        spots |= {tuple(sorted((rng.randrange(n), rng.randrange(n)))) for _ in range(40)}
+        for i, j in sorted(spots):
+            for d in (1, -1):
+                rows = [list(row) for row in a]
+                rows[i][j] += d
+                if i != j:
+                    rows[j][i] += d
+                bad = tuple(map(tuple, rows))
+                assert bad == tuple(zip(*bad))
+                monkeypatch.setattr(delannoy_module, "delannoy_matrix", lambda m: bad)
+                assert not pc.verify_reduction(n), (i, j, d)
+                if n <= 12:
+                    assert not reduction_by_products(bad)
+
+    def test_tables_not_n_by_n_fail(self, monkeypatch):
+        n = 6
+        a = pc.delannoy_matrix(n)
+        bigger = pc.delannoy_matrix(n + 1)
+        tables = {
+            "one row short": a[:-1],
+            "one row more": a + (bigger[-1][:n],),
+            "order n + 1": bigger,
+            "every row cut": tuple(row[:-1] for row in a),
+            "every row longer": tuple(row[:n + 1] for row in bigger[:n]),
+            "last row cut": a[:-1] + (a[-1][:-1],),
+            "first row longer": (bigger[0],) + a[1:],
+            "empty": (),
+            "empty rows": ((),) * n,
+        }
+        for name, bad in tables.items():
+            monkeypatch.setattr(delannoy_module, "delannoy_matrix", lambda m: bad)
+            assert not pc.verify_reduction(n), name
+        # a table is checked by its entries, whatever sequences hold them
+        monkeypatch.setattr(delannoy_module, "delannoy_matrix",
+                            lambda m: [list(row) for row in a])
+        assert pc.verify_reduction(n)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_holds(self, n):
