@@ -8,7 +8,9 @@ or ``svg``.  Importing this module loads only the integer-field rule of
 ``fields``, which the parser needs.  Names that callers read from this
 module, such as ``comb`` and ``PathFamily``, are served by ``__getattr__``
 (PEP 562): each read goes to the defining module, so it follows a patch
-there and caches nothing.
+there and caches nothing.  ``tile`` and ``render`` call the public
+functions of ``tilings`` and ``svg`` alone; the packed tiling they run on
+stays inside the ``DominoTiling`` those functions return and take.
 """
 
 from __future__ import annotations
@@ -169,14 +171,13 @@ def cmd_verify(n: int, cap: int) -> int:
 
 def cmd_tile(input_path: str, direction: str, output: str | None) -> int:
     from .families import PathFamily
-    from .tilings import _family, _packed, _packed_text, _partners
+    from .tilings import DominoTiling, family_to_tiling, tiling_to_family
 
-    # both directions go through the packed tiling and build no DominoTiling
     text = _read(input_path)
     if direction == "to-tiling":
-        _emit(_packed_text(*_partners(PathFamily.from_text(text))), output)
+        _emit(family_to_tiling(PathFamily.from_text(text)).to_text(), output)
     else:
-        _emit(_family(*_packed(text)).to_text(), output)
+        _emit(tiling_to_family(DominoTiling.from_text(text)).to_text(), output)
     return 0
 
 
@@ -195,8 +196,8 @@ def _detect_kind(text: str) -> str:
 
 def cmd_render(input_path: str, style: str, convention: int, output: str | None) -> int:
     from .families import ParseError, PathFamily
-    from .svg import _overlay, _tiling, render_dual, render_family, render_tiling
-    from .tilings import Convention, DominoTiling, _aztec, _packed
+    from .svg import render_dual, render_family, render_overlay, render_tiling
+    from .tilings import Convention, DominoTiling
 
     text = _read(input_path)
     kind = _detect_kind(text)
@@ -208,13 +209,8 @@ def cmd_render(input_path: str, style: str, convention: int, output: str | None)
     else:
         if kind != "tiling":
             raise ParseError(f"style {style!r} needs a tiling file")
-        if style == "tiling":
-            # a tiling of any other region, or a faulty file, takes the
-            # library reader, which names the line or cell at fault
-            packed = _aztec(text)
-            doc = _tiling(*packed) if packed else render_tiling(DominoTiling.from_text(text))
-        else:
-            doc = _overlay(*_packed(text), Convention(convention))
+        t = DominoTiling.from_text(text)
+        doc = render_tiling(t) if style == "tiling" else render_overlay(t, Convention(convention))
     _emit(doc, output)
     return 0
 

@@ -38,7 +38,8 @@ check the step-byte walk against them.
 
 The frozen records of the package, here and in combing, enumeration and
 tilings, derive from _Record.  Each lists its fields as __slots__ and sets
-them in its own __init__, which also makes the record's checks.  The base
+them in its own __init__, which also makes the record's checks; a slot
+whose name starts with "_" is no field.  The base
 gives == and hash on the tuple of the fields, the repr Name(field=value,
 ...), pickling and copying through __init__, and
 dataclasses.FrozenInstanceError on assignment or deletion.  It does not
@@ -90,11 +91,14 @@ def _frozen(message: str) -> AttributeError:
 
 
 class _Record:
-    """Base of a frozen record whose fields are its __slots__, in order.
+    """Base of a frozen record whose fields are its __slots__ not starting
+    with "_", in order.
 
     A subclass sets each field in its own __init__ with object.__setattr__.
     Two records are equal when they are of one class and their tuples of
-    fields are equal, and a record hashes as that tuple.
+    fields are equal, and a record hashes as that tuple.  A slot starting
+    with "_" may hold another form of the fields, outside ==, hash, repr
+    and pickle.
     """
 
     __slots__ = ()
@@ -103,9 +107,10 @@ class _Record:
         # attrgetter reads the fields in C, but given one name it returns
         # the value itself, not a 1-tuple: == compares that value directly,
         # and hash, repr and pickle read the 1-tuple
-        get = attrgetter(*cls.__slots__)
+        cls._names = names = [name for name in cls.__slots__ if name[0] != "_"]
+        get = attrgetter(*names)
         cls._key = staticmethod(get)
-        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        cls._values = staticmethod(get if len(names) > 1 else lambda self: (get(self),))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -117,7 +122,7 @@ class _Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values(self)))
+        fields = ", ".join(map("{}={!r}".format, self._names, self._values(self)))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
@@ -190,17 +195,17 @@ def _integers(text: str, width: int) -> list[int] | None:
     return None
 
 
-def _records(text: str, width: int, wrong_width: str, noun: str,
+def _records(text: str, values: list[int] | None, width: int, wrong_width: str, noun: str,
              keys: Callable[[list[int]], list[Hashable]]) -> frozenset:
     """The keys of the records on the nonblank lines: each line must hold
     width integers, and keys maps the integers of any number of records,
     listed in order, to the list of their keys.  A key met on an earlier
     line is a ParseError naming that line.
 
-    A well-formed text is converted in one pass over all its fields
-    (_integers).  Only a text that fails there is read again line by line,
-    to name its first bad line."""
-    values = _integers(text, width)
+    values is _integers(text, width), which the caller lists, so that a
+    reader that tried the integers another way first lists them once.  A
+    well-formed text is converted from them in one pass.  Only a text that
+    fails there is read again line by line, to name its first bad line."""
     if values is not None:
         found = keys(values)
         # through a dict, as the line loop builds it, so that the set

@@ -14,17 +14,15 @@ and certifies it disjoint, and whose result is valid by construction.
 Each batch of elements (the dominoes, or the paths of one family or one
 convention) is drawn in one pass: every distinct level and column is
 formatted once, through a memo keyed by the lattice value, and the batch
-widens the bounding box once, by its extreme values.  render_overlay draws
-the packed tiling of tilings._cover through _overlay, which the render
-command also gives the packed tiling it reads straight from a file; for
---style tiling on a file of an Aztec tiling the command draws the same
-rects and box through _tiling, and so builds no DominoTiling.
-One rect drawer (_draw_rows) serves both tiling renderers, taking the
-dominoes row by row as the first cell and kind of each from a decoder of
-tilings, which checks the tiling first: a packed tiling from _first_cells,
-the one reader of it, so this module reads no byte of it (_draw_diamond),
-and render_tiling from _tile_rows, whose one pass over the pairs checks
-them and groups them by row.
+widens the bounding box once, by its extreme values.  One rect drawer
+(_draw_rows) serves both tiling renderers, taking the dominoes row by row
+as the first cell and kind of each from a decoder of tilings, which checks
+the tiling first.  A tiling that holds its packed form (tilings explains
+when) is drawn from _first_cells, the one reader of it, so this module
+reads no byte of it (_draw_diamond) and builds no pairs; render_tiling
+draws any other tiling from _tile_rows, whose one pass over the pairs
+checks them and groups them by row.  render_overlay draws the packed
+tiling of tilings._cover, held or packed from the dominoes.
 """
 
 from __future__ import annotations
@@ -205,9 +203,13 @@ def render_tiling(t: DominoTiling) -> str:
     """Dominoes as filled rectangles.
 
     Raises NotATiling unless the dominoes tile their own cells: each is a
-    pair of adjacent cells and no cell is covered twice.
+    pair of adjacent cells and no cell is covered twice.  A tiling that
+    holds its packed form is drawn from it, and builds no dominoes.
     """
     canvas = _Canvas()
+    if t._held:
+        _draw_diamond(canvas, *t._held)
+        return canvas.document()
     _draw_rows(canvas, _tile_rows(t))
     if t.dominoes:
         levels, columns = zip(*chain.from_iterable(t.dominoes))
@@ -216,37 +218,24 @@ def render_tiling(t: DominoTiling) -> str:
 
 
 def render_overlay(t: DominoTiling, conv: Convention = Convention.CANONICAL) -> str:
-    """Tiling with its path family under the chosen edge convention.
+    """Tiling with its path family under the chosen edge convention, drawn
+    from the packed tiling of tilings._cover.
 
     t is checked first: _cover raises NotATiling unless t tiles an Aztec
     diamond, and then the symmetry raises ValueError unless conv is one of
     the four conventions.
     """
-    return _overlay(*_cover(t), conv)
+    m, P = _cover(t)
+    canvas = _Canvas()
+    _draw_diamond(canvas, m, P)
+    _draw_paths(canvas, _polylines(m, P, conv), PATH_COLOR, _y, _x)
+    return canvas.document()
 
 
-def _draw_diamond(canvas: _Canvas, m: int, P: bytearray) -> None:
+def _draw_diamond(canvas: _Canvas, m: int, P: bytes) -> None:
     """The rects of the packed tiling (m, P), covered by the bounding box of
     the diamond, levels 1..2m and columns -m..m-1: the box render_tiling
     takes from the dominoes of an Aztec tiling."""
     if m:
         _draw_rows(canvas, _first_cells(m, P))
         canvas.cover(_x(-m), _y(2 * m + 1), _x(m), _y(1))
-
-
-def _tiling(m: int, P: bytearray) -> str:
-    """render_tiling of the packed tiling (m, P), which render --style
-    tiling reads straight from a tiling file of an Aztec diamond."""
-    canvas = _Canvas()
-    _draw_diamond(canvas, m, P)
-    return canvas.document()
-
-
-def _overlay(m: int, P: bytearray, conv: Convention) -> str:
-    """render_overlay of the packed tiling (m, P), which render --style
-    overlay reads straight from a tiling file."""
-    polylines = _polylines(m, P, conv)
-    canvas = _Canvas()
-    _draw_diamond(canvas, m, P)
-    _draw_paths(canvas, polylines, PATH_COLOR, _y, _x)
-    return canvas.document()

@@ -33,22 +33,35 @@ white partner: 1 left, 2 right, 3 up, 4 down (_UNITS).  _partners takes P
 from the shear walk of families (_sheared), which is_disjoint shares: it
 writes the step bytes of P_1, ..., P_{n-1} (families._steps), each the
 direction stored at the point the step leaves, and certifies the family
-disjoint by its count of filled slots.  _fill writes P from
-the cells of the dominoes, checking each in turn, and _cover feeds it
-t.dominoes in set order.  _first_cells is the one reader of the dominoes
-in P: three translations of P, each shifted onto the code of a domino's
-first cell, mark every first cell with its kind (horizontal or vertical)
-in one int, and the rows of that mark give the dominoes in sorted order.
-It feeds the one frozenset of family_to_tiling, the tiling file
-(_packed_text, through the line writer _text that DominoTiling.to_text
-shares) and the rects svg draws from a packed tiling (svg._draw_rows), so
-no other module reads a byte of P.  _aztec reads a well-formed tiling file
-of an Aztec diamond straight into P, through _fill; _packed falls back to
-DominoTiling.from_text for any other file.  Beside _first_cells,
-_tile_rows gives the dominoes of any DominoTiling in the same rows, once
-one pass over its pairs has checked that they tile their own cells;
-render_tiling draws from it, and tiling_to_paths takes its adjacency and
-double-cover check from it.
+disjoint by its count of filled slots.  _fill writes P from the cells of
+the dominoes, checking each in turn.  _first_cells is the one reader of
+the dominoes in P: three translations of P, each shifted onto the code of
+a domino's first cell, mark every first cell with its kind (horizontal or
+vertical) in one int, and the rows of that mark give the dominoes in
+sorted order.  It feeds the tiling file (_packed_text, through the line
+writer _text that DominoTiling.to_text shares) and the rects svg draws
+from a packed tiling (svg._draw_rows), so no other module reads a byte of
+P.  Beside _first_cells, _tile_rows gives the dominoes of any DominoTiling
+in the same rows, once one pass over its pairs has checked that they tile
+their own cells; render_tiling draws from it, and tiling_to_paths takes
+its adjacency and double-cover check from it.
+
+A DominoTiling from family_to_tiling (through _partners), or read by
+DominoTiling.from_text from a well-formed tiling file of an Aztec diamond
+(families._integers lists its integers and _fill checks each domino in
+line order), holds its (m, P) in the slot _held, P as bytes.  Its
+dominoes are decoded through _first_cells on first read, into the one
+frozenset, and then kept; _cover returns the held form, to_text writes
+through _packed_text, and svg draws from it.  The held form is no field of
+the record: ==, hash, repr, pickle and copy are those of the dominoes.
+Every other tiling holds None there and keeps its frozenset: one built
+from dominoes or pairs, one of another region, and one read from a file
+that fails _fill, which goes from the same integers through the parser
+skeleton families._records, so that every error names the same line or
+cell.  _cover packs such a
+tiling through _fill, in the iteration order of its dominoes.
+DominoTiling.from_text and Region.from_text read through that one
+skeleton.
 
 One chain walker, _edge_paths, serves all four conventions.  In the
 tiling turned by a symmetry of _symmetry (the one table of the four
@@ -61,13 +74,6 @@ tiling_to_family and dual_family read (B, D) off the partner directions
 along each chain, turned by the symmetry as one translation of bytes into
 the step bytes of families._steps.  convention_paths draws the visited
 cells in one pass, as one translation read off _symmetry (_polylines).
-
-The tile command and render --style overlay read a tiling file straight
-into P (_packed): families._integers lists its integers and _fill checks
-each domino in line order.  A file that fails there is read again through
-DominoTiling.from_text and _cover, so every error names the same line or
-cell as the library path.  DominoTiling.from_text and Region.from_text
-read through the one parser skeleton families._records.
 
 The module imports from families alone, NotDisjoint included, so loading it
 loads neither the combing kernel nor the enumeration oracles.
@@ -130,8 +136,8 @@ class Region(_Record):
 
     @classmethod
     def from_text(cls, text: str) -> "Region":
-        return cls(_records(text, 2, "region line must hold two integers", "cell",
-                            lambda v: list(zip(v[0::2], v[1::2]))))
+        return cls(_records(text, _integers(text, 2), 2, "region line must hold two integers",
+                            "cell", lambda v: list(zip(v[0::2], v[1::2]))))
 
 
 class EdgeSets(_Record):
@@ -158,17 +164,42 @@ def _dominoes(v: list[int]) -> list[tuple[Cell, Cell]]:
 
 
 class DominoTiling(_Record):
-    """A partition of a region into adjacent cell pairs (each pair sorted)."""
+    """A partition of a region into adjacent cell pairs (each pair sorted).
 
-    __slots__ = ("dominoes",)
+    A tiling from family_to_tiling, or read by from_text from a file of an
+    Aztec diamond, holds the packed tiling (m, P) in _held, P as bytes; its
+    dominoes are decoded on first read (__getattr__) and then kept.  Any
+    other tiling holds None there."""
+
+    __slots__ = ("dominoes", "_held")
 
     def __init__(self, dominoes: frozenset[tuple[Cell, Cell]]) -> None:
         # the same dominoes in either orientation make the same tiling;
-        # sorted pairs, as from_text, from_pairs and family_to_tiling give,
-        # are only checked
+        # sorted pairs, as from_text and from_pairs give, are only checked
         if any(starmap(gt, dominoes)):
             dominoes = frozenset(_sorted_pairs(dominoes))
         object.__setattr__(self, "dominoes", dominoes)
+        object.__setattr__(self, "_held", None)
+
+    @classmethod
+    def _holding(cls, m: int, P: bytes) -> "DominoTiling":
+        """The tiling that holds the packed tiling (m, P)."""
+        t = cls.__new__(cls)
+        object.__setattr__(t, "_held", (m, bytes(P)))
+        return t
+
+    def __getattr__(self, name: str) -> object:
+        # reached for a name not found, so for dominoes only until a held
+        # tiling has decoded them: sorted, from _first_cells, so that the
+        # one frozenset is built straight from them
+        if name != "dominoes" or self._held is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pairs = []
+        for s, row in _first_cells(*self._held):
+            above = s + 1  # one int for the second cells of the row's vertical dominoes
+            pairs += [((s, u), (s, u + 1) if k == 1 else (above, u)) for u, k in row]
+        object.__setattr__(self, "dominoes", frozenset(pairs))
+        return self.dominoes
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Cell, Cell]]) -> "DominoTiling":
@@ -184,11 +215,24 @@ class DominoTiling(_Record):
         return frozenset(c for pair in self.dominoes for c in pair)
 
     def to_text(self) -> str:
+        if self._held:
+            return _packed_text(*self._held)
         return _text(starmap(add, self.dominoes))
 
     @classmethod
     def from_text(cls, text: str) -> "DominoTiling":
-        return cls(_records(text, 4, "tiling line must hold four integers", "domino",
+        """A well-formed file of an Aztec diamond goes from its integers
+        (families._integers) to a held tiling through the checks of _fill,
+        in line order.  Any other text goes from the same integers
+        through the parser skeleton families._records, which reads a
+        faulty text again line by line and names the line at fault."""
+        values = _integers(text, 4)
+        if values is not None:
+            try:
+                return cls._holding(*_fill(values))
+            except NotATiling:
+                pass
+        return cls(_records(text, values, 4, "tiling line must hold four integers", "domino",
                             _dominoes))
 
 
@@ -385,34 +429,10 @@ def _fill(values: list[int]) -> tuple[int, bytearray]:
     return m, P
 
 
-def _cover(t: DominoTiling) -> tuple[int, bytearray]:
-    """The packed tiling (m, P) of the Aztec diamond that t tiles, checked
-    by _fill in the iteration order of t.dominoes."""
-    return _fill(list(chain.from_iterable(chain.from_iterable(t.dominoes))))
-
-
-def _aztec(text: str) -> tuple[int, bytearray] | None:
-    """The packed tiling (m, P) of a well-formed tiling file of an Aztec
-    diamond, or None for any other text.  The text goes from its integers
-    (families._integers) to P through the checks of _fill, in line order,
-    and builds no DominoTiling."""
-    values = _integers(text, 4)
-    if values is not None:
-        try:
-            return _fill(values)
-        except NotATiling:
-            pass
-    return None
-
-
-def _packed(text: str) -> tuple[int, bytearray]:
-    """The packed tiling (m, P) of a tiling file.
-
-    A well-formed file of an Aztec diamond is read by _aztec.  Any other
-    text is read again by DominoTiling.from_text and _cover, so it raises
-    what they raise, naming the same line or cell.
-    """
-    return _aztec(text) or _cover(DominoTiling.from_text(text))
+def _cover(t: DominoTiling) -> tuple[int, bytes]:
+    """The packed tiling (m, P) of the Aztec diamond that t tiles: the one t
+    holds, or else checked by _fill in the iteration order of t.dominoes."""
+    return t._held or _fill(list(chain.from_iterable(chain.from_iterable(t.dominoes))))
 
 
 # the kind of the domino whose first cell is at each code, 1 for horizontal
@@ -425,7 +445,7 @@ _FIRST_BEFORE = bytes.maketrans(b"\1\2\3\4\5", b"\1\0\0\0\0")
 _FIRST_BELOW = bytes.maketrans(b"\1\2\3\4\5", b"\0\0\0\2\0")
 
 
-def _first_cells(m: int, P: bytearray) -> Iterator[tuple[int, Iterator[tuple[int, int]]]]:
+def _first_cells(m: int, P: bytes) -> Iterator[tuple[int, Iterator[tuple[int, int]]]]:
     """The dominoes of the packed tiling (m, P) in sorted order, row by row:
     each row s = 1..2m with the column u and kind k of each first cell on
     it, left to right.  Kind 1 is a horizontal domino, second cell
@@ -482,13 +502,13 @@ def _text(dominoes: Iterable[Sequence[int]]) -> str:
     return "".join(sorted(f"{a} {b} {c} {d}\n" for a, b, c, d in dominoes))
 
 
-def _packed_text(m: int, P: bytearray) -> str:
-    """The tiling file of the packed tiling (m, P), as DominoTiling.to_text
-    writes it: kind k puts the second cell at (s + k - 1, u + 2 - k)."""
+def _packed_text(m: int, P: bytes) -> str:
+    """The tiling file of the packed tiling (m, P), in the line order of
+    _text: kind k puts the second cell at (s + k - 1, u + 2 - k)."""
     return _text((s, u, s + k - 1, u + 2 - k) for s, row in _first_cells(m, P) for u, k in row)
 
 
-def _edge_paths(m: int, P: bytearray, conv: Convention) -> list[list[int]]:
+def _edge_paths(m: int, P: bytes, conv: Convention) -> list[list[int]]:
     """The codes of the cells that the edge paths of the tiling (m, P) turned
     by conv cross, in the order of their entries (i, -i), each up to its
     exit (i, i) outside the diamond.  The cells are those of (m, P), not of
@@ -521,7 +541,7 @@ def _edge_paths(m: int, P: bytearray, conv: Convention) -> list[list[int]]:
     return paths
 
 
-def _family(m: int, P: bytearray, conv: Convention = 0) -> PathFamily:
+def _family(m: int, P: bytes, conv: Convention = 0) -> PathFamily:
     """The order m+1 family whose P_1, ..., P_m shear onto the edge paths of
     the tiling (m, P) turned by conv: an edge step one row up is a
     horizontal step, one along the row a diagonal step and one row down a
@@ -541,7 +561,7 @@ def _family(m: int, P: bytearray, conv: Convention = 0) -> PathFamily:
     return PathFamily(tuple(B), tuple(D))
 
 
-def _polylines(m: int, P: bytearray, conv: Convention) -> list[list[tuple[float, float]]]:
+def _polylines(m: int, P: bytes, conv: Convention) -> list[list[tuple[float, float]]]:
     """convention_paths of the packed tiling (m, P), all points in one pass.
 
     Each cell that a chain crosses (_edge_paths) is mapped to the turned
@@ -575,25 +595,21 @@ def family_to_tiling(f: PathFamily) -> DominoTiling:
     Built straight from (B, D): after require_valid, one walk over the
     paths P_1, ..., P_{n-1}, the shear walk that is_disjoint shares, packs
     every black cell's partner and certifies that the paths are disjoint
-    (_partners).  The pairs come out of the
-    packed tiling sorted (_first_cells), so DominoTiling only checks them
-    and the one frozenset is built once.  P_0 sits on the virtual edge (0, 0)
+    (_partners).  The tiling holds that packed form, and its dominoes are
+    decoded from it on first read.  P_0 sits on the virtual edge (0, 0)
     outside the diamond and is dropped.  Raises ValueError for n < 1,
     InvalidFamily and NotDisjoint.
     """
-    pairs = []
-    for s, row in _first_cells(*_partners(f)):
-        above = s + 1  # one int for the second cells of the row's vertical dominoes
-        pairs += [((s, u), (s, u + 1) if k == 1 else (above, u)) for u, k in row]
-    return DominoTiling(frozenset(pairs))
+    return DominoTiling._holding(*_partners(f))
 
 
 def tiling_to_family(t: DominoTiling) -> PathFamily:
     """The disjoint order m+1 family of a tiling of the order-m Aztec
     diamond; inverse of family_to_tiling.
 
-    One pass over the dominoes packs them and checks the exact cover
-    (_cover raises NotATiling, naming the cell at fault); the step chains
+    A tiling that holds its packed form is read from it; any other is
+    packed in one pass over its dominoes, which checks the exact cover
+    (_cover raises NotATiling, naming the cell at fault).  The step chains
     from the entries (i, -i) are then written as the B and D rows of
     P_1, ..., P_m.
     """

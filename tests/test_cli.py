@@ -20,6 +20,7 @@ import pathcomb as pc
 import pathcomb.cli
 import pathcomb.families
 import pathcomb.svg
+import pathcomb.tilings
 import oracles
 from conftest import format_texts, oracle_tiling
 from pathcomb.svg import render_dual, render_family, render_overlay, render_tiling
@@ -583,17 +584,24 @@ class TestPackedTilingReader:
             assert self.check_render_tiling(text, str(path)) is None
 
     def test_well_formed_files_build_no_domino_tiling(self, tmp_path, monkeypatch):
+        # a well-formed file of an Aztec diamond is read into a tiling that
+        # holds its packed form: no frozenset of dominoes is built, neither
+        # by the library reader nor by DominoTiling nor by a decode of it
         text = seeded_tiling_text()
         family = tmp_path / "f.txt"
         family.write_text(pc.tiling_to_family(pc.DominoTiling.from_text(text)).to_text())
         path = tmp_path / "t.txt"
         path.write_text(text)
 
-        def refuse(*args):
-            raise AssertionError("a DominoTiling was built")
+        def refuse(what):
+            def refused(*args):
+                raise AssertionError(what)
+            return refused
 
-        monkeypatch.setattr(pc.DominoTiling, "from_text", classmethod(refuse))
-        monkeypatch.setattr(pc.DominoTiling, "__init__", refuse)
+        monkeypatch.setattr(pathcomb.tilings, "frozenset", refuse("a frozenset was built"),
+                            raising=False)
+        monkeypatch.setattr(pc.DominoTiling, "__init__", refuse("a frozenset was built"))
+        monkeypatch.setattr(pathcomb.tilings, "_records", refuse("the library reader ran"))
         out = str(tmp_path / "out")
         assert run_main(["tile", "--input", str(family), "--direction", "to-tiling",
                          "--output", out]) == (0, "")
@@ -604,12 +612,12 @@ class TestPackedTilingReader:
                              "--convention", str(conv), "--output", out]) == (0, "")
         assert run_main(["render", "--input", str(path), "--style", "tiling",
                          "--output", out]) == (0, "")
-        # a faulty file still reaches the library path
+        # a faulty file still reaches the library reader
         path.write_text(text + text.splitlines()[0] + "\n")
         for argv in (["tile", "--input", str(path), "--direction", "to-family"],
                      ["render", "--input", str(path), "--style", "overlay"],
                      ["render", "--input", str(path), "--style", "tiling"]):
-            with pytest.raises(AssertionError, match="a DominoTiling was built"):
+            with pytest.raises(AssertionError, match="the library reader ran"):
                 run_main(argv)
 
     @pytest.mark.parametrize("n,seed", [(65, 5), (200, 21)])

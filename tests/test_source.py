@@ -194,6 +194,14 @@ def test_packed_format_stays_in_tilings():
     assert [node.lineno for node in ast.walk(svg) if isinstance(node, ast.Subscript)
             and getattr(node.value, "id", None) == "P"] == []
     assert "_pairs" not in from_tilings(CLI)[1]
+    # one bridge: cli takes no private name from tilings or svg, and the
+    # packed entry points it used, which tilings and svg kept beside the
+    # public functions, stay gone
+    assert [alias.name for node in ast.walk(ast.parse(CLI.read_text(), filename=str(CLI)))
+            if isinstance(node, ast.ImportFrom) and node.module in ("tilings", "svg")
+            for alias in node.names if alias.name.startswith("_")] == []
+    assert defined(TILINGS) & {"_packed", "_aztec"} == set()
+    assert defined(SVG) & {"_tiling", "_overlay"} == set()
 
 
 def test_no_unused_imports():

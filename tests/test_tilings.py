@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import functools
 import math
+import pickle
 import random
 import re
 from collections import Counter
@@ -224,9 +227,12 @@ class TestFamilyTilingBridge:
 
     @pytest.mark.parametrize("n,seed", [(2, 1), (5, 2), (65, 5)])
     def test_one_frozenset_build(self, n, seed, monkeypatch):
-        # the pairs come out sorted, so DominoTiling only checks them and
-        # builds no second frozenset of the dominoes
+        # the tiling holds its packed form: writing it out, reading its
+        # family back or drawing it builds no frozenset of the dominoes, and
+        # the first read of .dominoes, == or hash builds exactly one, from
+        # pairs that come out sorted, so DominoTiling builds no second one
         f = pc.comb(pc.random_triangle(n, seed))
+        want = oracle_tiling(f)
         builds = []
 
         def counted(*args):
@@ -235,9 +241,19 @@ class TestFamilyTilingBridge:
             return built
 
         monkeypatch.setattr(pathcomb.tilings, "frozenset", counted, raising=False)
-        t = pc.family_to_tiling(f)
-        assert builds == [(n - 1) * n]
-        assert all(p <= q for p, q in t.dominoes)
+        for read in (lambda t: t.dominoes, lambda t: t == want, hash):
+            t = pc.family_to_tiling(f)
+            assert t.to_text() == want.to_text()
+            assert pc.tiling_to_family(t) == f
+            assert render_tiling(t) == render_tiling(want)
+            assert render_overlay(t) == render_overlay(want)
+            assert builds == []
+            read(t)
+            assert builds == [(n - 1) * n]
+            assert t.dominoes == want.dominoes and t == want and hash(t) == hash(want)
+            assert all(p <= q for p, q in t.dominoes)
+            assert builds == [(n - 1) * n]
+            builds.clear()
 
     def test_rejects_intersecting(self):
         with pytest.raises(pc.NotDisjoint):
@@ -490,8 +506,9 @@ class TestBridgeAgainstOracles:
                 t = pc.family_to_tiling(f)
                 assert t == oracle_tiling(f)
                 # the one decoder, on the walk's P and on _fill's, whose
-                # white cells hold the mark 5
-                for packed in (_partners(f), _cover(t)):
+                # white cells hold the mark 5; t holds the walk's P, so
+                # _fill packs the tiling of the same frozenset
+                for packed in (_partners(f), _cover(pc.DominoTiling(t.dominoes))):
                     assert _packed_text(*packed) == t.to_text()
                 assert pc.tiling_to_family(t) == f == oracle_family(t)
                 assert pc.dual_family(f) == oracle_dual(f)
@@ -872,6 +889,65 @@ class TestSerialization:
         for second in (((0, 0), (0, 1)), ((0, 1), (0, 0))):
             with pytest.raises(pc.NotATiling, match="given twice"):
                 pc.DominoTiling.from_pairs([((0, 0), (0, 1)), ((1, 0), (1, 1)), second])
+
+
+class TestHeldTiling:
+    """A tiling that holds its packed form, from family_to_tiling or read
+    from a file of an Aztec diamond, keeps the records contract of the
+    tiling of the same dominoes built from their frozenset, before and
+    after the first read of its dominoes."""
+
+    CHECKS = {
+        "==": lambda t, plain: t == plain and plain == t and not t != plain,
+        "hash": lambda t, plain: hash(t) == hash(plain) == hash((plain.dominoes,)),
+        "repr": lambda t, plain: repr(t) == repr(plain),
+        "pickle": lambda t, plain: all(
+            type(back) is pc.DominoTiling and back == plain and hash(back) == hash(plain)
+            for back in [pickle.loads(pickle.dumps(t, protocol))
+                         for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            + [copy.copy(t), copy.deepcopy(t)]),
+    }
+
+    @staticmethod
+    def frozen(t) -> bool:
+        for name in ("dominoes", "_held"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(t, name)
+        return True
+
+    def check(self, f: pc.PathFamily) -> None:
+        plain = pc.DominoTiling(pc.family_to_tiling(f).dominoes)
+        assert plain._held is None
+        text = plain.to_text()
+        makers = (lambda: pc.family_to_tiling(f), lambda: pc.DominoTiling.from_text(text))
+        for make in makers:
+            for name, holds in [*self.CHECKS.items(), ("frozen", lambda t, _: self.frozen(t))]:
+                before, after = make(), make()
+                assert before._held is not None
+                after.dominoes
+                assert holds(before, plain) and holds(after, plain), name
+                assert before.dominoes == after.dominoes == plain.dominoes
+                assert before.to_text() == text
+
+    def test_every_tiling_up_to_order_3(self, disjoint_by_n):
+        for n in range(1, 5):
+            for f in disjoint_by_n[n]:
+                self.check(f)
+
+    def test_seeded_order_64(self):
+        self.check(pc.comb(pc.random_triangle(65, 64)))
+
+    def test_every_other_construction_holds_no_packed_form(self):
+        t = pc.family_to_tiling(pc.comb(pc.random_triangle(4, 1)))
+        text = t.to_text()
+        faulty = text + text.splitlines()[0] + "\n"
+        others = [pc.DominoTiling(t.dominoes), pc.DominoTiling.from_pairs(t.dominoes),
+                  pc.DominoTiling.from_text("0 0 0 1\n"), pickle.loads(pickle.dumps(t))]
+        assert all(other._held is None for other in others)
+        with pytest.raises(pc.ParseError, match="domino repeats line 1"):
+            pc.DominoTiling.from_text(faulty)
 
 
 class TestColors:
