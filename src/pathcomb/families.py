@@ -186,10 +186,21 @@ class _Memo(dict):
 def _integers(text: str, width: int) -> list[int] | None:
     """The integers of text in order, each distinct field through _plain_int
     once, when every nonblank line holds width of them; else None.  Every
-    line break is whitespace, so text.split() lists the fields of all lines."""
-    if set(map(len, map(str.split, text.splitlines()))) <= {0, width}:
+    line break is whitespace, so text.split() lists the fields of all lines.
+
+    The canonical layout, as the writers give it, is checked in one pass:
+    ASCII, lines ending in "\\n", each of width fields of "-" and digits
+    joined by single spaces.  Deleting "-" and the digits then leaves
+    (width - 1) spaces and a "\\n" per line, and no field is empty when
+    text.split() finds width per line.  Any other text is checked line by
+    line; the result is the same."""
+    fields = text.split()
+    lines = text.count("\n")
+    if ((text.isascii() and len(fields) == width * lines
+         and text.encode().translate(None, b"-0123456789") == (b" " * (width - 1) + b"\n") * lines)
+            or set(map(len, map(str.split, text.splitlines()))) <= {0, width}):
         try:
-            return list(map(_Memo(_plain_int).__getitem__, text.split()))
+            return list(map(_Memo(_plain_int).__getitem__, fields))
         except ValueError:
             pass
     return None

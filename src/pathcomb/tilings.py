@@ -34,34 +34,41 @@ from the shear walk of families (_sheared), which is_disjoint shares: it
 writes the step bytes of P_1, ..., P_{n-1} (families._steps), each the
 direction stored at the point the step leaves, and certifies the family
 disjoint by its count of filled slots.  _fill writes P from the cells of
-the dominoes, checking each in turn.  _first_cells is the one reader of
-the dominoes in P: three translations of P, each shifted onto the code of
-a domino's first cell, mark every first cell with its kind (horizontal or
-vertical) in one int, and the rows of that mark give the dominoes in
-sorted order.  It feeds the tiling file (_packed_text, through the line
-writer _text that DominoTiling.to_text shares) and the rects svg draws
-from a packed tiling (svg._draw_rows), so no other module reads a byte of
-P.  Beside _first_cells, _tile_rows gives the dominoes of any DominoTiling
+the dominoes, the white cells' slots too, with their black partner's
+direction.  It checks a tiling in bulk: the range of every row and column
+before any code is formed, the partner directions through one dict, and
+the exact cover as one compare of the filled slots with the diamond's
+(_diamond); only a tiling that fails there is checked again domino by
+domino, to name the first fault.  _kinds is the one decoder of P: three
+translations of P, each shifted onto the code of a domino's first cell,
+mark every first cell with its kind (horizontal or vertical) in one int.
+A black slot alone, as _partners writes it, and both slots of a domino,
+as _fill writes them, give the same mark.  _first_cells reads the
+dominoes off its rows in sorted order, for the rects svg draws from a
+packed tiling (svg._draw_rows) and for the decoded dominoes.
+_packed_text writes the tiling file from _kinds in the line order of _text,
+the writer of any other tiling: it formats each row and column once and
+takes them in the order of their fields as strings, so that no line is
+formatted per domino or sorted.  No other module reads a byte of P.
+Beside _first_cells, _tile_rows gives the dominoes of any DominoTiling
 in the same rows, once one pass over its pairs has checked that they tile
 their own cells; render_tiling draws from it, and tiling_to_paths takes
 its adjacency and double-cover check from it.
 
 A DominoTiling from family_to_tiling (through _partners), or read by
 DominoTiling.from_text from a well-formed tiling file of an Aztec diamond
-(families._integers lists its integers and _fill checks each domino in
-line order), holds its (m, P) in the slot _held, P as bytes.  Its
-dominoes are decoded through _first_cells on first read, into the one
-frozenset, and then kept; _cover returns the held form, to_text writes
-through _packed_text, and svg draws from it.  The held form is no field of
-the record: ==, hash, repr, pickle and copy are those of the dominoes.
-Every other tiling holds None there and keeps its frozenset: one built
-from dominoes or pairs, one of another region, and one read from a file
-that fails _fill, which goes from the same integers through the parser
-skeleton families._records, so that every error names the same line or
-cell.  _cover packs such a
-tiling through _fill, in the iteration order of its dominoes.
-DominoTiling.from_text and Region.from_text read through that one
-skeleton.
+(families._integers lists its integers and _fill checks them), holds its
+(m, P) in the slot _held, P as bytes.  Its dominoes are decoded through
+_first_cells on first read, into the one frozenset, and then kept; _cover
+returns the held form, to_text writes through _packed_text, and svg draws
+from it.  The held form is no field of the record: ==, hash, repr, pickle
+and copy are those of the dominoes.  Every other tiling holds None there
+and keeps its frozenset: one built from dominoes or pairs, one of another
+region, and one read from a file that fails _fill, which goes from the same
+integers through the parser skeleton families._records, so that every error
+names the same line or cell.  _cover packs such a tiling through _fill, in
+the iteration order of its dominoes.  DominoTiling.from_text and
+Region.from_text read through that one skeleton.
 
 One chain walker, _edge_paths, serves all four conventions.  In the
 tiling turned by a symmetry of _symmetry (the one table of the four
@@ -85,7 +92,7 @@ from collections import Counter
 from enum import IntEnum
 from itertools import chain, compress, repeat, starmap
 from math import isqrt
-from operator import add, gt, itemgetter
+from operator import add, getitem, gt, itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .families import (
@@ -222,10 +229,10 @@ class DominoTiling(_Record):
     @classmethod
     def from_text(cls, text: str) -> "DominoTiling":
         """A well-formed file of an Aztec diamond goes from its integers
-        (families._integers) to a held tiling through the checks of _fill,
-        in line order.  Any other text goes from the same integers
-        through the parser skeleton families._records, which reads a
-        faulty text again line by line and names the line at fault."""
+        (families._integers) to a held tiling through the checks of
+        _fill.  Any other text goes from the same integers through the
+        parser skeleton families._records, which reads a faulty text again
+        line by line and names the line at fault."""
         values = _integers(text, 4)
         if values is not None:
             try:
@@ -401,6 +408,17 @@ def _fill(values: list[int]) -> tuple[int, bytearray]:
     dominoes then cover all 2m(m+1) cells.  Cell (i, j) lies inside when
     |2i - 2m - 1| + |2j + 1| < 2m + 1: rows 1..2m, row i spanning columns
     -h..h-1 with h = min(i, 2m + 1 - i).
+
+    Each cell's slot gets the direction of its partner, the white cells'
+    too, so that the bulk writes need no cell's colour.  A tiling is
+    checked in bulk first: every row in 1..2m (a dict lookup that also
+    gives the row's code) and every column in -m..m-1, before any code is
+    formed, since inside that box each cell has a code of its own and two
+    cells are adjacent exactly when their codes differ by 1 or W; then the
+    partner directions through one dict, and last the exact cover, as one
+    compare of the filled slots with the diamond's.  Only when a bulk check
+    fails are the dominoes checked again one by one, in turn, so that the
+    error names the first faulty domino.
     """
     count = len(values) // 4
     m = isqrt(count)
@@ -409,6 +427,24 @@ def _fill(values: list[int]) -> tuple[int, bytearray]:
     W, base, top = 2 * m + 2, m + 1, 2 * m + 1
     direction = {-1: 1, 1: 2, W: 3, -W: 4}
     P = bytearray(W * W)
+    rows = {a: a * W + base for a in range(1, top)}
+    # no copy of the columns is kept while the codes are built: at order
+    # 800 one left some 20 MB of the heap in use after the call
+    if not count or (-m <= min(values[1::2]) and max(values[1::2]) < m):
+        try:
+            firsts = list(map(add, map(rows.__getitem__, values[0::4]), values[1::4]))
+            seconds = list(map(add, map(rows.__getitem__, values[2::4]), values[3::4]))
+            there = bytes(map(direction.__getitem__, map(sub, seconds, firsts)))
+        except KeyError:
+            pass
+        else:
+            for c, d in zip(firsts, there):
+                P[c] = d
+            for c, d in zip(seconds, there.translate(_OPPOSITE)):
+                P[c] = d
+            if P.translate(_FILLED) == _diamond(m):
+                return m, P
+            P = bytearray(W * W)
     it = iter(values)
     for a, b, c, d in zip(it, it, it, it):
         if abs(a - c) + abs(b - d) != 1:
@@ -425,8 +461,21 @@ def _fill(values: list[int]) -> tuple[int, bytearray]:
             twice = black if P[black] else white
             raise NotATiling(f"cell {(twice // W, twice % W - base)} covered twice")
         P[black] = direction[white - black]
-        P[white] = 5  # a mark for the check above, which _first_cells reads as white
+        P[white] = direction[black - white]
     return m, P
+
+
+# a partner direction seen from the partner; any direction as a filled slot
+_OPPOSITE = bytes.maketrans(b"\1\2\3\4", b"\2\1\4\3")
+_FILLED = bytes.maketrans(b"\2\3\4", b"\1\1\1")
+
+
+def _diamond(m: int) -> bytes:
+    """The slots of the order-m diamond's cells, each 1, in the box of (m, P):
+    row s holds h = min(s, 2m + 1 - s) cells each side of the centre."""
+    base = m + 1
+    return b"".join(bytes(base - h) + b"\1" * (2 * h) + bytes(base - h)
+                    for h in map(min, range(2 * base), reversed(range(2 * base))))
 
 
 def _cover(t: DominoTiling) -> tuple[int, bytes]:
@@ -437,27 +486,33 @@ def _cover(t: DominoTiling) -> tuple[int, bytes]:
 
 # the kind of the domino whose first cell is at each code, 1 for horizontal
 # and 2 for vertical, read off three codes of P: a right or up partner makes
-# the black cell first, a left partner the cell one code before it and a
-# down partner the cell W codes before it; white cells, 0 or _fill's mark 5,
-# give nothing
-_FIRST_HERE = bytes.maketrans(b"\1\2\3\4\5", b"\0\1\2\0\0")
-_FIRST_BEFORE = bytes.maketrans(b"\1\2\3\4\5", b"\1\0\0\0\0")
-_FIRST_BELOW = bytes.maketrans(b"\1\2\3\4\5", b"\0\0\0\2\0")
+# the cell itself first, a left partner the cell one code before it and a
+# down partner the cell W codes before it.  A domino's two slots, as _fill
+# writes them, name the same first cell and kind, and so does its black
+# slot alone, as _partners writes it; an empty slot names nothing
+_FIRST_HERE = bytes.maketrans(b"\1\2\3\4", b"\0\1\2\0")
+_FIRST_BEFORE = bytes.maketrans(b"\1\2\3\4", b"\1\0\0\0")
+_FIRST_BELOW = bytes.maketrans(b"\1\2\3\4", b"\0\0\0\2")
+
+
+def _kinds(m: int, P: bytes) -> bytes:
+    """The kind of the domino whose first cell is at each code of the packed
+    tiling (m, P), 0 where none is: one int, the three translations of P
+    each shifted to the first cell's code."""
+    return (int.from_bytes(P.translate(_FIRST_HERE), "little")
+            | int.from_bytes(P.translate(_FIRST_BEFORE), "little") >> 8
+            | int.from_bytes(P.translate(_FIRST_BELOW), "little") >> 8 * (2 * m + 2)
+            ).to_bytes(len(P), "little")
 
 
 def _first_cells(m: int, P: bytes) -> Iterator[tuple[int, Iterator[tuple[int, int]]]]:
     """The dominoes of the packed tiling (m, P) in sorted order, row by row:
     each row s = 1..2m with the column u and kind k of each first cell on
     it, left to right.  Kind 1 is a horizontal domino, second cell
-    (s, u + 1), and kind 2 a vertical one, second cell (s + 1, u).
-
-    The kinds of all codes are one int, the three translations of P each
-    shifted to the first cell's code; each row is then read off its bytes."""
+    (s, u + 1), and kind 2 a vertical one, second cell (s + 1, u).  Each
+    row is read off the bytes of _kinds."""
     W = 2 * m + 2
-    kinds = (int.from_bytes(P.translate(_FIRST_HERE), "little")
-             | int.from_bytes(P.translate(_FIRST_BEFORE), "little") >> 8
-             | int.from_bytes(P.translate(_FIRST_BELOW), "little") >> 8 * W
-             ).to_bytes(len(P), "little")
+    kinds = _kinds(m, P)
     # one int object per column, shared by every row
     columns = list(range(-m - 1, m + 1))
     for s in range(1, 2 * m + 1):
@@ -504,8 +559,39 @@ def _text(dominoes: Iterable[Sequence[int]]) -> str:
 
 def _packed_text(m: int, P: bytes) -> str:
     """The tiling file of the packed tiling (m, P), in the line order of
-    _text: kind k puts the second cell at (s + k - 1, u + 2 - k)."""
-    return _text((s, u, s + k - 1, u + 2 - k) for s, row in _first_cells(m, P) for u, k in row)
+    _text, with no int formatted per domino.
+
+    Each row's field "s " and each column's "u " and "u\\n" is formatted
+    once, and each line is joined from four of them: kind k puts the second
+    cell at (s + k - 1, u + 2 - k).  _text sorts whole lines, and each
+    first cell (s, u) starts one line, so its order is that of the fields
+    "s " and then "u ": a space sorts below "-" and every digit, so a field
+    that starts a longer one sorts first, as its line does.  The rows are
+    taken in that order, and the columns of the kinds (_kinds) are put in
+    that order, so no line is sorted.
+    """
+    W = 2 * m + 2
+    kinds = _kinds(m, P)
+    levels = [f"{s} " for s in range(W)]
+    columns = range(-m - 1, m + 1)
+    fields = [f"{u} " for u in columns]
+    order = sorted(range(W), key=fields.__getitem__)
+    pick = itemgetter(*order)
+    # per column, the last field of the line of each kind: u + 1 after a
+    # horizontal domino, u after a vertical one
+    heads, tails = pick(fields), pick([(None, f"{u + 1}\n", f"{u}\n") for u in columns])
+    # the kinds column by column in that order, so that every W-th byte
+    # from s on is row s in that order
+    turned = b"".join(kinds[r::W] for r in order)
+    pieces: list[str] = []
+    for s in sorted(range(1, 2 * m + 1), key=levels.__getitem__):
+        row = turned[s::W]
+        ks = row.translate(None, b"\0")
+        pieces += chain.from_iterable(zip(
+            repeat(levels[s]), compress(heads, row),
+            map((None, levels[s], levels[s + 1]).__getitem__, ks),
+            map(getitem, compress(tails, row), ks)))
+    return "".join(pieces)
 
 
 def _edge_paths(m: int, P: bytes, conv: Convention) -> list[list[int]]:

@@ -11,6 +11,8 @@ last two read those points off explicit_paths, which no library code calls.
 check_tiles is the exact-cover check of a tiling against a region, with its
 messages, as the library ran it before render_tiling and tiling_to_paths
 took their check from the one-pass row decoder tilings._tile_rows.
+integers_by_lines is families._integers as it was before the canonical
+layout was checked in one pass: every text is checked line by line.
 Keeping them here, outside the package, means the fast code they check
 cannot come to share a helper with them.
 """
@@ -18,7 +20,8 @@ cannot come to share a helper with them.
 from __future__ import annotations
 
 from pathcomb.enumeration import CapExceeded
-from pathcomb.families import NotDisjoint, PathFamily, explicit_paths
+from pathcomb.families import NotDisjoint, PathFamily, _Memo, explicit_paths
+from pathcomb.fields import _plain_int
 from pathcomb.tilings import Cell, DominoTiling, NotATiling, Region, is_black
 
 
@@ -171,3 +174,16 @@ def partners_by_points(f: PathFamily) -> tuple[int, bytearray]:
             if inside and is_black((s, u)) and not P[s * W + u + base]:
                 P[s * W + u + base] = 1
     return m, P
+
+
+def integers_by_lines(text: str, width: int) -> list[int] | None:
+    """families._integers' reference: the integers of text in order, each
+    distinct field through _plain_int once, when every nonblank line holds
+    width of them; else None.  Every line break is whitespace, so
+    text.split() lists the fields of all lines."""
+    if set(map(len, map(str.split, text.splitlines()))) <= {0, width}:
+        try:
+            return list(map(_Memo(_plain_int).__getitem__, text.split()))
+        except ValueError:
+            pass
+    return None

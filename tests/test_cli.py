@@ -488,6 +488,38 @@ def faulty_copies(text: str) -> dict[str, tuple[str, str]]:
     }
 
 
+def aliased_copies(text: str) -> dict[str, tuple[str, str]]:
+    """One copy of a tiling file of the order-20 diamond per fault that a
+    reader forming the codes s*W + u + m + 1, W = 2m + 2 = 42, before its
+    range check would miss or crash on: cells whose codes are those of
+    cells inside, codes past either end of P, cells in the margin, and two
+    margin cells whose codes differ by 1.  Each comes with the error line
+    of the domino-by-domino check."""
+    lines = text.splitlines()
+    m, W = 20, 42
+    k = len(lines) // 2
+    a, b, c, d = map(int, lines[k].split())
+
+    def with_line(*cells):
+        return "\n".join(lines[:k] + [" ".join(map(str, cells))] + lines[k + 1:]) + "\n"
+
+    def outside(cell):
+        return f"error: NotATiling: cell {cell} lies outside the order-{m} diamond\n"
+
+    return {
+        # one row down and W columns right: the same codes as line k's cells
+        "column alias": (with_line(a - 1, b + W, c - 1, d + W), outside((a - 1, b + W))),
+        "row wrap below": (with_line(a - W, b, c - W, d), outside((a - W, b))),
+        "row wrap above": (with_line(a + W, b, c + W, d), outside((a + W, b))),
+        "row 0": (with_line(0, b, c - a, d), outside((0, b))),
+        "row 2m+1": (with_line(2 * m + 1, b, 2 * m + 1 + c - a, d), outside((2 * m + 1, b))),
+        # the last slot of row a and the first of row a + 1, codes one apart
+        "margin pair": (with_line(a, m, a + 1, -m - 1),
+                        f"error: NotATiling: cells {(a, m)} and {(a + 1, -m - 1)} "
+                        f"are not adjacent\n"),
+    }
+
+
 class TestPackedTilingReader:
     """tile and render --style overlay read a tiling file straight into the
     packed tiling; a file that fails there is read again by the library
@@ -531,6 +563,14 @@ class TestPackedTilingReader:
         path.write_text(text)
         wants = self.check_parity(text, str(path))
         assert len(wants) == 5 and all(want is not None and part in want for want in wants)
+
+    @pytest.mark.parametrize("fault", list(aliased_copies(seeded_tiling_text())))
+    def test_each_aliasing_fault_names_its_cell(self, fault, tmp_path):
+        text, line = aliased_copies(seeded_tiling_text())[fault]
+        assert library_line(lambda: pc.DominoTiling.from_text(text).to_text()) is None
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        assert self.check_parity(text, str(path)) == [line] * 5
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(format_texts("tiling"), st.integers(0, 3))

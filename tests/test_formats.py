@@ -6,12 +6,15 @@ from __future__ import annotations
 import os
 import tempfile
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import pathcomb as pc
 import pathcomb.cli
 from conftest import format_texts
+from oracles import integers_by_lines
+from pathcomb.families import _integers
 
 
 def _render(style):
@@ -153,3 +156,48 @@ def test_fuzzed_text_round_trips_or_names_its_line(kind):
         assert parse(out).to_text() == out
 
     check()
+
+
+# canonical texts of width 4 and 2, and copies that leave the canonical
+# layout (ASCII, "\n" endings, single spaces, fields of "-" and digits) by
+# one separator or one field; to str.split "\u00a0" and "\u3000" are
+# spaces, and to str.splitlines "\x0b", "\x0c", "\x1c", "\x85" and "\u2028"
+# end a line
+CANONICAL = ("1 0 1 1\n-2 3 -4 15\n", "1 0\n-2 15\n")
+SEPARATORS = ("\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u3000", "\u2028")
+FIELDS = ("+1", "1_0", "-", "1-2", "--1", "1-", "-0", "007", "\u0663", "\uff11")
+
+
+def layouts(text: str) -> list[str]:
+    return [text, text.replace("\n", "\r\n"), " " + text, text.replace("\n", " \n", 1),
+            text.replace(" ", "  ", 1), "\n" + text, text + "\n", text.replace("\n", "\n\n", 1),
+            text.replace("\n", "\n \n", 1), text[:-1],
+            *(text.replace(" ", sep, 1) for sep in SEPARATORS),
+            *(text.replace("\n", sep, 1) for sep in SEPARATORS),
+            *(text.replace("15", field) for field in FIELDS)]
+
+
+def test_integers_match_the_line_reader():
+    texts = ["", *(copy for text in CANONICAL for copy in layouts(text))]
+    assert len(texts) == 1 + 2 * (10 + 2 * len(SEPARATORS) + len(FIELDS))
+    for text in texts:
+        for width in (2, 4):
+            assert _integers(text, width) == integers_by_lines(text, width), (text, width)
+
+
+def test_integers_of_canonical_fields():
+    # the one-pass check keeps what the line reader takes, and no more
+    assert _integers(CANONICAL[0], 4) == [1, 0, 1, 1, -2, 3, -4, 15]
+    assert _integers(CANONICAL[1], 2) == [1, 0, -2, 15]
+    assert _integers(CANONICAL[0].replace("15", "-0"), 4)[-1] == 0
+    assert _integers(CANONICAL[0].replace("15", "007"), 4)[-1] == 7
+    for field in ("+1", "1_0", "-", "1-2", "--1", "1-", "\u0663", "\uff11"):
+        assert _integers(CANONICAL[0].replace("15", field), 4) is None
+    assert _integers("", 4) == []
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from(("tiling", "region")).flatmap(format_texts))
+def test_integers_of_fuzzed_text_match_the_line_reader(text):
+    for width in (2, 4):
+        assert _integers(text, width) == integers_by_lines(text, width)

@@ -36,6 +36,7 @@ from pathcomb.tilings import (
     _packed_text,
     _partners,
     _symmetry,
+    _text,
     is_black,
 )
 
@@ -505,9 +506,9 @@ class TestBridgeAgainstOracles:
             for f in disjoint_by_n[n]:
                 t = pc.family_to_tiling(f)
                 assert t == oracle_tiling(f)
-                # the one decoder, on the walk's P and on _fill's, whose
-                # white cells hold the mark 5; t holds the walk's P, so
-                # _fill packs the tiling of the same frozenset
+                # the one decoder, on the walk's P and on _fill's, which
+                # also fills the white cells' slots; t holds the walk's P,
+                # so _fill packs the tiling of the same frozenset
                 for packed in (_partners(f), _cover(pc.DominoTiling(t.dominoes))):
                     assert _packed_text(*packed) == t.to_text()
                 assert pc.tiling_to_family(t) == f == oracle_family(t)
@@ -529,6 +530,30 @@ class TestBridgeAgainstOracles:
         t = pc.family_to_tiling(pc.comb(pc.random_triangle(n, seed)))
         for conv in pc.Convention:
             assert repr(pc.convention_paths(t, conv)) == repr(oracle_convention_paths(t, conv))
+
+
+class TestPackedText:
+    """_packed_text against _text, which sorts the formatted lines: the
+    packed writer sorts nothing, taking rows and columns in the order of
+    their fields "s " and "u " as strings.  The orders 9 to 11 and 99 to
+    100 put the digit counts of rows and columns on both sides of a
+    boundary; the walk's P and _fill's, which fills white slots too, are
+    both written."""
+
+    @staticmethod
+    def check(t):
+        want = _text(a + b for a, b in t.dominoes)
+        for packed in (t._held, _cover(pc.DominoTiling(t.dominoes))):
+            assert _packed_text(*packed) == want
+
+    @pytest.mark.parametrize("m", [9, 10, 11, 99, 100])
+    def test_digit_count_boundaries(self, m):
+        self.check(pc.family_to_tiling(pc.comb(pc.random_triangle(m + 1, m))))
+
+    def test_every_tiling_up_to_order_4(self, disjoint_by_n):
+        for n in range(1, 6):
+            for f in disjoint_by_n[n]:
+                self.check(pc.family_to_tiling(f))
 
 
 def rect_lines(doc: str) -> list[str]:
