@@ -127,12 +127,15 @@ def cmd_det(n: int) -> int:
     if n > 0 and not verify_reduction(n):
         print("unitriangular reduction identity failed", file=sys.stderr)
         return 1
-    # str of an int stops at the interpreter's digit limit, Decimal prints
-    # every digit
-    from decimal import Decimal
+    # str of an int stops at the interpreter's digit limit, and converting a
+    # large int to decimal takes time superlinear in its digits.  A decimal
+    # power is exact in a context whose precision no power reaches, as the
+    # trapped Inexact makes sure, and prints every digit
+    from decimal import MAX_EMAX, MAX_PREC, Context, Inexact
 
     exponent = n * (n - 1) // 2
-    print(f"{Decimal(1 << exponent)} = 2^{exponent}")
+    power = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact]).power(2, exponent)
+    print(f"{power} = 2^{exponent}")
     return 0
 
 
@@ -181,17 +184,37 @@ def cmd_tile(input_path: str, direction: str, output: str | None) -> int:
     return 0
 
 
-def _detect_kind(text: str) -> str:
-    from .families import ParseError, _fields
+# the line boundaries of str.splitlines, every one of them whitespace
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
-    lines = text.splitlines()
-    for ln, tokens in _fields(lines):
-        if len(tokens) == 1:
-            return "family"
-        if len(tokens) == 4:
-            return "tiling"
-        raise ParseError(f"cannot tell input kind from line {lines[ln - 1]!r}", line=ln)
-    return "tiling"  # empty file: the order-0 tiling
+
+def _detect_kind(text: str) -> str:
+    """The kind of file by its first nonblank line: one field for a family
+    and four for a tiling.  Only the lines up to that one are split, with
+    the line breaks and numbering of str.splitlines."""
+    from .families import ParseError
+
+    # the first field, looked for a block at a time: text.lstrip() would
+    # copy the whole text
+    start = 0
+    while not (block := text[start:start + 4096]).strip():
+        if not block:
+            return "tiling"  # empty file: the order-0 tiling
+        start += 4096
+    start += len(block) - len(block.lstrip())
+    # the end of its line: each search stops where an earlier one found a break
+    end = len(text)
+    for brk in _LINE_BREAKS:
+        found = text.find(brk, start, end)
+        if found >= 0:
+            end = found
+    lines = text[:end].splitlines()
+    tokens = lines[-1].split()
+    if len(tokens) == 1:
+        return "family"
+    if len(tokens) == 4:
+        return "tiling"
+    raise ParseError(f"cannot tell input kind from line {lines[-1]!r}", line=len(lines))
 
 
 def cmd_render(input_path: str, style: str, convention: int, output: str | None) -> int:
@@ -314,6 +337,10 @@ def main(argv: list[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except (ValueError, OverflowError, OSError, *_precondition_violation()) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # an allocation that fails raises MemoryError with no message
+        print(f"error: MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -4,42 +4,55 @@ One fixed transform: x = SCALE * column, y = -SCALE * level (level up is
 y down), shifted by a margin.  Family paths are <path> elements, dominoes
 are <rect> elements, grid lines are <line> elements.
 
-Family paths are read straight off (B, D): the levels and columns of each
-path are two running sums over its step bytes (families._steps), the one
-encoding of a path that the shear walk of is_disjoint and the Aztec bridge
-also reads.  Each renderer certifies its family once: render_family with
-require_valid, render_dual through dual_family, whose one walk validates f
-and certifies it disjoint, and whose result is valid by construction.
+render_family reads its paths straight off (B, D): the levels and columns
+of each path are two running sums over its step bytes (families._steps),
+after require_valid.  Each distinct level and column is formatted once,
+through a memo keyed by the lattice value, and the family widens the
+bounding box once, by its extreme values.
 
-Each batch of elements (the dominoes, or the paths of one family or one
-convention) is drawn in one pass: every distinct level and column is
-formatted once, through a memo keyed by the lattice value, and the batch
-widens the bounding box once, by its extreme values.  One rect drawer
-(_draw_rows) serves both tiling renderers, taking the dominoes row by row
-as the first cell and kind of each from a decoder of tilings, which checks
-the tiling first.  A tiling that holds its packed form (tilings explains
-when) is drawn from _first_cells, the one reader of it, so this module
-reads no byte of it (_draw_diamond) and builds no pairs; render_tiling
-draws any other tiling from _tile_rows, whose one pass over the pairs
-checks them and groups them by row.  render_overlay draws the packed
-tiling of tilings._cover, held or packed from the dominoes.
+The Aztec renderers draw their paths as the chains of cells that
+tilings._edge_paths walks through a packed tiling (m, P), and build no
+point and no second family.  render_overlay draws the chains of the packed
+tiling of tilings._cover under its convention, each cell at the row and
+column of tilings._edge_axes, the map that convention_paths also reads.
+render_dual draws f from the CANONICAL chains of its packed tiling
+(tilings._partners, the one walk that validates f and certifies it
+disjoint) and the dual from the HALF_TURN chains of the same array, each
+cell at the diagonals of tilings._family_axes.  The drawn string of each
+row, column or diagonal is formatted once, and each point is joined from
+two of them (_draw_chains).  Only the empty paths' points are covered: a
+family's points lie between f's empty path's point and its dual's, and the
+chains of an overlay stay in the box of the diamond.
+
+One rect drawer (_draw_rows) serves both tiling renderers, taking the
+dominoes row by row as the first cell and kind of each from a decoder of
+tilings, which checks the tiling first; each rect is joined from the head
+of its column and one of four ends of its row, each formatted once.  A
+tiling that holds its packed form (tilings explains when) is drawn from
+_first_cells, the one reader of it, so this module reads no byte of it
+(_draw_diamond) and builds no pairs; render_tiling draws any other tiling
+from _tile_rows, whose one pass over the pairs checks them and groups them
+by row.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate, chain, repeat
+from operator import add
+from typing import Callable, Iterable
 
 from .families import _COLUMN_MOVES, _LEVEL_MOVES, PathFamily, _Memo, _steps, require_valid
 from .tilings import (
     Convention,
     DominoTiling,
     _cover,
+    _edge_axes,
+    _edge_paths,
+    _family_axes,
     _first_cells,
-    _polylines,
+    _partners,
     _tile_rows,
-    dual_family,
 )
 
 SCALE = 24.0
@@ -115,9 +128,8 @@ def _formatted(coord: Callable[[float], float]) -> _Memo:
     that each distinct value is formatted once.
 
     0.0 and -0.0 are one key, but no batch draws both on one axis: family
-    points are integers, and each axis of convention_paths carries zeros of
-    one sign.  The dominoes, whose corners print "-0" above level -1, are a
-    batch of their own."""
+    points are integers.  The dominoes, whose corners print "-0" above level
+    -1, are a batch of their own."""
     return _Memo(lambda v: f"{coord(v):g}")
 
 
@@ -130,26 +142,39 @@ def _draw_grid(canvas: _Canvas, n: int) -> None:
         canvas.line(_x(t), _y(0), _x(t), _y(top))
 
 
-def _draw_paths(canvas: _Canvas, paths: Iterable[Sequence[tuple[float, float]]], color: str,
-                level_y: Callable[[float], float], column_x: Callable[[float], float]) -> None:
-    """One <path> per sequence of lattice points (level, column), drawn at
-    (column_x(column), level_y(level)), then one cover of them all."""
-    ys, xs = _formatted(level_y), _formatted(column_x)
-    for path in paths:
-        canvas.polyline_path([f"{xs[col]} {ys[lev]}" for lev, col in path], color)
+def _draw_chains(canvas: _Canvas, m: int, P: bytes, conv: Convention, axes: Callable,
+                 color: str, level_y: Callable[[float], float] = _y,
+                 column_x: Callable[[float], float] = _x) -> None:
+    """One <path> per path that the chains of the tiling (m, P) under conv
+    carry, placed by axes (tilings._edge_axes or tilings._family_axes): the
+    empty path's point first, then each chain (tilings._edge_paths), each
+    point (level, column) drawn at (column_x(column), level_y(level)).  The
+    drawn string of each row, column or diagonal is formatted once, and each
+    point is joined from two of them.  The empty path's point is covered;
+    the caller covers the chains."""
+    (level, column), (levels, y_op, y_by), (columns, x_op, x_by) = axes(m, conv)
+    ys = {key: f"{level_y(v):g}" for key, v in levels.items()}
+    xs = {key: f"{column_x(v):g} " for key, v in columns.items()}
+    x, y = column_x(column), level_y(level)
+    canvas.polyline_path([f"{x:g} {y:g}"], color)
+    canvas.cover(x, y, x, y)
+    for path in _edge_paths(m, P, conv):
+        canvas.polyline_path(list(map(add, map(xs.__getitem__, map(x_op, path, repeat(x_by))),
+                                      map(ys.__getitem__, map(y_op, path, repeat(y_by))))),
+                             color)
+
+
+def _draw_family(canvas: _Canvas, f: PathFamily, color: str) -> None:
+    # f is valid: render_family certifies it before drawing.  The levels and
+    # columns of path i are two running sums over its step bytes, from (i, 0)
+    ys, xs = _formatted(_y), _formatted(_x)
+    for i, steps in enumerate(map(_steps, f.B, f.D)):
+        canvas.polyline_path([f"{xs[col]} {ys[lev]}" for lev, col in zip(
+            accumulate(map(_LEVEL_MOVES.__getitem__, steps), initial=i),
+            accumulate(map(_COLUMN_MOVES.__getitem__, steps), initial=0))], color)
     if xs:
         # over the distinct values in the order met, so the first drawn wins a tie
-        canvas.cover(min(map(column_x, xs)), min(map(level_y, ys)),
-                     max(map(column_x, xs)), max(map(level_y, ys)))
-
-
-def _draw_family(canvas: _Canvas, f: PathFamily, color: str, level_y=_y, column_x=_x) -> None:
-    # f is valid: each renderer certifies it before drawing.  The levels and
-    # columns of path i are two running sums over its step bytes, from (i, 0)
-    paths = (zip(accumulate(map(_LEVEL_MOVES.__getitem__, steps), initial=i),
-                 accumulate(map(_COLUMN_MOVES.__getitem__, steps), initial=0))
-             for i, steps in enumerate(map(_steps, f.B, f.D)))
-    _draw_paths(canvas, paths, color, level_y, column_x)
+        canvas.cover(min(map(_x, xs)), min(map(_y, ys)), max(map(_x, xs)), max(map(_y, ys)))
 
 
 def _draw_rows(canvas: _Canvas, rows: Iterable[tuple[int, Iterable[tuple[int, int]]]]) -> None:
@@ -158,18 +183,22 @@ def _draw_rows(canvas: _Canvas, rows: Iterable[tuple[int, Iterable[tuple[int, in
     with the column u and kind k (1 horizontal, 2 vertical) of each first
     cell on it.  A rect has its top-left corner at the column of the first
     cell and above the level s + k - 1 of the second, and is sized and
-    filled by its kind and its first cell's colour.  The caller covers the
-    rects."""
-    xs, ys = _formatted(_x), _formatted(lambda i: _y(i + 1))
+    filled by its kind and its first cell's colour.  Each rect is joined
+    from its column's head and one of its row's four ends, each formatted
+    once.  The caller covers the rects."""
+    heads = _Memo(lambda u: f'<rect x="{_x(u):g}" y="')
+    ys = _formatted(lambda i: _y(i + 1))
     tails = {(1 if orient == "h" else 2, parity): (
         f'width="{SCALE * (2 if orient == "h" else 1):g}" '
         f'height="{SCALE * (1 if orient == "h" else 2):g}" '
         f'fill="{fill}" stroke="#333333" stroke-width="1"/>')
         for (orient, parity), fill in DOMINO_FILL.items()}
     for s, row in rows:
-        tops = (None, ys[s], ys[s + 1])
-        canvas.parts += [f'<rect x="{xs[u]}" y="{tops[k]}" {tails[k, (s - u) % 2]}'
-                         for u, k in row]
+        # per kind, the top of the rect and its tail for an even and an odd
+        # column u, the first cell's colour being the parity of s - u
+        ends = (None, *((f'{ys[s + k - 1]}" {tails[k, s % 2]}',
+                         f'{ys[s + k - 1]}" {tails[k, (s - 1) % 2]}') for k in (1, 2)))
+        canvas.parts += [heads[u] + ends[k][u & 1] for u, k in row]
 
 
 def render_family(f: PathFamily) -> str:
@@ -187,15 +216,24 @@ def render_family(f: PathFamily) -> str:
 def render_dual(f: PathFamily) -> str:
     """f and its dual family, the latter on the half-integer offset grid.
 
-    dual_family is the one certificate of f: it raises InvalidFamily or
-    NotDisjoint, and nothing is validated again.
+    Both are drawn from the chains of f's packed tiling (tilings._partners),
+    f from its CANONICAL chains and the dual from its HALF_TURN chains, as
+    tilings.dual_family reads the dual.  _partners is the one certificate of
+    f: it raises InvalidFamily or NotDisjoint, and nothing is validated
+    again.  The valid empty family is its own dual and draws nothing.
     """
-    g = dual_family(f)
+    if f.n == 0:
+        return render_family(f)
+    m, P = _partners(f)
     canvas = _Canvas()
+    # every point of a family has its level and column in 0..n-1, so the
+    # box from f's empty path's point (0, 0) to the dual's, drawn at
+    # (n - 1/2, n - 1/2), covers both families
     _draw_grid(canvas, f.n)
-    _draw_family(canvas, f, PATH_COLOR)
+    _draw_chains(canvas, m, P, Convention.CANONICAL, _family_axes, PATH_COLOR)
     # dual point (k, l) sits at (n - 1/2 - k, n - 1/2 - l) in f's picture
-    _draw_family(canvas, g, DUAL_COLOR, lambda k: _y(f.n - 0.5 - k), lambda l: _x(f.n - 0.5 - l))
+    _draw_chains(canvas, m, P, Convention.HALF_TURN, _family_axes, DUAL_COLOR,
+                 lambda k: _y(f.n - 0.5 - k), lambda l: _x(f.n - 0.5 - l))
     return canvas.document()
 
 
@@ -228,7 +266,9 @@ def render_overlay(t: DominoTiling, conv: Convention = Convention.CANONICAL) -> 
     m, P = _cover(t)
     canvas = _Canvas()
     _draw_diamond(canvas, m, P)
-    _draw_paths(canvas, _polylines(m, P, conv), PATH_COLOR, _y, _x)
+    # the symmetry maps the diamond's box onto itself, and every chain cell
+    # is drawn inside it, so only the empty path's point can widen it
+    _draw_chains(canvas, m, P, conv, _edge_axes, PATH_COLOR)
     return canvas.document()
 
 

@@ -79,8 +79,11 @@ with delta the image of (0, 1): (0, 1), (0, -1), (1, 0) and (-1, 0) for
 conventions 0-3.  The walk starts at the image of each entry (i, -i).
 tiling_to_family and dual_family read (B, D) off the partner directions
 along each chain, turned by the symmetry as one translation of bytes into
-the step bytes of families._steps.  convention_paths draws the visited
-cells in one pass, as one translation read off _symmetry (_polylines).
+the step bytes of families._steps.  Two maps send a chain cell's code to
+a drawn point, each defined once: _edge_axes to the edge midpoint that
+convention_paths draws (_polylines) and svg's overlay draws, one
+translation read off _symmetry, and _family_axes to the point of the
+family that _family reads off the chains, which svg's dual draws.
 
 The module imports from families alone, NotDisjoint included, so loading it
 loads neither the combing kernel nor the enumeration oracles.
@@ -92,7 +95,7 @@ from collections import Counter
 from enum import IntEnum
 from itertools import chain, compress, repeat, starmap
 from math import isqrt
-from operator import add, getitem, gt, itemgetter, sub
+from operator import add, floordiv, getitem, gt, itemgetter, mod, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .families import (
@@ -647,16 +650,26 @@ def _family(m: int, P: bytes, conv: Convention = 0) -> PathFamily:
     return PathFamily(tuple(B), tuple(D))
 
 
-def _polylines(m: int, P: bytes, conv: Convention) -> list[list[tuple[float, float]]]:
-    """convention_paths of the packed tiling (m, P), all points in one pass.
+# one axis of a map from the code c of a chain cell to its drawn point: the
+# cell is drawn at values[op(c, d)] on that axis
+_Axis = tuple[dict[int, float], Callable[[int, int], int], int]
 
-    Each cell that a chain crosses (_edge_paths) is mapped to the turned
-    tiling, its left edge moved by +1/2 to the edge midpoint, and drawn back
-    through the symmetry.  The two symmetries are one involution, so these
-    steps compose to a translation: the cell of code s*W + r is drawn at
-    (s + a, r + b).  Each axis is drawn as z - (k - x), which keeps the sign
-    of a zero (see _symmetry): on a half-integer axis k = 0 and z is the
-    shift, on an integer axis z is the zero that the steps draw there.
+
+def _edge_axes(m: int, conv: Convention) -> tuple[tuple[float, float], _Axis, _Axis]:
+    """Where convention_paths draws the cells that the chains of the tiling
+    (m, P) under conv cross (_edge_paths): the point (level, column) of the
+    empty path, on the virtual edge (0, 0), and the level and column axes of
+    the chain cells, W = 2m + 2 codes wide: the cell of code s*W + r is drawn
+    at the level of its row s = c // W and the column of its column r =
+    c % W.
+
+    Each cell is mapped to the turned tiling, its left edge moved by +1/2 to
+    the edge midpoint, and drawn back through the symmetry.  The two
+    symmetries are one involution, so these steps compose to a translation:
+    the cell of code s*W + r is drawn at (s + a, r + b).  Each axis is drawn
+    as z - (k - x), which keeps the sign of a zero (see _symmetry): on a
+    half-integer axis k = 0 and z is the shift, on an integer axis z is the
+    zero that the steps draw there.
     """
     W = 2 * m + 2
     cell = _symmetry(conv, m, cells=True)
@@ -668,10 +681,44 @@ def _polylines(m: int, P: bytes, conv: Convention) -> list[list[tuple[float, flo
 
     ks = [0 if shift % 1 else -int(shift) for shift in drawn(0, 0)]
     (z0, k0), (z1, k1) = [(drawn(k, k)[axis], k) for axis, k in enumerate(ks)]
-    # the virtual edge (0, 0) carries the empty path
-    return [point([(0.5, 0.0)]),
-            *([(z0 - (k0 - s), z1 - (k1 - r)) for s, r in map(divmod, path, repeat(W))]
-              for path in _edge_paths(m, P, conv))]
+    return (point([(0.5, 0.0)])[0], ({s: z0 - (k0 - s) for s in range(W)}, floordiv, W),
+            ({r: z1 - (k1 - r) for r in range(W)}, mod, W))
+
+
+def _family_axes(m: int, conv: Convention) -> tuple[tuple[int, int], _Axis, _Axis]:
+    """The points of the order m+1 family that _family reads off the chains
+    of the tiling (m, P) under conv: its empty path's point (0, 0), on no
+    chain, and the level and column axes of the chain cells, W = 2m + 2:
+    the point at the cell of code c has the level keyed by c % (W + 1) and
+    the column keyed by c % (W - 1).
+
+    The family's point (i, j) shears onto the cell (i + j, j - i) of the
+    turned tiling, the image under _symmetry of a cell (s, u) of (m, P).
+    Each symmetry maps s - u to +-(s - u) and s + u to +-(s + u), each plus
+    a constant, so the level i is fixed by the diagonal r - s and the
+    column j by the antidiagonal s + r of the cell's code s*W + r.  The
+    code is r - s modulo W + 1 and s + r modulo W - 1, and on the points
+    0 <= i, j <= m of the family each diagonal takes m + 1 values two
+    apart, 2m apart at most, so each residue names one level or one column.
+    A level is read off the image of the point (i, 0) and a column off that
+    of the point (0, j).
+    """
+    W, base = 2 * m + 2, m + 1
+    cell = _symmetry(conv, m, cells=True)
+    ends = range(m + 1)
+    firsts = cell([(i, -i) for i in ends])  # the points (i, 0), sheared
+    lasts = cell([(j, j) for j in ends])  # the points (0, j), sheared
+    return ((0, 0), ({(u + base - s) % (W + 1): i for i, (s, u) in zip(ends, firsts)}, mod, W + 1),
+            ({(s + u + base) % (W - 1): j for j, (s, u) in zip(ends, lasts)}, mod, W - 1))
+
+
+def _polylines(m: int, P: bytes, conv: Convention) -> list[list[tuple[float, float]]]:
+    """convention_paths of the packed tiling (m, P): the empty path's point,
+    then each chain (_edge_paths) drawn cell by cell where _edge_axes puts
+    it."""
+    empty, (levels, y_op, y_by), (columns, x_op, x_by) = _edge_axes(m, conv)
+    return [[empty], *([(levels[y_op(c, y_by)], columns[x_op(c, x_by)]) for c in path]
+                       for path in _edge_paths(m, P, conv))]
 
 
 def family_to_tiling(f: PathFamily) -> DominoTiling:

@@ -13,6 +13,8 @@ messages, as the library ran it before render_tiling and tiling_to_paths
 took their check from the one-pass row decoder tilings._tile_rows.
 integers_by_lines is families._integers as it was before the canonical
 layout was checked in one pass: every text is checked line by line.
+detect_kind_by_lines is cli._detect_kind as it was before it stopped at
+the first nonblank line: it splits the whole text into lines.
 Keeping them here, outside the package, means the fast code they check
 cannot come to share a helper with them.
 """
@@ -20,7 +22,7 @@ cannot come to share a helper with them.
 from __future__ import annotations
 
 from pathcomb.enumeration import CapExceeded
-from pathcomb.families import NotDisjoint, PathFamily, _Memo, explicit_paths
+from pathcomb.families import NotDisjoint, ParseError, PathFamily, _fields, _Memo, explicit_paths
 from pathcomb.fields import _plain_int
 from pathcomb.tilings import Cell, DominoTiling, NotATiling, Region, is_black
 
@@ -187,3 +189,16 @@ def integers_by_lines(text: str, width: int) -> list[int] | None:
         except ValueError:
             pass
     return None
+
+
+def detect_kind_by_lines(text: str) -> str:
+    """cli._detect_kind's reference: the kind of file by its first nonblank
+    line, found among all the lines of text."""
+    lines = text.splitlines()
+    for ln, tokens in _fields(lines):
+        if len(tokens) == 1:
+            return "family"
+        if len(tokens) == 4:
+            return "tiling"
+        raise ParseError(f"cannot tell input kind from line {lines[ln - 1]!r}", line=ln)
+    return "tiling"

@@ -22,7 +22,7 @@ import pathcomb.families
 import pathcomb.svg
 import pathcomb.tilings
 import oracles
-from conftest import format_texts, oracle_tiling
+from conftest import format_texts, oracle_convention_paths, oracle_dual, oracle_tiling
 from pathcomb.svg import render_dual, render_family, render_overlay, render_tiling
 
 
@@ -156,6 +156,27 @@ class TestDetVerifyEnumerate:
         value, _, rest = out.partition(" = ")
         assert (rest, err) == (f"2^{e}\n", "")
         assert value.isdigit() and value[0] != "0" and Decimal(value) == 2 ** e
+
+    def test_det_prints_every_digit_of_the_power(self, capsys):
+        # the decimal power against the int conversion it replaced
+        for n in range(201):
+            e = n * (n - 1) // 2
+            assert pathcomb.cli.main(["det", "--n", str(n)]) == 0
+            assert capsys.readouterr() == (f"{Decimal(1 << e)} = 2^{e}\n", "")
+
+    @pytest.mark.parametrize("raised,line", [
+        (MemoryError(), "error: MemoryError: out of memory\n"),
+        (MemoryError("cannot allocate the table"), "error: MemoryError: cannot allocate the table\n"),
+    ], ids=["bare", "message"])
+    def test_memory_error_is_one_line(self, raised, line, monkeypatch, capsys):
+        # a failed allocation stands in for an order too large to hold: the
+        # patched certificate raises at once and allocates nothing
+        def exhausted(n):
+            raise raised
+
+        monkeypatch.setattr(DELANNOY, "verify_reduction", exhausted)
+        assert pathcomb.cli.main(["det", "--n", "3000"]) == 1
+        assert capsys.readouterr() == ("", line)
 
     def test_det_certifies_once(self, monkeypatch, capsys):
         # the reduction certificate is the one derivation: no Bareiss run and
@@ -346,10 +367,56 @@ class TestRender:
                 g = pc.dual_family(f)
                 assert self.drawn_points(render_dual(f)) == want(f, at) + want(g, turned)
 
+    @staticmethod
+    def view_box(doc):
+        return [float(v) for v in ET.fromstring(doc).get("viewBox").split()]
+
+    @staticmethod
+    def boxed(points):
+        # the viewBox of a drawing whose extreme points are given, as
+        # _Canvas.document writes it
+        xs, ys = [x for x, _ in points], [y for _, y in points]
+        M = pathcomb.svg.MARGIN
+        return [min(xs) - M, min(ys) - M, max(xs) - min(xs) + 2 * M, max(ys) - min(ys) + 2 * M]
+
+    @staticmethod
+    def drawn_rects(doc):
+        return sorted((float(el.get("x")), float(el.get("y")), float(el.get("width")),
+                       float(el.get("height")), el.get("fill"))
+                      for el in ET.fromstring(doc).iter() if el.tag.endswith("}rect"))
+
+    @pytest.mark.parametrize("n,seed", [(8, 3), (17, 5), (40, 7)])
+    def test_large_orders_follow_the_oracles(self, n, seed):
+        # the renderers draw chains of cell codes of the packed tiling; the
+        # oracles walk explicit paths and the general-region API, and the
+        # viewBox is the box of the oracles' points, rects and grid
+        S = pathcomb.svg.SCALE
+        at = lambda v, c: (S * c, -S * v)
+        f = pc.comb(pc.random_triangle(n, seed))
+        t = pc.DominoTiling.from_text(oracle_tiling(f).to_text())
+        rects = sorted(
+            (S * b, -S * max(a, c) - S, S * (1 + d - b), S * (1 + c - a),
+             pathcomb.svg.DOMINO_FILL["h" if a == c else "v", (a - b) % 2])
+            for (a, b), (c, d) in t.dominoes)
+        corners = [xy for x, y, w, h, _ in rects for xy in ((x, y), (x + w, y + h))]
+        for conv in pc.Convention:
+            doc = render_overlay(t, conv)
+            want = [[at(v, c) for v, c in path] for path in oracle_convention_paths(t, conv)]
+            assert self.drawn_points(doc) == want
+            assert self.drawn_rects(doc) == rects
+            assert self.view_box(doc) == self.boxed(corners + [p for path in want for p in path])
+        turned = lambda v, c: at(n - 0.5 - v, n - 0.5 - c)
+        want = ([[at(v, c) for v, c in p.points()] for p in pc.explicit_paths(f)]
+                + [[turned(v, c) for v, c in p.points()] for p in pc.explicit_paths(oracle_dual(f))])
+        doc = render_dual(f)
+        assert self.drawn_points(doc) == want
+        grid = [at(0, 0), at(n - 1, n - 1)]
+        assert self.view_box(doc) == self.boxed(grid + [p for path in want for p in path])
+
     @pytest.mark.parametrize("render", [render_family, render_dual])
     def test_validates_once(self, render, monkeypatch):
         # the order-65 family of the golden tests; render_dual's one
-        # certificate is the walk inside dual_family
+        # certificate is the walk inside tilings._partners
         f = pc.comb(pc.random_triangle(65, 5))
         validate = pathcomb.families.validate_family
         seen = []

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 import pathcomb as pc
 import pathcomb.cli
 from conftest import format_texts
-from oracles import integers_by_lines
+from oracles import detect_kind_by_lines, integers_by_lines
 from pathcomb.families import _integers
 
 
@@ -201,3 +201,39 @@ def test_integers_of_canonical_fields():
 def test_integers_of_fuzzed_text_match_the_line_reader(text):
     for width in (2, 4):
         assert _integers(text, width) == integers_by_lines(text, width)
+
+
+# every line boundary of str.splitlines, "\r\n" being one
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029")
+
+
+def detected(detect, text):
+    try:
+        return detect(text)
+    except pc.ParseError as err:
+        return str(err), err.line
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS, ids=[repr(sep) for sep in LINE_BREAKS])
+def test_detect_kind_stops_at_the_first_nonblank_line(sep):
+    # blank lines, empty or holding whitespace and other line breaks, then
+    # a first line of each kind or a bad one: the kind, or the message and
+    # line number, of the reader that splits every line
+    heads = ["", sep, sep * 3, f" {sep}\t{sep}", f"{sep}\u3000", "".join(LINE_BREAKS) + sep,
+             " " * 5000 + sep, sep * 3000 + " " * 5000]
+    firsts = ["1 2", " 1 2 \t", "3", "0 0 0 1", "1 2 3 4 5"]
+    for head in heads:
+        for first in firsts:
+            for rest in ("", sep, f"{sep}1 2{sep}", f"{sep}x{sep}"):
+                text = head + first + rest
+                assert detected(DETECT, text) == detected(detect_kind_by_lines, text), text
+    assert detected(DETECT, sep * 2 + "1 2" + sep) == ("cannot tell input kind from line '1 2'"
+                                                       " (line 3)", 3)
+    assert DETECT(sep * 2) == DETECT(sep + " ") == "tiling"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(("family", "tiling", "region")).flatmap(format_texts))
+def test_detect_kind_of_fuzzed_text_matches_the_line_reader(text):
+    assert detected(DETECT, text) == detected(detect_kind_by_lines, text)
