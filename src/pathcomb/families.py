@@ -186,21 +186,10 @@ class _Memo(dict):
 def _integers(text: str, width: int) -> list[int] | None:
     """The integers of text in order, each distinct field through _plain_int
     once, when every nonblank line holds width of them; else None.  Every
-    line break is whitespace, so text.split() lists the fields of all lines.
-
-    The canonical layout, as the writers give it, is checked in one pass:
-    ASCII, lines ending in "\\n", each of width fields of "-" and digits
-    joined by single spaces.  Deleting "-" and the digits then leaves
-    (width - 1) spaces and a "\\n" per line, and no field is empty when
-    text.split() finds width per line.  Any other text is checked line by
-    line; the result is the same."""
-    fields = text.split()
-    lines = text.count("\n")
-    if ((text.isascii() and len(fields) == width * lines
-         and text.encode().translate(None, b"-0123456789") == (b" " * (width - 1) + b"\n") * lines)
-            or set(map(len, map(str.split, text.splitlines()))) <= {0, width}):
+    line break is whitespace, so text.split() lists the fields of all lines."""
+    if set(map(len, map(str.split, text.splitlines()))) <= {0, width}:
         try:
-            return list(map(_Memo(_plain_int).__getitem__, fields))
+            return list(map(_Memo(_plain_int).__getitem__, text.split()))
         except ValueError:
             pass
     return None
@@ -238,6 +227,10 @@ def _records(text: str, values: list[int] | None, width: int, wrong_width: str, 
     return frozenset(line_of)
 
 
+# a bit as a byte to its digit
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 class BitTriangle(_Record):
     """A strictly lower triangular array of bits: rows 0..n-1, row i has i bits."""
 
@@ -266,9 +259,11 @@ class BitTriangle(_Record):
         return cls(tuple(tuple(int(b) for b in row) for row in rows))
 
     def to_text(self) -> str:
+        # each row whole: __init__ admits only the ints 0 and 1, so its
+        # bytes are its bits, and joining the characters of the digits
+        # spaces them
         lines = [str(self.n)]
-        # str(b) in a comprehension is a specialised call, faster than map(str, row)
-        lines.extend(" ".join([str(b) for b in row]) for row in self.bits[1:])
+        lines += [" ".join(bytes(row).translate(_DIGITS).decode()) for row in self.bits[1:]]
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -750,6 +750,34 @@ class TestPackedTilingReader:
                 assert fh.read() == render_overlay(t, conv)
 
 
+LATER_FAULTS = [(copies, fault) for copies in (faulty_copies, aliased_copies)
+                for fault in copies(seeded_tiling_text())]
+
+
+@pytest.mark.parametrize("copies, fault", LATER_FAULTS,
+                         ids=[f"{copies.__name__}-{fault}" for copies, fault in LATER_FAULTS])
+def test_a_fault_past_the_first_block_gives_the_library_error(copies, fault, tmp_path,
+                                                              monkeypatch):
+    # the canonical reader in blocks of one line, so that the fault lies in
+    # a later block than the first: tile and render --style overlay give
+    # the error line of the reader that goes domino by domino
+    text, _ = copies(seeded_tiling_text())[fault]
+    fault_at = len(os.path.commonprefix([text, seeded_tiling_text()]))
+    assert fault_at > text.index("\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(pathcomb.tilings, "_canonical", lambda _: None)
+        want = library_line(lambda: pc.tiling_to_family(pc.DominoTiling.from_text(text)))
+    assert want is not None
+    monkeypatch.setattr(pathcomb.tilings, "_BLOCK", 1)
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    out = str(tmp_path / "out")
+    assert run_main(["tile", "--input", str(path), "--direction", "to-family",
+                     "--output", out]) == (1, want)
+    assert run_main(["render", "--input", str(path), "--style", "overlay",
+                     "--output", out]) == (1, want)
+
+
 @st.composite
 def cli_runs(draw):
     """An argv for main, with DIR standing for a temporary directory, and the

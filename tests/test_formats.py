@@ -4,6 +4,7 @@ column, and fuzzed inputs that either round-trip or raise ParseError."""
 from __future__ import annotations
 
 import os
+import random
 import tempfile
 
 import hypothesis.strategies as st
@@ -12,9 +13,11 @@ from hypothesis import given, settings
 
 import pathcomb as pc
 import pathcomb.cli
+import pathcomb.tilings
 from conftest import format_texts
 from oracles import detect_kind_by_lines, integers_by_lines
 from pathcomb.families import _integers
+from pathcomb.tilings import _canonical, _fill
 
 
 def _render(style):
@@ -201,6 +204,108 @@ def test_integers_of_canonical_fields():
 def test_integers_of_fuzzed_text_match_the_line_reader(text):
     for width in (2, 4):
         assert _integers(text, width) == integers_by_lines(text, width)
+
+
+def seeded_tiling_text(n: int = 65, seed: int = 5) -> str:
+    """A seeded tiling of the order n-1 diamond, as a tiling file."""
+    return pc.family_to_tiling(pc.comb(pc.random_triangle(n, seed))).to_text()
+
+
+def aztec_tiling_texts() -> list[str]:
+    """The tiling file of every tiling of the Aztec diamonds of orders 0-4,
+    and of two seeded tilings of orders 64 and 200."""
+    texts = [pc.family_to_tiling(f).to_text()
+             for n in range(1, 6) for f in pc.enumerate_disjoint(n)]
+    return texts + [seeded_tiling_text(), seeded_tiling_text(201, 21)]
+
+
+@pytest.mark.parametrize("block", [1, 20, None])
+def test_canonical_reader_matches_the_domino_reader(block, monkeypatch):
+    # blocks of one line, of about two lines, and of the module's size:
+    # each file is read straight into the packed tiling that the
+    # domino-by-domino reader gives
+    if block is not None:
+        monkeypatch.setattr(pathcomb.tilings, "_BLOCK", block)
+    texts = aztec_tiling_texts()
+    assert len(texts) == 1 + 2 + 8 + 64 + 1024 + 2 and texts[0] == ""
+    for text in texts:
+        m, P = _fill(integers_by_lines(text, 4))
+        assert _canonical(text) == (m, bytes(P))
+        assert TILING(text)._held == (m, bytes(P))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(format_texts("tiling"))
+def test_canonical_reader_of_fuzzed_text_agrees_with_the_domino_reader(text):
+    # a file the canonical reader takes, the domino-by-domino reader takes
+    # too, as the same packed tiling
+    held = _canonical(text)
+    if held is not None:
+        m, P = _fill(integers_by_lines(text, 4))
+        assert held == (m, bytes(P))
+
+
+def non_canonical_copies(text: str) -> dict[str, str]:
+    """Copies of a tiling file that leave the layout _packed_text writes,
+    each a file of the same tiling."""
+    lines = text.splitlines(keepends=True)
+    k = len(lines) // 2
+    a, b, c, d = lines[k].split()
+    zero = next(i for i, line in enumerate(lines) if line.split()[1] == "0")
+    seven = next(i for i, line in enumerate(lines) if line.startswith("7 "))
+
+    def with_line(i, line):
+        return "".join(lines[:i] + [line] + lines[i + 1:])
+
+    return {
+        "shuffled": "".join(random.Random(5).sample(lines, len(lines))),
+        "reversed pair": with_line(k, f"{c} {d} {a} {b}\n"),
+        "007": with_line(seven, "00" + lines[seven]),
+        "-0": with_line(zero, lines[zero].replace(" 0 ", " -0 ", 1)),
+        "trailing blank line": text + "\n",
+        "crlf": text.replace("\n", "\r\n"),
+    }
+
+
+@pytest.mark.parametrize("layout", list(non_canonical_copies(seeded_tiling_text())))
+def test_non_canonical_files_give_the_same_tiling(layout):
+    text = seeded_tiling_text()
+    copy = non_canonical_copies(text)[layout]
+    assert copy != text
+    # only a shuffle keeps the layout; the others are read the other way
+    assert (_canonical(copy) is None) == (layout != "shuffled")
+    t = TILING(copy)
+    assert t == TILING(text) and t._held == TILING(text)._held
+    assert t.to_text() == text
+
+
+@pytest.mark.parametrize("step", [(0, 1), (1, 0)], ids=["horizontal", "vertical"])
+def test_a_pair_with_its_second_cell_first_is_no_domino(step):
+    # a domino's line turned into the pair of its first cell and the cell
+    # before it: read as the cells of its line it covers that cell twice,
+    # though the first cell and the step alone name the domino of the file
+    text = seeded_tiling_text()
+    cells = TILING(text).cells()
+    lines = text.splitlines(keepends=True)
+    for k, line in enumerate(lines):
+        a, b, c, d = map(int, line.split())
+        if (c - a, d - b) == step and (a - step[0], b - step[1]) in cells:
+            break
+    faulty = "".join(lines[:k] + [f"{a} {b} {a - step[0]} {b - step[1]}\n"] + lines[k + 1:])
+    assert _canonical(faulty) is None
+    with pytest.raises(pc.NotATiling, match="covered twice"):
+        pc.tiling_to_family(TILING(faulty))
+
+
+def test_an_empty_field_leaves_the_canonical_reader():
+    # three single spaces but three fields on one line: the block holds
+    # fewer dominoes than lines, so a cell stays uncovered
+    lines = seeded_tiling_text().splitlines(keepends=True)
+    a, b, _, d = lines[5].split()
+    text = "".join(lines[:5] + [f"{a} {b}  {d}\n"] + lines[6:])
+    assert _canonical(text) is None
+    with pytest.raises(pc.ParseError, match=r"tiling line must hold four integers \(line 6\)"):
+        TILING(text)
 
 
 # every line boundary of str.splitlines, "\r\n" being one
