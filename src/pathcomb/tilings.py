@@ -479,11 +479,13 @@ def _canonical(text: str) -> tuple[int, bytes] | None:
     is one compare of the filled slots with the diamond's (_diamond).  That
     compare fails unless m(m+1) distinct first cells were written, so it
     also refuses a domino given twice, two that overlap and an empty field,
-    which leaves its block fewer than four fields a line.
+    which leaves its block fewer than four fields a line: a text that does
+    not end in its last "\n" could make up the count with a field past it,
+    so it is refused first.
     """
     count = text.count("\n")
     m = isqrt(count)
-    if m * (m + 1) != count or not text.isascii():
+    if m * (m + 1) != count or not text.isascii() or text[-1:] not in ("", "\n"):
         return None
     W, base = 2 * m + 2, m + 1
     rows = {b"%d" % s: s * W + base for s in range(1, 2 * m + 1)}

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+
 import hypothesis.strategies as st
 import pytest
 
@@ -131,6 +133,13 @@ def format_texts(kind: str):
     """Token soup, valid serializations of the given format, and mutations of them."""
     soup = st.lists(soup_lines, max_size=8).map(lambda lines: "\n".join(lines) + "\n")
     return st.one_of(soup, VALID_TEXTS[kind], mutated(VALID_TEXTS[kind]))
+
+
+@functools.cache
+def seeded_tiling_text(n: int, seed: int) -> str:
+    """The tiling file of the seeded family of order n (an order n-1
+    diamond): the combed random_triangle(n, seed)."""
+    return pc.family_to_tiling(pc.comb(pc.random_triangle(n, seed))).to_text()
 
 
 # Oracles for the Aztec bridge, built from the general-region API: the sheared

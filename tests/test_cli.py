@@ -22,7 +22,8 @@ import pathcomb.families
 import pathcomb.svg
 import pathcomb.tilings
 import oracles
-from conftest import format_texts, oracle_convention_paths, oracle_dual, oracle_tiling
+from conftest import (format_texts, oracle_convention_paths, oracle_dual, oracle_tiling,
+                      seeded_tiling_text)
 from pathcomb.svg import render_dual, render_family, render_overlay, render_tiling
 
 
@@ -515,11 +516,6 @@ def run_main(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def seeded_tiling_text() -> str:
-    """A seeded tiling of the order-20 diamond, as a tiling file."""
-    return pc.family_to_tiling(pc.comb(pc.random_triangle(21, 19))).to_text()
-
-
 def faulty_copies(text: str) -> dict[str, tuple[str, str]]:
     """One copy of a tiling file per fault, each with a part of the error
     line the library path gives for it."""
@@ -552,6 +548,8 @@ def faulty_copies(text: str) -> dict[str, tuple[str, str]]:
                             "838 cells is not an Aztec diamond cell count"),
         "three fields": (with_line(f"{a} {b} {c}"), "tiling line must hold four integers"),
         "plus sign": (with_line(f"+{a} {b} {c} {d}"), "non-integer cell coordinate"),
+        # a field past the last "\n": the line count stays that of the diamond
+        "field after the last line": (text + "5", "tiling line must hold four integers"),
     }
 
 
@@ -623,17 +621,17 @@ class TestPackedTilingReader:
             wants.append(want)
         return wants
 
-    @pytest.mark.parametrize("fault", list(faulty_copies(seeded_tiling_text())))
+    @pytest.mark.parametrize("fault", list(faulty_copies(seeded_tiling_text(21, 19))))
     def test_each_fault_gives_the_library_error(self, fault, tmp_path):
-        text, part = faulty_copies(seeded_tiling_text())[fault]
+        text, part = faulty_copies(seeded_tiling_text(21, 19))[fault]
         path = tmp_path / "t.txt"
         path.write_text(text)
         wants = self.check_parity(text, str(path))
         assert len(wants) == 5 and all(want is not None and part in want for want in wants)
 
-    @pytest.mark.parametrize("fault", list(aliased_copies(seeded_tiling_text())))
+    @pytest.mark.parametrize("fault", list(aliased_copies(seeded_tiling_text(21, 19))))
     def test_each_aliasing_fault_names_its_cell(self, fault, tmp_path):
-        text, line = aliased_copies(seeded_tiling_text())[fault]
+        text, line = aliased_copies(seeded_tiling_text(21, 19))[fault]
         assert library_line(lambda: pc.DominoTiling.from_text(text).to_text()) is None
         path = tmp_path / "t.txt"
         path.write_text(text)
@@ -665,11 +663,11 @@ class TestPackedTilingReader:
         return self.parity([(["render", "--input", path, "--style", "tiling", "--output", out],
                              lambda: render_tiling(pc.DominoTiling.from_text(text)))], out)[0]
 
-    @pytest.mark.parametrize("fault", list(faulty_copies(seeded_tiling_text())))
+    @pytest.mark.parametrize("fault", list(faulty_copies(seeded_tiling_text(21, 19))))
     def test_render_tiling_of_each_fault(self, fault, tmp_path):
         # render_tiling takes a tiling of any region, so only the faults of
         # the file itself, not the diamond's, are errors there
-        text, part = faulty_copies(seeded_tiling_text())[fault]
+        text, part = faulty_copies(seeded_tiling_text(21, 19))[fault]
         path = tmp_path / "t.txt"
         path.write_text(text)
         want = self.check_render_tiling(text, str(path))
@@ -694,7 +692,7 @@ class TestPackedTilingReader:
         # a well-formed file of an Aztec diamond is read into a tiling that
         # holds its packed form: no frozenset of dominoes is built, neither
         # by the library reader nor by DominoTiling nor by a decode of it
-        text = seeded_tiling_text()
+        text = seeded_tiling_text(21, 19)
         family = tmp_path / "f.txt"
         family.write_text(pc.tiling_to_family(pc.DominoTiling.from_text(text)).to_text())
         path = tmp_path / "t.txt"
@@ -751,7 +749,7 @@ class TestPackedTilingReader:
 
 
 LATER_FAULTS = [(copies, fault) for copies in (faulty_copies, aliased_copies)
-                for fault in copies(seeded_tiling_text())]
+                for fault in copies(seeded_tiling_text(21, 19))]
 
 
 @pytest.mark.parametrize("copies, fault", LATER_FAULTS,
@@ -761,8 +759,8 @@ def test_a_fault_past_the_first_block_gives_the_library_error(copies, fault, tmp
     # the canonical reader in blocks of one line, so that the fault lies in
     # a later block than the first: tile and render --style overlay give
     # the error line of the reader that goes domino by domino
-    text, _ = copies(seeded_tiling_text())[fault]
-    fault_at = len(os.path.commonprefix([text, seeded_tiling_text()]))
+    text, _ = copies(seeded_tiling_text(21, 19))[fault]
+    fault_at = len(os.path.commonprefix([text, seeded_tiling_text(21, 19)]))
     assert fault_at > text.index("\n")
     with monkeypatch.context() as patch:
         patch.setattr(pathcomb.tilings, "_canonical", lambda _: None)

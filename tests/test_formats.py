@@ -14,7 +14,7 @@ from hypothesis import given, settings
 import pathcomb as pc
 import pathcomb.cli
 import pathcomb.tilings
-from conftest import format_texts
+from conftest import format_texts, seeded_tiling_text
 from oracles import detect_kind_by_lines, integers_by_lines
 from pathcomb.families import _integers
 from pathcomb.tilings import _canonical, _fill
@@ -206,17 +206,12 @@ def test_integers_of_fuzzed_text_match_the_line_reader(text):
         assert _integers(text, width) == integers_by_lines(text, width)
 
 
-def seeded_tiling_text(n: int = 65, seed: int = 5) -> str:
-    """A seeded tiling of the order n-1 diamond, as a tiling file."""
-    return pc.family_to_tiling(pc.comb(pc.random_triangle(n, seed))).to_text()
-
-
 def aztec_tiling_texts() -> list[str]:
     """The tiling file of every tiling of the Aztec diamonds of orders 0-4,
     and of two seeded tilings of orders 64 and 200."""
     texts = [pc.family_to_tiling(f).to_text()
              for n in range(1, 6) for f in pc.enumerate_disjoint(n)]
-    return texts + [seeded_tiling_text(), seeded_tiling_text(201, 21)]
+    return texts + [seeded_tiling_text(65, 5), seeded_tiling_text(201, 21)]
 
 
 @pytest.mark.parametrize("block", [1, 20, None])
@@ -267,9 +262,9 @@ def non_canonical_copies(text: str) -> dict[str, str]:
     }
 
 
-@pytest.mark.parametrize("layout", list(non_canonical_copies(seeded_tiling_text())))
+@pytest.mark.parametrize("layout", list(non_canonical_copies(seeded_tiling_text(65, 5))))
 def test_non_canonical_files_give_the_same_tiling(layout):
-    text = seeded_tiling_text()
+    text = seeded_tiling_text(65, 5)
     copy = non_canonical_copies(text)[layout]
     assert copy != text
     # only a shuffle keeps the layout; the others are read the other way
@@ -284,7 +279,7 @@ def test_a_pair_with_its_second_cell_first_is_no_domino(step):
     # a domino's line turned into the pair of its first cell and the cell
     # before it: read as the cells of its line it covers that cell twice,
     # though the first cell and the step alone name the domino of the file
-    text = seeded_tiling_text()
+    text = seeded_tiling_text(65, 5)
     cells = TILING(text).cells()
     lines = text.splitlines(keepends=True)
     for k, line in enumerate(lines):
@@ -300,11 +295,26 @@ def test_a_pair_with_its_second_cell_first_is_no_domino(step):
 def test_an_empty_field_leaves_the_canonical_reader():
     # three single spaces but three fields on one line: the block holds
     # fewer dominoes than lines, so a cell stays uncovered
-    lines = seeded_tiling_text().splitlines(keepends=True)
+    lines = seeded_tiling_text(65, 5).splitlines(keepends=True)
     a, b, _, d = lines[5].split()
     text = "".join(lines[:5] + [f"{a} {b}  {d}\n"] + lines[6:])
     assert _canonical(text) is None
     with pytest.raises(pc.ParseError, match=r"tiling line must hold four integers \(line 6\)"):
+        TILING(text)
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["tail", "empty field and tail"])
+def test_a_field_after_the_last_newline_leaves_the_canonical_reader(empty):
+    # the line count is still the diamond's; with an empty field on one
+    # line the count of fields is four a line again
+    lines = seeded_tiling_text(65, 5).splitlines(keepends=True)
+    if empty:
+        a, b, _, d = lines[5].split()
+        lines[5] = f"{a} {b}  {d}\n"
+    text = "".join(lines) + "5"
+    assert _canonical(text) is None
+    line = 6 if empty else len(lines) + 1
+    with pytest.raises(pc.ParseError, match=rf"tiling line must hold four integers \(line {line}\)"):
         TILING(text)
 
 
