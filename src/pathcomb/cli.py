@@ -3,14 +3,15 @@ enumeration, tiling conversion and SVG rendering.
 
 Each command imports the modules it runs when it runs, so a process pays
 start-up only for its own command: ``det`` loads ``delannoy`` alone, and
-``sample`` loads ``rng``, ``families`` and ``combing`` but no ``tilings``
-or ``svg``.  Importing this module loads only the integer-field rule of
-``fields``, which the parser needs.  Names that callers read from this
-module, such as ``comb`` and ``PathFamily``, are served by ``__getattr__``
-(PEP 562): each read goes to the defining module, so it follows a patch
-there and caches nothing.  ``tile`` and ``render`` call the public
-functions of ``tilings`` and ``svg`` alone; the packed tiling they run on
-stays inside the ``DominoTiling`` those functions return and take.
+``decimal`` only for a power of more than 4,300 digits; ``sample`` loads
+``rng``, ``families`` and ``combing`` but no ``tilings`` or ``svg``.
+Importing this module loads only the integer-field rule of ``fields``,
+which the parser needs.  Names that callers read from this module, such
+as ``comb`` and ``PathFamily``, are served by ``__getattr__`` (PEP 562):
+each read goes to the defining module, so it follows a patch there and
+caches nothing.  ``tile`` and ``render`` call the public functions of
+``tilings`` and ``svg`` alone; the packed tiling they run on stays inside
+the ``DominoTiling`` those functions return and take.
 """
 
 from __future__ import annotations
@@ -127,16 +128,26 @@ def cmd_det(n: int) -> int:
     if n > 0 and not verify_reduction(n):
         print("unitriangular reduction identity failed", file=sys.stderr)
         return 1
-    # str of an int stops at the interpreter's digit limit, and converting a
-    # large int to decimal takes time superlinear in its digits.  A decimal
-    # power is exact in a context whose precision no power reaches, as the
-    # trapped Inexact makes sure, and prints every digit
+    exponent = n * (n - 1) // 2
+    print(f"{_power_of_two(exponent)} = 2^{exponent}")
+    return 0
+
+
+def _power_of_two(e: int) -> str:
+    """Every decimal digit of 2^e.  Up to 4,300 digits (e <= 14,284), the
+    default digit limit of str(int), str(1 << e) prints them at once; past
+    that, or past a lower limit the interpreter sets (ValueError), the
+    power comes from decimal, as converting a large int to decimal takes
+    time superlinear in its digits.  A decimal power is exact in a context
+    whose precision no power reaches, as the trapped Inexact makes sure."""
+    if e <= 14_284:
+        try:
+            return str(1 << e)
+        except ValueError:
+            pass
     from decimal import MAX_EMAX, MAX_PREC, Context, Inexact
 
-    exponent = n * (n - 1) // 2
-    power = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact]).power(2, exponent)
-    print(f"{power} = 2^{exponent}")
-    return 0
+    return str(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact]).power(2, e))
 
 
 def cmd_enumerate(n: int, cap: int, stat: str | None) -> int:

@@ -6,9 +6,10 @@ steps as the path families.  The matrix of these numbers has determinant
 as an exact block identity.  All arithmetic is exact (Python integers).
 
 Every row of the table comes from the row above in one pass at C level
-(_rows), and verify_reduction checks the table a whole row at a time, on
-the entries on and above the diagonal only, once one comparison has found
-the table symmetric: no Python code runs per entry.
+(_rows).  verify_reduction reads the n x n block one row at a time
+(_table) and checks each row against the one above by one comparison: no
+Python code runs per entry, and it holds two rows, not the n^3 bits of
+the whole block.
 """
 
 from __future__ import annotations
@@ -43,12 +44,18 @@ def delannoy(i: int, j: int) -> int:
     return next(islice(_rows(min(i, j) + 1), max(i, j), None))[-1]
 
 
+def _table(n: int) -> Iterator[tuple[int, ...]]:
+    """The rows of the upper-left n x n block of the Delannoy table, one at
+    a time (_rows)."""
+    return islice(_rows(n), n)
+
+
 def delannoy_matrix(n: int) -> Matrix:
     """The upper-left n x n block of the Delannoy table, each row built
-    from the one above in one pass (_rows)."""
+    from the one above in one pass (_table)."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    return tuple(islice(_rows(n), n))
+    return tuple(_table(n))
 
 
 def det_exact(matrix: Sequence[Sequence[int]]) -> int:
@@ -94,30 +101,28 @@ def verify_reduction(n: int) -> bool:
     D(i, j) = A[i][j] - A[i-1][j] - A[i][j-1] + A[i-1][j-1] (a missing
     index reads as 0), so the identity says that the first row and column
     of A are all 1 and that A[i][j] = A[i-1][j] + A[i][j-1] + A[i-1][j-1]
-    for i, j >= 1; the check runs in O(n^2) on one delannoy_matrix(n).  As
-    det E = 1, the identity certifies det A_n = 2^(n-1) det A_{n-1}; and as
-    E is upper bidiagonal, the leading m x m block of E^T A_n E is
-    E^T A_m E, so passing at n implies passing at every m <= n.  Exact
-    equality; n >= 1.  A table that is not n x n fails.
+    for i, j >= 1.  As det E = 1, the identity certifies
+    det A_n = 2^(n-1) det A_{n-1}; and as E is upper bidiagonal, the
+    leading m x m block of E^T A_n E is E^T A_m E, so passing at n implies
+    passing at every m <= n.  Exact equality; n >= 1.  A table that is not
+    n x n fails.
 
-    The check is made on whole rows.  One comparison first finds A equal
-    to its transpose, which also makes it n x n; then the first row must
-    be all 1, and so the first column, and the recurrence is checked on
-    the entries with j >= i, one row at a time.  That is the whole
-    identity: on a symmetric table D(j, i) = D(i, j) and
-    A[j-1][i-1] = A[i-1][j-1], so the recurrence at (i, j) gives it at
-    (j, i).  Nor does the symmetry test reject a table the identity
-    holds on: all-1 borders and the recurrence determine the Delannoy
-    table, which is symmetric.
+    The rows of the table (_table) are read one at a time, and only the
+    row above is kept.  Given the row above, the identity fixes the whole
+    of the next row: its entry 0 is 1, and its entry j is its entry j - 1
+    plus entries j and j - 1 of the row above, so the row is one running
+    sum of the pairwise sums of the row above, from 1.  Above row 0 the
+    row reads as n zeros, which makes row 0 n ones.  So each row must equal
+    that sum of the row above, which also makes it n long, and exactly n
+    rows must come.  These comparisons are the identity entry by entry,
+    and need no symmetry of the table.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    a = tuple(map(tuple, delannoy_matrix(n)))
-    if len(a) != n or tuple(zip(*a)) != a or set(a[0]) != {1}:
-        return False
-    for i in range(1, n):
-        prev, row = a[i - 1], a[i]
-        # A[i][j] for j = i..n-1, from A[i-1][j], A[i-1][j-1] and A[i][j-1]
-        if tuple(map(add, map(add, prev[i:], prev[i - 1:]), row[i - 1:])) != row[i:]:
+    prev, count = (0,) * n, 0
+    for row in _table(n):
+        row = tuple(row)
+        if row != tuple(accumulate(map(add, prev[1:], prev), initial=1)):
             return False
-    return True
+        prev, count = row, count + 1
+    return count == n

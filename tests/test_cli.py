@@ -180,8 +180,9 @@ class TestDetVerifyEnumerate:
         assert capsys.readouterr() == ("", line)
 
     def test_det_certifies_once(self, monkeypatch, capsys):
-        # the reduction certificate is the one derivation: no Bareiss run and
-        # one Delannoy table, wherever either is reached from
+        # the reduction certificate is the one derivation: no Bareiss run, no
+        # built matrix and one pass over the table's rows, wherever any of
+        # them is reached from
         calls = Counter()
 
         def counting(name, fn):
@@ -195,21 +196,45 @@ class TestDetVerifyEnumerate:
             for module in (DELANNOY, pathcomb.cli):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
+        table = DELANNOY._table
+
+        def rows(n):
+            calls["_table"] += 1
+            for row in table(n):
+                calls["rows"] += 1
+                yield row
+
+        monkeypatch.setattr(DELANNOY, "_table", rows)
         assert pathcomb.cli.main(["det", "--n", "8"]) == 0
         assert capsys.readouterr().out == "268435456 = 2^28\n"
-        assert (calls["det_exact"], calls["delannoy_matrix"]) == (0, 1)
+        assert (calls["det_exact"], calls["delannoy_matrix"], calls["_table"], calls["rows"]) == (
+            0, 0, 1, 8)
 
     def test_det_fails_on_a_bad_table(self, monkeypatch, capsys):
-        table = DELANNOY.delannoy_matrix
+        table = DELANNOY._table
 
         def bad(n):
             rows = [list(row) for row in table(n)]
             rows[-1][-1] += 1
             return tuple(map(tuple, rows))
 
-        monkeypatch.setattr(DELANNOY, "delannoy_matrix", bad)
+        monkeypatch.setattr(DELANNOY, "_table", bad)
         assert pathcomb.cli.main(["det", "--n", "8"]) == 1
         assert capsys.readouterr() == ("", "unitriangular reduction identity failed\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this interpreter has no int digit limit")
+    @pytest.mark.parametrize("n", [60, 80])
+    def test_det_under_a_lower_digit_limit(self, n, capsys):
+        # 2^1770 has 533 digits, within a limit of 640; 2^3160 has 952
+        e = n * (n - 1) // 2
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert pathcomb.cli.main(["det", "--n", str(n)]) == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr() == (f"{Decimal(1 << e)} = 2^{e}\n", "")
 
     def test_verify(self):
         r = run_cli("verify", "--n", "4")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import random
+import tracemalloc
 from functools import cache
 
 import pytest
@@ -178,15 +179,15 @@ class TestReduction:
             bumped = tuple(1 + (j == t) for j in range(n))
             wrong += [recurrence_table(bumped, (1,) * n), recurrence_table((1,) * n, bumped)]
         for bad in wrong:
-            monkeypatch.setattr(delannoy_module, "delannoy_matrix", lambda m: bad)
+            monkeypatch.setattr(delannoy_module, "_table", lambda m: bad)
             assert not pc.verify_reduction(n)
             assert not reduction_by_products(bad)
 
     @pytest.mark.parametrize("n", [12, 45])
     def test_symmetric_faults_fail(self, n, monkeypatch):
-        # the recurrence is checked on and above the diagonal only, once the
-        # table is found symmetric: a fault moved with its mirror image must
-        # still fail, wherever it is
+        # a check that trusted the table's symmetry could look at one
+        # triangle only: a fault moved with its mirror image must still
+        # fail, wherever it is
         a = pc.delannoy_matrix(n)
         rng = random.Random(20261019 + n)
         spots = {(i, i) for i in range(n)} | {(0, j) for j in range(n)} | {(n - 1, n - 1)}
@@ -199,7 +200,7 @@ class TestReduction:
                     rows[j][i] += d
                 bad = tuple(map(tuple, rows))
                 assert bad == tuple(zip(*bad))
-                monkeypatch.setattr(delannoy_module, "delannoy_matrix", lambda m: bad)
+                monkeypatch.setattr(delannoy_module, "_table", lambda m: bad)
                 assert not pc.verify_reduction(n), (i, j, d)
                 if n <= 12:
                     assert not reduction_by_products(bad)
@@ -220,12 +221,21 @@ class TestReduction:
             "empty rows": ((),) * n,
         }
         for name, bad in tables.items():
-            monkeypatch.setattr(delannoy_module, "delannoy_matrix", lambda m: bad)
+            monkeypatch.setattr(delannoy_module, "_table", lambda m: bad)
             assert not pc.verify_reduction(n), name
         # a table is checked by its entries, whatever sequences hold them
-        monkeypatch.setattr(delannoy_module, "delannoy_matrix",
-                            lambda m: [list(row) for row in a])
+        monkeypatch.setattr(delannoy_module, "_table", lambda m: [list(row) for row in a])
         assert pc.verify_reduction(n)
+
+    def test_holds_two_rows(self):
+        # the whole order-600 table takes 44 MB, two of its rows 0.3 MB
+        tracemalloc.start()
+        try:
+            assert pc.verify_reduction(600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_holds(self, n):

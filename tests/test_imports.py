@@ -67,6 +67,7 @@ LOADS = [
     ("import pathcomb", BASE, False),
     ("import pathcomb.cli", CLI, False),
     (["det", "--n", "5"], CLI, False),
+    (["det", "--n", "45"], CLI, False),
     (["sample", "--n", "4", "--seed", "1"], COMBING | {"pathcomb.rng"}, False),
     (["sample", "--n", "4", "--seed", "1", "--svg", "out"], COMBING | SVG | {"pathcomb.rng"},
      False),
@@ -90,17 +91,18 @@ import json, sys
 sys.path.insert(0, {src!r})
 {run}
 loaded = sorted(m for m in sys.modules if m == "pathcomb" or m.startswith("pathcomb."))
-print(json.dumps([loaded, "dataclasses" in sys.modules, "inspect" in sys.modules]))
+flags = [name in sys.modules for name in ("dataclasses", "inspect", "decimal")]
+print(json.dumps([loaded, *flags]))
 """
 
 
-def probe(code: str, cwd) -> tuple[set[str], bool, bool]:
+def probe(code: str, cwd) -> tuple[set[str], bool, bool, bool]:
     """The pathcomb modules a fresh interpreter holds after running code, and
-    whether it loaded dataclasses and inspect."""
+    whether it loaded dataclasses, inspect and decimal."""
     proc = subprocess.run([sys.executable, "-c", PROBE.format(src=SRC, run=code)],
                           capture_output=True, text=True, cwd=cwd, check=True)
-    loaded, dataclasses, inspect = json.loads(proc.stdout.splitlines()[-1])
-    return set(loaded), dataclasses, inspect
+    loaded, dataclasses, inspect, decimal = json.loads(proc.stdout.splitlines()[-1])
+    return set(loaded), dataclasses, inspect, decimal
 
 
 @pytest.mark.parametrize("run,modules,dataclasses", LOADS,
@@ -112,8 +114,15 @@ def test_each_command_loads_only_its_modules(run, modules, dataclasses, tmp_path
     (tmp_path / "tiling.txt").write_text(pathcomb.family_to_tiling(f).to_text())
     if not isinstance(run, str):
         run = f"from pathcomb.cli import main\nassert main({run!r}) == 0"
-    # inspect, which dataclasses loads, costs every command several ms
-    assert probe(run, tmp_path) == (modules, dataclasses, False)
+    # inspect, which dataclasses loads, costs every command several ms, and
+    # decimal about 2 ms
+    assert probe(run, tmp_path) == (modules, dataclasses, False, False)
+
+
+def test_det_loads_decimal_past_the_digit_limit(tmp_path):
+    # 2^19900 has 5,991 digits, past the 4,300 that str(int) prints by default
+    run = "from pathcomb.cli import main\nassert main(['det', '--n', '200']) == 0"
+    assert probe(run, tmp_path) == (CLI, False, False, True)
 
 
 class TestPublicSurface:
