@@ -157,7 +157,7 @@ def cmd_enumerate(n: int, cap: int, stat: str | None) -> int:
     print(f"{len(families)} disjoint families of order {n}")
     if stat:
         statistic = getattr(enumeration, _STATISTIC_FUNCTIONS[stat])
-        hist = Counter(statistic(f) for f in families)
+        hist = Counter(map(statistic, families))
 
         def key_text(k):
             return " ".join(str(x) for x in k) if isinstance(k, tuple) else str(k)

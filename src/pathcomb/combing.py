@@ -19,10 +19,14 @@ chunk tables come indexed by slack, built once per public call by _tables.
 The two column stages and the two single steps reach _sweep through one
 runner, _stage_sweep, which checks the shape of its window of rows and the
 stage domain there, packs the window and rebuilds the family; comb and
-uncomb pack the whole triangle once and sweep every column in place.
+uncomb pack the whole triangle once and sweep the columns in place.
 _sweep is also the one place that captures traces for the optional
 trace_sink arguments, so that tests can assert the monotonicity and
-dominance properties of the d-sequences.
+dominance properties of the d-sequences.  The stage at column 0 moves no
+step in either direction: no column lies before it, and every family it
+meets holds no vertical step there (a cliff family by construction, a
+valid one because a path stays above only with D[i][0] <= 0).  So comb and
+uncomb sweep column 0 only when traced, for its n-1 traces.
 
 InsufficientVerticalSteps and ResidualVerticalSteps are defined here.
 NotDisjoint and their base PreconditionViolation come from families, so the
@@ -405,13 +409,16 @@ def comb(t: BitTriangle, trace_sink: list[CombTrace] | None = None) -> PathFamil
 
     Sweeps comb_column for k = n-1 down to 0.  Step directions only ever
     swap between adjacent rows within a column, so per-column sums of B and
-    of D are conserved throughout.
+    of D are conserved throughout.  The stages at k = n-1 and k = 0 are
+    identities, so only k = n-2 down to 1 run, and k = 0 too when traced,
+    where its operations each give a trace (0,).
     """
     n = t.n
     X = _pack(t.bits)
     D = [[0] * i + [i - sum(row)] for i, row in enumerate(t.bits)]
     T = _tables(False, n - 2)
-    for k in range(n - 2, -1, -1):  # no pair of rows meets column n-1
+    last = -1 if trace_sink is not None else 0
+    for k in range(n - 2, last, -1):  # no pair of rows meets column n-1
         _sweep(X, D, k, range(k, n - 1), T, None, trace_sink)
     return PathFamily(tuple(_unpack(X, range(n))), tuple(map(tuple, D)))
 
@@ -429,7 +436,9 @@ def uncomb(f: PathFamily, trace_sink: list[CombTrace] | None = None) -> BitTrian
     so the swept family is the cliff-shaped family of the returned bits.
     The height vector starts at h[i] = i in column 0 and drops by B[i][k]
     once column k has been swept; only later sweeps change column k, so
-    B[i][k] is still f's.
+    B[i][k] is still f's.  Column 0 is swept only when traced: a valid f
+    holds no vertical step there and the paths enter it a level apart, so
+    its operations move nothing and pass every check.
     """
     require_valid(f)
     n = f.n
@@ -438,7 +447,8 @@ def uncomb(f: PathFamily, trace_sink: list[CombTrace] | None = None) -> BitTrian
     h = list(range(n))
     T = _tables(True, n - 2)
     for k in range(n - 1):  # no pair of rows meets column n-1
-        _sweep(X, D, k, range(n - 2, k - 1, -1), T, h, trace_sink)
+        if k or trace_sink is not None:
+            _sweep(X, D, k, range(n - 2, k - 1, -1), T, h, trace_sink)
         for i in range(k + 1, n):
             h[i] -= f.B[i][k]
     return BitTriangle(tuple(_unpack(X, range(n))))

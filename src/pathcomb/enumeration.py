@@ -169,7 +169,7 @@ def diagonal_step_count(f: PathFamily) -> int:
 def joint_distribution(n: int, statistic: Callable[[PathFamily], Hashable],
                        cap: int = 5) -> Counter:
     """Exact frequency table of a statistic over all disjoint order-n families."""
-    return Counter(statistic(f) for f in enumerate_disjoint(n, cap))
+    return Counter(map(statistic, enumerate_disjoint(n, cap)))
 
 
 class VerificationReport(_Record):
@@ -228,13 +228,15 @@ def verify_bijection(n: int, cap: int = 5,
         except Exception as exc:  # a broken comb_fn may throw; report, not crash
             failures.append(f"round trip raised {exc!r} for t = {t.to_text()!r}")
     disjoint = enumerate_disjoint(n, cap)
-    # one set of the image for both differences, built from the hashes the
-    # dict stored; disjoint - image.keys() would hash every family again,
-    # and keys views list the failures in another order
+    # one set of the image, built from the hashes the dict stored, and one
+    # comparison; only an image that differs needs the two differences
+    # (disjoint - image.keys() would hash every family again, and keys views
+    # list the failures in another order)
     reached = set(image)
-    for extra in reached - disjoint:
-        failures.append(f"comb image not disjoint: {extra.to_text()!r}")
-    for missing in disjoint - reached:
-        failures.append(f"disjoint family not reached: {missing.to_text()!r}")
+    if reached != disjoint:
+        for extra in reached - disjoint:
+            failures.append(f"comb image not disjoint: {extra.to_text()!r}")
+        for missing in disjoint - reached:
+            failures.append(f"disjoint family not reached: {missing.to_text()!r}")
     return VerificationReport(n=n, triangles=count, disjoint_families=len(disjoint),
                               failures=tuple(failures))

@@ -830,6 +830,76 @@ class TestTraces:
             assert pc.is_disjoint(f)
 
 
+def top_sweeps(monkeypatch, call, arg, sink):
+    """The columns of the _sweep calls that call(arg, sink) makes itself, in
+    order; a traced sweep's own calls, one per row pair, are not counted."""
+    columns, depth = [], [0]
+    sweep = combing._sweep
+
+    def counted(X, D, k, *rest):
+        if not depth[0]:
+            columns.append(k)
+        depth[0] += 1
+        try:
+            return sweep(X, D, k, *rest)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(combing, "_sweep", counted)
+    call(arg, sink)
+    monkeypatch.undo()
+    return columns
+
+
+class TestColumnZero:
+    """The stage at column 0 moves nothing, so comb and uncomb sweep it only
+    when traced."""
+
+    def test_valid_families_hold_no_vertical_step_in_column_0(self, schroder_by_n):
+        for n in range(6):
+            for f in schroder_by_n[n]:
+                assert all(row[0] == 0 for row in f.D), f
+
+    def test_uncomb_traced_and_untraced_agree(self, schroder_by_n):
+        for n in range(5):
+            for f in schroder_by_n[n]:
+                got, traces = traced(pc.uncomb, f)
+                assert outcome(pc.uncomb, f) == got
+                if isinstance(got, pc.BitTriangle):
+                    assert len(traces) == n * (n - 1) // 2
+                    assert [tr.d_seq for tr in traces if tr.k == 0] == [(0,)] * (n - 1)
+
+    def test_comb_traced_and_untraced_agree(self, triangles_by_n):
+        for n in range(6):
+            for t in triangles_by_n[n]:
+                assert pc.comb(t) == pc.comb(t, [])
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_column_0_swept_only_when_traced(self, monkeypatch, n):
+        t = pc.random_triangle(n, n)
+        f = pc.comb(t)
+        assert top_sweeps(monkeypatch, pc.comb, t, None) == list(range(n - 2, 0, -1))
+        assert top_sweeps(monkeypatch, pc.comb, t, []) == list(range(n - 2, -1, -1))
+        assert top_sweeps(monkeypatch, pc.uncomb, f, None) == list(range(1, n - 1))
+        assert top_sweeps(monkeypatch, pc.uncomb, f, []) == list(range(n - 1))
+
+    def test_work_counts_of_the_reference_triangle(self):
+        # ROADMAP's baseline counts, which the benchmark reads off these
+        # traces: every column is traced, column 0 included
+        n, t = 200, pc.random_triangle(200, 3)
+        traces: list[CombTrace] = []
+        f = pc.comb(t, traces)
+        assert len(traces) == 19_900 == n * (n - 1) // 2
+        assert sum(len(tr.d_seq) - 1 for tr in traces) == 1_313_400 == sum(
+            k * (n - 1 - k) for k in range(n))
+        swaps = sum(b > a for tr in traces for a, b in zip(tr.d_seq, tr.d_seq[1:]))
+        assert swaps == 242_735 == sum(tr.transferred for tr in traces)
+        assert sum(tr.transferred == 0 for tr in traces) == 3_657
+        traces = []
+        assert pc.uncomb(f, traces) == t
+        assert len(traces) == 19_900
+
+
 class TraceDigest:
     """A trace sink that keeps a SHA-256 of the traces, not the traces."""
 
