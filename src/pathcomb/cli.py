@@ -12,6 +12,11 @@ each read goes to the defining module, so it follows a patch there and
 caches nothing.  ``tile`` and ``render`` call the public functions of
 ``tilings`` and ``svg`` alone; the packed tiling they run on stays inside
 the ``DominoTiling`` those functions return and take.
+
+The commands are listed once, in ``build_parser``: each subparser binds
+its ``cmd_*`` function as the default ``run``, and the options' dests are
+that function's parameter names.  ``main`` calls ``run`` with the parsed
+options, in one place inside its mapping of errors to exit status 1.
 """
 
 from __future__ import annotations
@@ -271,40 +276,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sample", help="comb a random triangle deterministically")
+    sp.set_defaults(run=cmd_sample)
     sp.add_argument("--n", type=order, required=True)
     sp.add_argument("--seed", type=integer, default=0)
     sp.add_argument("--out-family")
     sp.add_argument("--out-triangle")
-    sp.add_argument("--svg")
+    sp.add_argument("--svg", dest="svg_path", metavar="SVG")
 
     sp = sub.add_parser("comb", help="triangle file to disjoint family file")
-    sp.add_argument("--input", required=True)
+    sp.set_defaults(run=cmd_comb)
+    sp.add_argument("--input", dest="input_path", metavar="INPUT", required=True)
     sp.add_argument("--output")
     sp.add_argument("--stages", help="directory for one SVG per column stage")
 
     sp = sub.add_parser("uncomb", help="disjoint family file to triangle file")
-    sp.add_argument("--input", required=True)
+    sp.set_defaults(run=cmd_uncomb)
+    sp.add_argument("--input", dest="input_path", metavar="INPUT", required=True)
     sp.add_argument("--output")
 
     sp = sub.add_parser("det", help="exact determinant of the Delannoy matrix")
+    sp.set_defaults(run=cmd_det)
     sp.add_argument("--n", type=order, required=True)
 
     sp = sub.add_parser("enumerate", help="enumerate disjoint families")
+    sp.set_defaults(run=cmd_enumerate)
     sp.add_argument("--n", type=order, required=True)
     sp.add_argument("--cap", type=integer, default=5)
     sp.add_argument("--stat", choices=sorted(_STATISTIC_FUNCTIONS))
 
     sp = sub.add_parser("verify", help="exhaustively verify the bijection")
+    sp.set_defaults(run=cmd_verify)
     sp.add_argument("--n", type=order, required=True)
     sp.add_argument("--cap", type=integer, default=5)
 
     sp = sub.add_parser("tile", help="convert between family and tiling files")
-    sp.add_argument("--input", required=True)
+    sp.set_defaults(run=cmd_tile)
+    sp.add_argument("--input", dest="input_path", metavar="INPUT", required=True)
     sp.add_argument("--direction", choices=("to-tiling", "to-family"), required=True)
     sp.add_argument("--output")
 
     sp = sub.add_parser("render", help="render a family or tiling file as SVG")
-    sp.add_argument("--input", required=True)
+    sp.set_defaults(run=cmd_render)
+    sp.add_argument("--input", dest="input_path", metavar="INPUT", required=True)
     sp.add_argument("--style", choices=("paths", "tiling", "overlay", "dual"),
                     default="paths")
     sp.add_argument("--convention", type=integer, choices=(0, 1, 2, 3), default=0)
@@ -326,26 +339,11 @@ def _precondition_violation() -> tuple[type[Exception], ...]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = vars(_parser().parse_args(argv))
+    run = args.pop("run")
+    del args["command"]
     try:
-        if args.command == "sample":
-            return cmd_sample(args.n, args.seed, args.out_family,
-                              args.out_triangle, args.svg)
-        if args.command == "comb":
-            return cmd_comb(args.input, args.output, args.stages)
-        if args.command == "uncomb":
-            return cmd_uncomb(args.input, args.output)
-        if args.command == "det":
-            return cmd_det(args.n)
-        if args.command == "enumerate":
-            return cmd_enumerate(args.n, args.cap, args.stat)
-        if args.command == "verify":
-            return cmd_verify(args.n, args.cap)
-        if args.command == "tile":
-            return cmd_tile(args.input, args.direction, args.output)
-        if args.command == "render":
-            return cmd_render(args.input, args.style, args.convention, args.output)
-        raise AssertionError(f"unhandled command {args.command}")
+        return run(**args)
     except (ValueError, OverflowError, OSError, *_precondition_violation()) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -195,24 +195,14 @@ def _integers(text: str, width: int) -> list[int] | None:
     return None
 
 
-def _records(text: str, values: list[int] | None, width: int, wrong_width: str, noun: str,
-             keys: Callable[[list[int]], list[Hashable]]) -> frozenset:
-    """The keys of the records on the nonblank lines: each line must hold
-    width integers, and keys maps the integers of any number of records,
-    listed in order, to the list of their keys.  A key met on an earlier
-    line is a ParseError naming that line.
-
-    values is _integers(text, width), which the caller lists, so that a
-    reader that tried the integers another way first lists them once.  A
-    well-formed text is converted from them in one pass.  Only a text that
-    fails there is read again line by line, to name its first bad line."""
-    if values is not None:
-        found = keys(values)
-        # through a dict, as the line loop builds it, so that the set
-        # iterates in the same order
-        first = dict.fromkeys(found)
-        if len(first) == len(found):
-            return frozenset(first)
+def _records(text: str, width: int, wrong_width: str, noun: str,
+             key: Callable[[list[int]], Hashable]) -> frozenset:
+    """The keys of the records on the nonblank lines, read line by line:
+    each line must hold width integers, and key maps the integers of one
+    line to its record's key.  The first line that holds a wrong number of
+    fields, a field that is no integer, or a key met on an earlier line is
+    a ParseError naming that line.  The set iterates its keys in the order
+    of their lines."""
     line_of: dict = {}
     for ln, fields in _fields(text.splitlines()):
         if len(fields) != width:
@@ -221,7 +211,7 @@ def _records(text: str, values: list[int] | None, width: int, wrong_width: str, 
             record = list(map(_plain_int, fields))
         except ValueError:
             raise ParseError("non-integer cell coordinate", line=ln) from None
-        (k,) = keys(record)
+        k = key(record)
         if line_of.setdefault(k, ln) != ln:
             raise ParseError(f"{noun} repeats line {line_of[k]}", line=ln)
     return frozenset(line_of)

@@ -64,12 +64,16 @@ _first_cells on first read, into the one frozenset, and then kept; _cover
 returns the held form, to_text writes through _packed_text, and svg draws
 from it.  The held form is no field of the record: ==, hash, repr, pickle
 and copy are those of the dominoes.  Every other tiling holds None there
-and keeps its frozenset: one built from dominoes or pairs, one of another
-region, and one read from a file that fails _fill, which goes from the same
-integers through the parser skeleton families._records, so that every error
-names the same line or cell.  _cover packs such a tiling through _fill, in
-the iteration order of its dominoes.  DominoTiling.from_text and
-Region.from_text read through that one skeleton.
+and keeps its frozenset: one built from dominoes or pairs, and one read
+from a file that _fill refuses or whose fields are not four integers a
+line.  Such a file, of another region or faulty, is read again line by
+line by the parser skeleton families._records, one _domino per line,
+which names the first line at fault; no well-formed file of an Aztec
+diamond reaches it.  _cover packs a tiling that holds None through _fill,
+in the iteration order of its dominoes, and so names by its cell a fault
+that no line shows, such as two cells that are not adjacent.
+DominoTiling.from_text and Region.from_text read through that one
+skeleton.
 
 One chain walker, _edge_paths, serves all four conventions.  In the
 tiling turned by a symmetry of _symmetry (the one table of the four
@@ -147,8 +151,7 @@ class Region(_Record):
 
     @classmethod
     def from_text(cls, text: str) -> "Region":
-        return cls(_records(text, _integers(text, 2), 2, "region line must hold two integers",
-                            "cell", lambda v: list(zip(v[0::2], v[1::2]))))
+        return cls(_records(text, 2, "region line must hold two integers", "cell", tuple))
 
 
 class EdgeSets(_Record):
@@ -168,10 +171,10 @@ def _sorted_pairs(pairs: Iterable[tuple[Cell, Cell]]) -> list[tuple[Cell, Cell]]
     return [(p, q) if p <= q else (q, p) for p, q in pairs]
 
 
-def _dominoes(v: list[int]) -> list[tuple[Cell, Cell]]:
-    """The dominoes of the tiling lines a b c d whose integers v lists in
-    order, their two cells sorted."""
-    return _sorted_pairs(zip(zip(v[0::4], v[1::4]), zip(v[2::4], v[3::4])))
+def _domino(v: list[int]) -> tuple[Cell, Cell]:
+    """The domino of the tiling line a b c d, its two cells sorted."""
+    a, b, c, d = v
+    return ((a, b), (c, d)) if (a, b) <= (c, d) else ((c, d), (a, b))
 
 
 class DominoTiling(_Record):
@@ -234,10 +237,11 @@ class DominoTiling(_Record):
     def from_text(cls, text: str) -> "DominoTiling":
         """A file of an Aztec diamond's tiling in the canonical layout, as
         to_text writes it, is read straight into a held tiling
-        (_canonical).  Any other text goes from its integers
-        (families._integers) to a held tiling through the checks of _fill,
-        or else through the parser skeleton families._records, which reads
-        a faulty text again line by line and names the line at fault."""
+        (_canonical).  Any other well-formed file of an Aztec diamond's
+        tiling goes from its integers (families._integers) to a held
+        tiling through the checks of _fill.  Only the rest, a tiling of
+        another region or a faulty text, is read line by line by the
+        parser skeleton families._records, which names the line at fault."""
         held = _canonical(text)
         if held is not None:
             return cls._holding(*held)
@@ -247,8 +251,7 @@ class DominoTiling(_Record):
                 return cls._holding(*_fill(values))
             except NotATiling:
                 pass
-        return cls(_records(text, values, 4, "tiling line must hold four integers", "domino",
-                            _dominoes))
+        return cls(_records(text, 4, "tiling line must hold four integers", "domino", _domino))
 
 
 class EdgePathFamily(_Record):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import importlib
 import io
 import os
@@ -866,6 +867,31 @@ class TestMainContract:
             pathcomb.cli.main(["--help"])
         assert capsys.readouterr().out.endswith(build().format_help())
         assert len(built) == 1
+
+    def test_usage_lines(self, monkeypatch):
+        # argparse wraps at the terminal width it reads from COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = pathcomb.cli.build_parser()
+        (sub,) = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        usage = {name: sp.format_usage() for name, sp in sub.choices.items()}
+        assert parser.format_usage() == (
+            "usage: pathcomb [-h] {sample,comb,uncomb,det,enumerate,verify,tile,render} ...\n")
+        assert usage == {
+            "sample": "usage: pathcomb sample [-h] --n N [--seed SEED] [--out-family OUT_FAMILY]\n"
+                      "                       [--out-triangle OUT_TRIANGLE] [--svg SVG]\n",
+            "comb": "usage: pathcomb comb [-h] --input INPUT [--output OUTPUT] [--stages STAGES]\n",
+            "uncomb": "usage: pathcomb uncomb [-h] --input INPUT [--output OUTPUT]\n",
+            "det": "usage: pathcomb det [-h] --n N\n",
+            "enumerate": "usage: pathcomb enumerate [-h] --n N [--cap CAP]\n"
+                         "                          [--stat {columns,diagonals,intercolumns,rows}]\n",
+            "verify": "usage: pathcomb verify [-h] --n N [--cap CAP]\n",
+            "tile": "usage: pathcomb tile [-h] --input INPUT --direction {to-tiling,to-family}\n"
+                    "                     [--output OUTPUT]\n",
+            "render": "usage: pathcomb render [-h] --input INPUT\n"
+                      "                       [--style {paths,tiling,overlay,dual}]\n"
+                      "                       [--convention {0,1,2,3}] [--output OUTPUT]\n",
+        }
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(cli_runs())

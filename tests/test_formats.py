@@ -274,6 +274,23 @@ def test_non_canonical_files_give_the_same_tiling(layout):
     assert t.to_text() == text
 
 
+@pytest.mark.parametrize("layout", list(non_canonical_copies(seeded_tiling_text(65, 5))))
+def test_valid_files_never_reach_the_record_reader(layout, monkeypatch):
+    # a well-formed Aztec file in any layout is held, through _canonical or
+    # _integers and _fill: the line loop of families._records reads only
+    # other regions and faulty files
+    text = seeded_tiling_text(65, 5)
+    copy = non_canonical_copies(text)[layout]
+
+    def refused(*args):
+        raise AssertionError("the record reader ran")
+
+    monkeypatch.setattr(pathcomb.tilings, "_records", refused)
+    t = TILING(copy)
+    assert t._held is not None and t._held == TILING(text)._held
+    assert t == TILING(text) and t.to_text() == text
+
+
 @pytest.mark.parametrize("step", [(0, 1), (1, 0)], ids=["horizontal", "vertical"])
 def test_a_pair_with_its_second_cell_first_is_no_domino(step):
     # a domino's line turned into the pair of its first cell and the cell

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 from pathlib import Path
 
 import pathcomb as pc
+import pathcomb.cli
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 ENUMERATION = Path(pc.__file__).parent / "enumeration.py"
@@ -154,6 +156,33 @@ def test_one_staging_site():
     assert callers["_sweep"] == {"comb", "uncomb", "_stage_sweep", "_sweep"}
     assert callers["_pack"] == {"comb", "uncomb", "_stage_sweep"}
     assert callers["_by_slack"] == {"_tables"}
+
+
+def test_one_dispatch_site():
+    # the commands are listed once, in build_parser: each subparser binds
+    # its cmd_* function as run, and main calls it in one place
+    cli = pathcomb.cli
+    (sub,) = [action for action in cli.build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    runs = [sp.get_default("run") for sp in sub.choices.values()]
+    commands = {name: fn for name, fn in vars(cli).items()
+                if name.startswith("cmd_") and callable(fn)}
+    assert all(getattr(run, "__name__", "") in commands
+               and commands[run.__name__] is run for run in runs)
+    assert sorted(run.__name__ for run in runs) == sorted(commands)
+    tree = ast.parse(CLI.read_text(), filename=str(CLI))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    # args.command or args["command"] compared with anything
+    compares = [node for node in ast.walk(main) if isinstance(node, ast.Compare)
+                and any(getattr(part, "attr", None) == "command"
+                        or getattr(part, "value", None) == "command"
+                        for side in (node.left, *node.comparators)
+                        for part in ast.walk(side))]
+    assert compares == []
+    calls = [node for node in ast.walk(main) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "run"]
+    assert len(calls) == 1
 
 
 def test_packed_format_stays_in_tilings():
